@@ -16,7 +16,10 @@
 #   make bench-remote  distributed shard tier: remote-executor throughput at
 #                      1/2/4 workers (bit-identical to serial) plus a
 #                      kill-a-worker failover cell -> BENCH_remote.json
-#                      (each refuses to record a >20% regression;
+#   make bench-smoke   5 s of the gating benchmark's exact_hotspot workload
+#                      (bench/run.py); its verifier cross-checks the shipped
+#                      default against full-snapshot sweeps on both kernels
+#                      (each bench-* above refuses to record a >20% regression;
 #                       BENCH_FLAGS=--force overrides, BENCH_FLAGS=--quick
 #                       runs a reduced smoke configuration)
 #   make smoke-recovery SIGKILL a checkpointing `repro serve` mid-stream and
@@ -71,8 +74,8 @@ SMOKE_TIMEOUT ?= 900
 COVERAGE_MIN ?= 92
 
 .PHONY: test bench bench-sweep bench-ingest bench-service bench-recovery \
-	bench-robustness bench-server bench-obs bench-remote smoke smoke-recovery \
-	smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
+	bench-robustness bench-server bench-obs bench-remote bench-smoke smoke \
+	smoke-recovery smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
 	smoke-remote coverage lint
 
 test:
@@ -104,6 +107,9 @@ bench-obs:
 
 bench-remote:
 	$(PYTHON) benchmarks/bench_remote.py $(BENCH_FLAGS)
+
+bench-smoke:
+	$(PYTHON) bench/run.py --workload exact_hotspot --seed 7 --seconds 5 --trace 0
 
 smoke:
 	timeout $(SMOKE_TIMEOUT) $(PYTHON) scripts/recovery_smoke.py

@@ -19,7 +19,7 @@ from repro.core.cell_index import UniformGridIndex
 from repro.core.cells import CandidatePoint, CellState
 from repro.core.query import SurgeQuery
 from repro.core.sweep_backends import SweepBackend, resolve_backend
-from repro.core.sweepline import LabeledRect, sweep_bursty_point
+from repro.core.sweepline import sweep_bursty_point
 from repro.geometry.grids import CellIndex, GridSpec
 from repro.geometry.heaps import LazyMaxHeap
 from repro.streams.objects import EventBatch, EventKind, RectangleObject, WindowEvent
@@ -149,23 +149,11 @@ class StaticBoundCellCSPOT(BurstyRegionDetector):
 
     def _search_cell(self, key: CellIndex, cell: CellState) -> None:
         self.stats.cells_searched += 1
-        labeled = [
-            LabeledRect(
-                record.rect.x,
-                record.rect.y,
-                record.rect.x + record.rect.width,
-                record.rect.y + record.rect.height,
-                record.rect.weight,
-                record.in_current,
-            )
-            for record in cell.records.values()
-        ]
         outcome = sweep_bursty_point(
-            labeled,
+            cell.labeled_rects(),
             alpha=self.query.alpha,
             current_length=self.query.current_length,
             past_length=self.query.past_length,
-            bounds=cell.bounds,
             backend=self.sweep_backend,
         )
         if outcome is None:  # pragma: no cover - records always intersect the cell

@@ -2,7 +2,8 @@
 
 Each grid cell (of exactly the query-rectangle size, Definition 6) tracks
 
-* the rectangle objects overlapping it, with their window label,
+* the rectangle objects overlapping it — each already clipped to the cell,
+  once, when it arrives — with their window label,
 * the static upper bound ``Us`` (Definition 7 / Lemma 2),
 * the dynamic upper bound ``Ud`` (Equation 3 / Lemma 3), and
 * the candidate point of the last per-cell search together with its window
@@ -32,12 +33,25 @@ class CandidatePoint:
     valid: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class CellRecord:
-    """A rectangle object stored in a cell, with its current window label."""
+    """A rectangle object stored in a cell, with its current window label.
+
+    The coordinates are the rectangle *clipped to the cell*, computed once by
+    :meth:`CellState.add_new`: inside the cell the clipped and the unclipped
+    rectangle cover the same points, so a sweep over the records needs no
+    clipping pass.  The field names are those of
+    :class:`~repro.core.sweep_backends.types.LabeledRect`, which lets a sweep
+    kernel read a record directly.  ``rect`` is the unclipped original.
+    """
 
     rect: RectangleObject
-    in_current: bool
+    min_x: float
+    min_y: float
+    max_x: float
+    max_y: float
+    weight: float
+    in_current: bool = True
 
 
 @dataclass
@@ -55,7 +69,15 @@ class CellState:
     # ------------------------------------------------------------------
     def add_new(self, rect: RectangleObject, current_length: float) -> None:
         """A new rectangle object (current window) starts overlapping the cell."""
-        self.records[rect.object_id] = CellRecord(rect=rect, in_current=True)
+        bounds = self.bounds
+        self.records[rect.object_id] = CellRecord(
+            rect,
+            max(rect.x, bounds.min_x),
+            max(rect.y, bounds.min_y),
+            min(rect.x + rect.width, bounds.max_x),
+            min(rect.y + rect.height, bounds.max_y),
+            rect.weight,
+        )
         self.static_bound += rect.weight / current_length
         if self.dynamic_bound != float("inf"):
             self.dynamic_bound += rect.weight / current_length
@@ -125,6 +147,19 @@ class CellState:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def labeled_rects(self) -> list[CellRecord]:
+        """The cell's rectangles, clipped and labelled, ready to be swept.
+
+        A rectangle whose cell address and clipped extent disagree by a
+        rounding error (it touches the cell's grid line by address, misses it
+        by an ulp in coordinates) covers no point of the cell and is left out.
+        """
+        return [
+            record
+            for record in self.records.values()
+            if record.min_x <= record.max_x and record.min_y <= record.max_y
+        ]
+
     @property
     def upper_bound(self) -> float:
         """``U(c) = min(Us(c), Ud(c))`` (Definition 8)."""

@@ -10,14 +10,17 @@ interchangeable kernels that actually run the sweep:
     original seed kernel while remaining bit-for-bit exact.
 
 ``numpy``
-    A vectorized kernel using difference arrays and ``cumsum`` prefix sums.
-    Available only when the optional ``numpy`` dependency is installed
-    (``pip install .[fast]``).
+    A vectorized, event-blocked kernel: the burst score is kept as the
+    maximum of two slab arrays that are linear in ``(fc, fp)``, so a block of
+    64 rectangle events is scored with one segment-maximum pass plus a
+    ``64 × segments`` offset table instead of one evaluation per event (see
+    :mod:`repro.core.sweep_backends.numpy_backend`).  Available only when
+    the optional ``numpy`` dependency is installed (``pip install .[fast]``).
 
 ``auto``
-    Adaptive dispatch: small snapshots (where interpreter overhead is
-    irrelevant and array setup dominates) run on the Python kernel, large
-    ones on NumPy when it is importable.  This is the default.
+    Adaptive dispatch: small snapshots (where the fixed cost of building
+    the arrays dominates) run on the Python kernel, the rest on NumPy when
+    it is importable.  This is the default.
 
 Selection
 ---------
@@ -46,11 +49,21 @@ BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 CROSSOVER_ENV_VAR = "REPRO_SWEEP_CROSSOVER"
 
 #: Default snapshot size at which ``auto`` switches from the Python kernel to
-#: NumPy.  Below this the fixed cost of array construction outweighs
-#: vectorization; the measured crossover (benchmarks/bench_sweep.py
-#: snapshots) is ~190.  Override per environment with ``REPRO_SWEEP_CROSSOVER``
-#: when the measured crossover differs on your hardware.
-AUTO_NUMPY_THRESHOLD = 192
+#: NumPy.  Below this the fixed cost of array construction (~150 µs)
+#: outweighs vectorization.  Measured on what detectors actually sweep —
+#: prefixes of 150 cell-clipped snapshots captured from each of the gating
+#: benchmark's two exact workloads (every rectangle touches a cell corner and
+#: spans about half the slabs), median µs per sweep, python / numpy:
+#:
+#:     n      8     16     24     32     40     48     64     96    128
+#:   hot   37/156 77/164 131/176 198/193 277/221 369/259 593/296 1183/385 2006/448
+#:   unif  37/156 75/165 123/177 184/191 254/208 341/257 547/289 1117/389 1877/445
+#:
+#: (2 cores, CPython 3.11, numpy 2.4).  ``benchmarks/bench_sweep.py``'s
+#: free-floating rectangles cross at the same size (218/219 µs at n = 32).
+#: Override per environment with ``REPRO_SWEEP_CROSSOVER`` when the measured
+#: crossover differs on your hardware.
+AUTO_NUMPY_THRESHOLD = 32
 
 
 def resolve_crossover(value: "int | None" = None) -> int:
@@ -92,9 +105,10 @@ except ImportError:  # pragma: no cover - numpy is an optional dependency
 class SweepBackend(Protocol):
     """Protocol every sweep kernel implements.
 
-    ``sweep`` receives a non-empty, already-clipped rectangle list and must
-    return the exact bursty point of the snapshot (the facade handles
-    clipping and the empty case).
+    ``sweep`` receives a non-empty, already-clipped sequence of rectangles
+    (anything with :class:`LabeledRect`'s six attributes, e.g. a cell's
+    records) and must return the exact bursty point of the snapshot (the
+    facade handles clipping and the empty case).
     """
 
     name: str

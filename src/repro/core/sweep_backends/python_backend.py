@@ -9,7 +9,13 @@ a slab only when its ``(fc, fp)`` pair actually changed:
   representable in the result, exactly as in the seed kernel);
 * afterwards, each y event only evaluates the union of the slab ranges of the
   rectangles added or removed at that event — an unchanged slab's score was
-  already considered at an earlier, equally valid sweep position.
+  already considered at an earlier, equally valid sweep position;
+* and an event that can only *lower* scores (an add group of past-window
+  rectangles only, a remove group of current-window rectangles only) is
+  applied but not evaluated: every slab it touches was already evaluated, at
+  a valid position, with a score at least as high, and the incumbent is only
+  replaced by a strictly greater score — so the result, reported point
+  included, is unchanged.
 
 Because burst scores are non-negative and every score change of a slab is
 caused by a rectangle event whose span covers the slab, the maximum over the
@@ -139,21 +145,23 @@ class PythonSweepBackend:
                 if not first_eval_done:
                     evaluate_range(0, slab_count - 1, y)
                     first_eval_done = True
-                else:
+                elif any(rect_list[index].in_current for index in added):
+                    # (Adding only past rectangles lowers scores: every
+                    # touched slab was already evaluated at least as high.)
                     for lo, hi in _merge_ranges(touched):
                         evaluate_range(lo, hi, y)
             removed = bottoms.get(y)
             if removed and position + 1 < len(ys_desc):
                 touched = apply(removed, -1.0)
                 # Open slab strictly below this y coordinate: removing a past
-                # rectangle can raise the score, so removals re-evaluate too.
-                mid = (y + ys_desc[position + 1]) / 2.0
-                for lo, hi in _merge_ranges(touched):
-                    evaluate_range(lo, hi, mid)
-            elif removed:
-                # Bottom edges at the lowest y: nothing lies below, matching
-                # the seed kernel which never evaluated past the last event.
-                apply(removed, -1.0)
+                # rectangle can raise the score, so removals re-evaluate too —
+                # unless only current rectangles left, which lowers scores.
+                if not all(rect_list[index].in_current for index in removed):
+                    mid = (y + ys_desc[position + 1]) / 2.0
+                    for lo, hi in _merge_ranges(touched):
+                        evaluate_range(lo, hi, mid)
+            # Bottom edges at the lowest y are not even applied: nothing lies
+            # below, and the seed kernel never evaluated past the last event.
 
         assert best_point is not None  # the topmost y always has a top edge
         return SweepResult(

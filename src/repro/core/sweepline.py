@@ -18,9 +18,14 @@ pluggable kernel from :mod:`repro.core.sweep_backends`:
   re-evaluates only the slabs whose accumulators changed, which is exact
   because every score change is caused by a rectangle event covering the
   slab.
-* ``numpy`` — a vectorized kernel: slab accumulators are ``float64`` arrays,
-  rectangle add/remove events are difference-array writes, and each
-  evaluation is a ``cumsum`` prefix sum plus a vectorized ``argmax``.
+* ``numpy`` — a vectorized, event-blocked kernel.  It uses the identity
+  ``α·max(fc − fp, 0) + (1 − α)·fc = max(fc − α·fp, (1 − α)·fc)``: the burst
+  score is the maximum of two forms that are linear in ``(fc, fp)``, so a
+  rectangle event is a constant added to a slab range of two ``float64``
+  arrays and 64 events at a time can be scored from per-segment maxima plus
+  a table of offsets.  Only the state after a whole *step* (all rectangles
+  sharing one top edge row, or one bottom edge row) is scored, because the
+  states in between belong to no point of the plane.
   Requires the optional ``numpy`` dependency (``pip install .[fast]``).
 * ``auto`` (default) — adaptive dispatch between the two based on snapshot
   size, overridable through the ``REPRO_SWEEP_BACKEND`` environment variable
@@ -29,8 +34,9 @@ pluggable kernel from :mod:`repro.core.sweep_backends`:
   ``--backend`` flag.
 
 All backends are exact and agree on best scores (the NumPy kernel up to
-prefix-sum rounding, pinned by the parity test suite); reported points may
-legitimately differ between backends when several points attain the optimum.
+summation-order rounding, pinned at ``1e-9`` by the parity test suite);
+reported points may legitimately differ between backends when several points
+attain the optimum.
 
 Exactness with closed rectangles
 --------------------------------
@@ -44,8 +50,9 @@ y direction.  This keeps the worst case at ``O(n²)`` while returning the
 true optimum for closed rectangles.
 
 The same routine powers the stand-alone snapshot search, the per-cell search
-of Cell-CSPOT (via the ``bounds`` argument, which clips rectangles to the
-cell), and the neighbourhood searches of the adapted aG2 baseline.
+of Cell-CSPOT (whose cells keep their rectangles already clipped, so no
+``bounds`` pass is needed), the ``bounds``-clipped per-cell searches of kCCS
+and the neighbourhood searches of the adapted aG2 baseline.
 """
 
 from __future__ import annotations

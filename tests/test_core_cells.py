@@ -66,6 +66,55 @@ class TestBoundMaintenance:
         assert cell.upper_bound == 5.0
 
 
+class TestClippedRecords:
+    def test_record_is_clipped_to_the_cell_once(self, cell):
+        cell.add_new(rect_obj(0.5, -0.25, weight=3.0, object_id=1), current_length=2.0)
+        record = cell.records[1]
+        assert (record.min_x, record.min_y, record.max_x, record.max_y) == (
+            0.5, 0.0, 1.0, 0.75,
+        )
+        assert record.weight == 3.0 and record.in_current is True
+        assert not hasattr(record, "__dict__")  # slots
+
+    def test_labeled_rects_follow_the_window_label(self, cell):
+        rect = rect_obj(0.5, 0.5, object_id=1)
+        cell.add_new(rect, current_length=2.0)
+        assert [r.in_current for r in cell.labeled_rects()] == [True]
+        cell.mark_grown(rect, current_length=2.0)
+        assert [r.in_current for r in cell.labeled_rects()] == [False]
+
+    def test_rectangle_missing_the_cell_by_rounding_is_not_swept(self, cell):
+        # Addressed to the cell by floor arithmetic, but ends an ulp short of
+        # its left edge: it stays a record (it still grows and expires) and
+        # covers no point of the cell.
+        cell.add_new(rect_obj(-1.5, 0.2, width=1.4999999, object_id=1), current_length=1.0)
+        cell.add_new(rect_obj(0.2, 0.2, object_id=2), current_length=1.0)
+        assert len(cell) == 2
+        assert [r.rect.object_id for r in cell.labeled_rects()] == [2]
+
+    def test_records_sweep_like_labeled_rects(self, cell):
+        from repro.core.sweepline import LabeledRect, sweep_bursty_point
+
+        for object_id, (x, y) in enumerate([(0.5, -0.25), (-0.4, 0.3), (0.2, 0.6)]):
+            rect = rect_obj(x, y, weight=float(object_id + 1), object_id=object_id)
+            cell.add_new(rect, current_length=2.0)
+            if object_id == 1:
+                cell.mark_grown(rect, current_length=2.0)
+        unclipped = [
+            LabeledRect(
+                r.rect.x, r.rect.y, r.rect.x + r.rect.width, r.rect.y + r.rect.height,
+                r.rect.weight, r.in_current,
+            )
+            for r in cell.records.values()
+        ]
+        for backend in ("python", "auto"):
+            direct = sweep_bursty_point(cell.labeled_rects(), 0.5, 2.0, 2.0, backend=backend)
+            clipped = sweep_bursty_point(
+                unclipped, 0.5, 2.0, 2.0, bounds=cell.bounds, backend=backend
+            )
+            assert direct == clipped
+
+
 class TestCandidateMaintenance:
     def _candidate(self, point=Point(0.5, 0.5), fc=2.0, fp=1.0, alpha=0.5):
         from repro.core.burst import burst_score

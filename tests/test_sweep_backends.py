@@ -30,9 +30,9 @@ needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy backend not available"
 )
 
-#: Score agreement tolerance between backends: the numpy kernel evaluates
-#: slabs through prefix sums whose summation order differs from the per-slab
-#: accumulation of the python kernel, so the last few ulps may differ.
+#: Score agreement tolerance between backends: the numpy kernel sums a
+#: block of events at a time, in another order than the per-slab accumulation
+#: of the python kernel, so the last few ulps may differ.
 PARITY_RTOL = 1e-9
 
 #: Looser tolerance against the brute-force scorer (independent arithmetic).
@@ -125,13 +125,8 @@ def close(a: float, b: float, rtol: float) -> bool:
 @needs_numpy
 class TestBackendParity:
     def test_randomized_parity_and_brute_force_crosscheck(self):
-        from repro.core.sweep_backends.numpy_backend import NumpySweepBackend
-
         python = get_backend("python")
-        numpy_variants = {
-            "numpy": get_backend("numpy"),
-            "numpy-cumsum": NumpySweepBackend(strategy="cumsum"),
-        }
+        numpy = get_backend("numpy")
         checked = 0
         brute_checked = 0
         for seed in range(220):
@@ -142,12 +137,10 @@ class TestBackendParity:
             wp = rng.choice([1.0, 2.0, 20.0])
 
             py = python.sweep(rects, alpha, wc, wp)
-            results = {"python": py}
-            for label, backend in numpy_variants.items():
-                results[label] = backend.sweep(rects, alpha, wc, wp)
+            results = {"python": py, "numpy": numpy.sweep(rects, alpha, wc, wp)}
 
             for label, nu in results.items():
-                # Identical best scores (up to prefix-sum rounding).
+                # Identical best scores (up to summation-order rounding).
                 assert close(py.score, nu.score, PARITY_RTOL), (
                     f"seed {seed}: python={py.score!r} {label}={nu.score!r}"
                 )
@@ -168,11 +161,11 @@ class TestBackendParity:
         assert checked >= 200
         assert brute_checked >= 50
 
-    def test_numpy_rejects_unknown_strategy(self):
+    def test_numpy_backend_has_no_strategy_knob(self):
         from repro.core.sweep_backends.numpy_backend import NumpySweepBackend
 
-        with pytest.raises(ValueError, match="strategy"):
-            NumpySweepBackend(strategy="fft")
+        with pytest.raises(TypeError):
+            NumpySweepBackend(strategy="cumsum")
 
     def test_parity_with_bounds_clipping(self):
         bounds = Rect(2.0, 2.0, 6.0, 6.0)
@@ -200,6 +193,160 @@ class TestBackendParity:
             feed(detector, objects, query.window_length)
             results[backend] = detector.current_score()
         assert scores_close(results["python"], results["numpy"])
+
+
+def cell_snapshot(rng: random.Random, count: int, current_share: float = 0.6):
+    """What a detector cell hands the kernel: unit squares clipped to one cell.
+
+    Every rectangle touches a cell corner, so about half of them share the
+    cell's top edge, half its bottom edge, and likewise left and right —
+    mass coordinate ties, and a first add group far larger than a block.
+    """
+    from repro.core.cells import CellState
+    from repro.streams.objects import RectangleObject
+
+    cell = CellState(bounds=Rect(2.0, 2.0, 3.0, 3.0))
+    for object_id in range(count):
+        rect = RectangleObject(
+            x=rng.uniform(1.0, 3.0), y=rng.uniform(1.0, 3.0), width=1.0, height=1.0,
+            timestamp=0.0, weight=float(rng.randint(1, 100)), object_id=object_id,
+        )
+        cell.add_new(rect, 50.0)
+        if rng.random() >= current_share:
+            cell.mark_grown(rect, 50.0)
+    return cell.labeled_rects()
+
+
+def lattice_snapshot(rng: random.Random, count: int, side: int = 4):
+    """Small integer coordinates: shared rows, shared columns, duplicates."""
+    rects = []
+    for _ in range(count):
+        x, y = rng.randint(0, side), rng.randint(0, side)
+        rects.append(
+            LabeledRect(
+                float(x), float(y), float(x + rng.randint(0, 2)),
+                float(y + rng.randint(0, 2)), float(rng.randint(1, 9)),
+                rng.random() < 0.5,
+            )
+        )
+    return rects
+
+
+@needs_numpy
+class TestBlockedKernel:
+    """What an event-blocked sweep can get wrong that a sequential one cannot."""
+
+    #: Brute force is cubic; larger snapshots are pinned to the python kernel.
+    BRUTE_MAX = 40
+
+    def check(self, rects, alpha=0.5, wc=50.0, wp=50.0):
+        numpy = get_backend("numpy")
+        nu = numpy.sweep(rects, alpha, wc, wp)
+        py = get_backend("python").sweep(rects, alpha, wc, wp)
+        assert close(nu.score, py.score, PARITY_RTOL), (nu, py)
+        if len(rects) <= self.BRUTE_MAX:
+            expected = brute_force_best_score(rects, alpha, wc, wp)
+            assert close(nu.score, expected, PARITY_RTOL), (nu, expected)
+        # The result is self-consistent: the window scores are the direct
+        # sums at the reported point and the score is their burst score.
+        direct, fc, fp = score_at_point(rects, nu.point, alpha, wc, wp)
+        assert nu.score == burst_score(nu.fc, nu.fp, alpha)
+        assert close(nu.fc, fc, 1e-12) and close(nu.fp, fp, 1e-12)
+        assert close(nu.score, direct, 1e-12)
+        assert nu.rectangles_swept == len(rects)
+        # ... and a pure function of the input (executor bit-identity).
+        assert numpy.sweep(rects, alpha, wc, wp) == nu
+        return nu
+
+    @pytest.fixture(params=[2, 3, 5, 64])
+    def block_events(self, request, monkeypatch):
+        """Shrink the block so small (brute-forceable) snapshots straddle it."""
+        from repro.core.sweep_backends import numpy_backend
+
+        monkeypatch.setattr(numpy_backend, "BLOCK_EVENTS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 8, 31, 40, 97, 128, 333])
+    def test_cell_clipped_snapshots(self, count):
+        for seed in range(4):
+            rng = random.Random(7000 + 31 * count + seed)
+            rects = cell_snapshot(rng, count)
+            assert len(rects) == count
+            self.check(rects, alpha=rng.choice([0.0, 0.5, 0.9]))
+
+    def test_rows_shared_by_current_and_past(self, block_events):
+        # The current square lies inside the heavy past one.  Scoring between
+        # the two events of a shared row would see the current one alone.
+        current = LabeledRect(1.0, 0.0, 2.0, 2.0, 10.0, True)
+        past_same_top = LabeledRect(0.0, 0.0, 3.0, 2.0, 50.0, False)
+        past_taller = LabeledRect(0.0, 0.0, 3.0, 3.0, 50.0, False)
+        below = LabeledRect(10.0, -5.0, 11.0, -4.0, 1.0, True)  # bottoms at 0 are not last
+        for pair in ((current, past_same_top), (past_same_top, current),
+                     (current, past_taller), (past_taller, current)):
+            for rects in (list(pair), list(pair) + [below], [below] + list(pair)):
+                result = self.check(rects, alpha=0.5, wc=10.0, wp=10.0)
+                assert result.score == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 17])
+    def test_all_past_snapshots_report_a_real_zero(self, count, block_events):
+        for seed in range(6):
+            rng = random.Random(8100 + 13 * count + seed)
+            rects = [
+                LabeledRect(r.min_x, r.min_y, r.max_x, r.max_y, r.weight, False)
+                for r in lattice_snapshot(rng, count)
+            ]
+            result = self.check(rects)
+            assert result.score == 0.0 and result.fc == 0.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_tiny_snapshots(self, count, block_events):
+        for seed in range(40):
+            rng = random.Random(8200 + 7 * count + seed)
+            self.check(lattice_snapshot(rng, count), alpha=rng.choice([0.0, 0.3, 0.95]))
+
+    def test_step_groups_straddle_small_blocks(self, block_events):
+        for seed in range(60):
+            rng = random.Random(8300 + seed)
+            self.check(lattice_snapshot(rng, rng.randint(4, 14), side=3))
+
+    @pytest.mark.parametrize("count", [33, 64, 65, 96, 127, 160, 200])
+    def test_step_groups_straddle_full_blocks(self, count):
+        # Lattice rows hold ~count/5 events each (more than a block for the
+        # larger sizes); the sizes leave the last block full, short or single.
+        for seed in range(3):
+            rng = random.Random(8400 + 5 * count + seed)
+            self.check(lattice_snapshot(rng, count))
+
+    def test_property_small_integer_snapshots(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.core.sweep_backends import numpy_backend
+
+        small = st.integers(min_value=0, max_value=4)
+        rect = st.builds(
+            lambda x, y, w, h, weight, cur: LabeledRect(
+                float(x), float(y), float(x + w), float(y + h), float(weight), cur
+            ),
+            small, small, st.integers(0, 2), st.integers(0, 2),
+            st.integers(1, 9), st.booleans(),
+        )
+
+        @given(
+            rects=st.lists(rect, min_size=1, max_size=10),
+            alpha=st.sampled_from([0.0, 0.25, 0.5, 0.95]),
+            block=st.sampled_from([2, 3, 7, 64]),
+        )
+        @settings(max_examples=150, deadline=None)
+        def run(rects, alpha, block):
+            shipped = numpy_backend.BLOCK_EVENTS
+            numpy_backend.BLOCK_EVENTS = block
+            try:
+                self.check(rects, alpha, wc=3.0, wp=7.0)
+            finally:
+                numpy_backend.BLOCK_EVENTS = shipped
+
+        run()
 
 
 class TestBackendSelection:
