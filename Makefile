@@ -1,6 +1,10 @@
 # Developer entry points for the SURGE reproduction.
 #
-#   make test          tier-1 test suite (unit tests; pure stdlib fallback works)
+#   make test          tier-1 test suite (pytest.ini: bench/ self-check + tests/;
+#                      pure stdlib fallback works)
+#   make paper         the paper-figure timing harness under benchmarks/
+#                      (slow; rewrites benchmarks/results/*.txt; its Table II
+#                      taxi assertion is still red — ROADMAP item 1)
 #   make bench         all eight benchmarks below
 #   make bench-sweep   sweep-kernel microbenchmark -> BENCH_sweep.json
 #   make bench-ingest  end-to-end ingestion throughput -> BENCH_ingest.json
@@ -29,10 +33,9 @@
 #                      disorder + poison records and assert the --resume run
 #                      reproduces the uninterrupted results and IngestStats
 #                      counters (the CI chaos smoke)
-#   make smoke-shared  replay a q64 grid under the shared-work execution plan
-#                      (serial + 2-shard process + a cross-plan checkpoint
-#                      resume) and assert bit-identity with the unshared
-#                      plan (the CI shared-plan smoke)
+#   make smoke-shared  shared plan == independent-monitor oracle on a q64
+#                      grid (serial + 2-shard process + checkpoint resume;
+#                      the CI shared-plan smoke)
 #   make smoke-overload flash-crowd a prioritised service and assert the
 #                      overload tier's contract: bounded buffering, counted
 #                      priority shedding, compaction after churn, and the
@@ -73,13 +76,16 @@ SMOKE_TIMEOUT ?= 900
 # few points under so the floor only moves up deliberately.
 COVERAGE_MIN ?= 92
 
-.PHONY: test bench bench-sweep bench-ingest bench-service bench-recovery \
+.PHONY: test paper bench bench-sweep bench-ingest bench-service bench-recovery \
 	bench-robustness bench-server bench-obs bench-remote bench-smoke smoke \
 	smoke-recovery smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
 	smoke-remote coverage lint
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+paper:
+	$(PYTHON) -m pytest benchmarks
 
 bench: bench-sweep bench-ingest bench-service bench-recovery bench-robustness \
 	bench-server bench-obs bench-remote

@@ -1,5 +1,5 @@
 """Robustness benchmark: reorder-buffer overhead, disorder sweeps, and
-shared-vs-unshared execution under churn + keyword skew.
+plan compaction under churn + keyword skew.
 
 Four questions decide whether the disorder-tolerant ingestion tier
 (:mod:`repro.streams.watermark` wired through ``SurgeService.run``) is
@@ -25,16 +25,16 @@ workloads:
     = processed + late_dropped + quarantined, exactly.
 
 ``churn + skew``
-    Shared vs unshared execution plan on a Zipf-skewed keyword stream with
-    a query churn storm applied between chunks — the adversarial case for
-    the shared plan's inverted keyword routing (one hot bucket, constant
-    re-bucketing).  Both plans must answer identically; the ratio is
-    recorded so sharing that *loses* under churn is visible in trajectory.
-    Since v2 the cell runs a **q64 group-aligned grid** whose storm
-    removes and re-registers grid members (each re-add lands in a fresh
-    epoch, fragmenting the shared plan) with periodic compaction merging
-    them back; the compacted shared plan must stay **≥ 1.5x** the
-    unshared plan or the run fails.
+    A Zipf-skewed keyword stream with a query churn storm applied between
+    chunks — the adversarial case for the shared plan's inverted keyword
+    routing (one hot bucket, constant re-bucketing).  The cell runs a
+    **q64 group-aligned grid** whose storm removes and re-registers grid
+    members (each re-add lands in a fresh epoch, fragmenting the plan),
+    once with periodic compaction merging them back and once with
+    compaction off — the baseline compaction actually competes with.  Both
+    runs must answer identically, and the compacted run must be **no
+    slower** than the uncompacted one (``MIN_COMPACTION_RATIO`` = 1.0;
+    measured 1.09–1.10x) or the run fails.
 
 ``slow subscriber``
     A seeded slow-subscriber callback (from the shared ``FaultInjector``)
@@ -54,8 +54,8 @@ As with the other BENCH files: if a previous ``BENCH_robustness.json``
 exists, the script refuses to overwrite it when a guarded throughput
 regressed by more than ``REGRESSION_TOLERANCE`` (20%); ``--force``
 overrides.  The guard is schema-aware: a previous file with a different
-schema (e.g. v1, which lacks the v2 cells and ran the churn cell at q8)
-is reported and skipped rather than compared cell-by-cell.
+schema (e.g. v2, whose churn cell compared against the deleted unshared
+plan) is reported and skipped rather than compared cell-by-cell.
 
 Usage::
 
@@ -77,21 +77,22 @@ from repro.streams.faults import FaultInjector
 from repro.streams.objects import SpatialObject
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_robustness.json"
-SCHEMA = "bench_robustness/v2"
+SCHEMA = "bench_robustness/v3"
 SEED = 20180416
 REGRESSION_TOLERANCE = 0.20
 #: Acceptance bar: the reorder buffer may cost at most this fraction of the
 #: strict path's throughput on a fully ordered stream.
 MAX_OVERHEAD_FRACTION = 0.20
-#: Acceptance bar: at q64 the compacted shared plan must beat the unshared
-#: predicate scan by at least this factor even while the churn storm
-#: fragments it.
-MIN_CHURN_SPEEDUP = 1.5
+#: Acceptance bar: at q64 under the churn storm, the run with periodic
+#: compaction must reach at least this fraction of the same run without it —
+#: the passes must recover more than they cost.  Measured 1.09–1.10x (9 of
+#: the 16 churned queries re-merged; four runs, 2-core host).
+MIN_COMPACTION_RATIO = 1.0
 #: Guarded cells (objects/sec) for the regression check.
 GUARDED_CELLS = (
     ("ordered_tolerant", ("results", "ordered", "tolerant")),
     ("disorder_10pct", ("results", "disorder_sweep", "10pct")),
-    ("churn_shared", ("results", "churn_skew", "shared")),
+    ("churn_compacted", ("results", "churn_skew", "compacted")),
     ("slow_subscriber", ("results", "slow_subscriber",)),
 )
 
@@ -154,12 +155,9 @@ def make_specs() -> list[QuerySpec]:
     )
 
 
-def drive(arrivals, *, max_lateness: float = 0.0,
-          shared_plan: bool = True) -> tuple[float, dict, dict]:
+def drive(arrivals, *, max_lateness: float = 0.0) -> tuple[float, dict, dict]:
     """Replay ``arrivals`` through a fresh service; return (wall, results, ingest)."""
-    service = SurgeService(
-        make_specs(), shared_plan=shared_plan, max_lateness=max_lateness
-    )
+    service = SurgeService(make_specs(), max_lateness=max_lateness)
     try:
         started = time.perf_counter()
         for _updates in service.run(iter(arrivals), chunk_size=CHUNK_SIZE):
@@ -174,9 +172,9 @@ def make_churn_grid() -> list[QuerySpec]:
     """q64 group-aligned grid: rich window/detector sharing to fragment.
 
     Four keywords x 3 rects x 3 windows = 36 distinct combinations, so the
-    64-query grid wraps onto 28 exact duplicates — the shared plan aliases
-    those into common detector units (the sharing the churn storm breaks
-    and compaction must restore), while the unshared plan runs all 64.
+    64-query grid wraps onto 28 exact duplicates — the plan aliases those
+    into common detector units (the sharing the churn storm breaks and
+    compaction must restore).
     """
     return make_query_grid(
         CHURN_QUERIES,
@@ -194,8 +192,8 @@ def make_churn_schedule(specs: list[QuerySpec], n_chunks: int) -> list[tuple]:
     """Alternating remove / re-add of grid members, one op per chunk.
 
     Every re-registration lands in a fresh epoch, so without compaction
-    the shared plan fragments monotonically; the schedule is the same for
-    both plans so their answers stay comparable.
+    the plan fragments monotonically; the schedule is the same for both
+    runs so their answers stay comparable.
     """
     rng = random.Random(SEED + 2)
     victims = iter(rng.sample(range(len(specs)), k=min(16, len(specs))))
@@ -232,8 +230,7 @@ def assert_parity(reference: dict, candidate: dict, label: str) -> None:
 
 def churn_skew_cell(churn_objects: int) -> dict:
     print(
-        f"churn storm + Zipf skew (q{CHURN_QUERIES} grid, shared+compaction "
-        f"vs unshared):",
+        f"churn storm + Zipf skew (q{CHURN_QUERIES} grid, compaction on vs off):",
         flush=True,
     )
     skewed = zipf_keyword_stream(churn_objects, seed=SEED, extent=EXTENT)
@@ -242,12 +239,11 @@ def churn_skew_cell(churn_objects: int) -> dict:
     schedule = make_churn_schedule(specs, n_chunks)
     cells = {}
     reference_results = None
-    for label, shared in (("shared", True), ("unshared", False)):
-        service = SurgeService(
-            specs,
-            shared_plan=shared,
-            compact_every_chunks=COMPACT_EVERY_CHUNKS if shared else None,
-        )
+    for label, compact_every in (
+        ("compacted", COMPACT_EVERY_CHUNKS),
+        ("uncompacted", None),
+    ):
+        service = SurgeService(specs, compact_every_chunks=compact_every)
         try:
             started = time.perf_counter()
             for index, _updates in enumerate(
@@ -266,29 +262,30 @@ def churn_skew_cell(churn_objects: int) -> dict:
         finally:
             service.close()
         ops = churn_objects / wall
-        cells[label] = {"objects_per_second": ops}
-        if shared:
-            cells[label]["queries_compacted"] = compacted
+        cells[label] = {
+            "objects_per_second": ops,
+            "queries_compacted": compacted,
+        }
         if reference_results is None:
             reference_results = results
         else:
             assert_parity(reference_results, results, f"churn/{label}")
         print(
-            f"  {label:>8} plan: {ops:10,.0f} obj/s"
-            + (f"  (re-merged {compacted} churned queries)" if shared else ""),
+            f"  {label:>11}: {ops:10,.0f} obj/s  "
+            f"(re-merged {compacted} churned queries)",
             flush=True,
         )
-    if cells["shared"]["queries_compacted"] == 0:
+    if cells["compacted"]["queries_compacted"] == 0:
         raise AssertionError(
             "the churn storm re-registered grid queries but compaction "
             "merged none of them back — re-epoching is not restoring sharing"
         )
-    speedup = (
-        cells["shared"]["objects_per_second"]
-        / cells["unshared"]["objects_per_second"]
+    ratio = (
+        cells["compacted"]["objects_per_second"]
+        / cells["uncompacted"]["objects_per_second"]
     )
-    cells["shared_over_unshared"] = speedup
-    print(f"  shared/unshared: {speedup:.2f}x", flush=True)
+    cells["compacted_over_uncompacted"] = ratio
+    print(f"  compacted/uncompacted: {ratio:.2f}x", flush=True)
     return cells
 
 
@@ -531,7 +528,7 @@ def run_benchmark(total_objects: int, churn_objects: int,
         "duplicates_seen": ingest["duplicates_seen"],
     }
 
-    # --- shared vs unshared under churn + skew (q64 + compaction) -----
+    # --- compaction on vs off under churn + skew (q64) -----------------
     churn_cells = churn_skew_cell(churn_objects)
 
     # --- slow subscriber: bounded queue, exact accounting -------------
@@ -648,21 +645,21 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    speedup = report["results"]["churn_skew"]["shared_over_unshared"]
-    if speedup < MIN_CHURN_SPEEDUP and not args.force:
+    ratio = report["results"]["churn_skew"]["compacted_over_uncompacted"]
+    if ratio < MIN_COMPACTION_RATIO and not args.force:
         # Quick mode's quarter-size stream amortizes sharing over fewer
         # chunks, so the bar only binds at full scale.
         if args.quick:
             print(
-                f"note: churn speedup {speedup:.2f}x below the "
-                f"{MIN_CHURN_SPEEDUP:.1f}x bar at --quick scale "
+                f"note: compaction ratio {ratio:.2f}x below the "
+                f"{MIN_COMPACTION_RATIO:.2f}x bar at --quick scale "
                 f"(enforced on full runs only)"
             )
         else:
             print(
-                f"compacted shared plan is only {speedup:.2f}x the unshared "
-                f"plan at q{CHURN_QUERIES} under churn — below the "
-                f"{MIN_CHURN_SPEEDUP:.1f}x acceptance bar",
+                f"the compacted run is only {ratio:.2f}x the uncompacted "
+                f"one at q{CHURN_QUERIES} under churn — below the "
+                f"{MIN_COMPACTION_RATIO:.2f}x acceptance bar",
                 file=sys.stderr,
             )
             return 1

@@ -12,18 +12,16 @@ The grid is query counts {1, 8, 64} × the ``serial`` executor (the
 single-process reference; shard count is irrelevant to it, it is recorded
 at ``shards1``) and the ``process`` executor at shard counts {1, 2, 4}
 (persistent single-worker pool per shard; chunks pickled to every shard
-once, replies pickled back).  The ``thread`` executor is deliberately not
-benchmarked: the pure-Python detector work is GIL-serialised, so its
-numbers would only restate the serial ones with dispatch overhead added.
+once, replies pickled back).  The ``remote`` executor has its own file
+(``bench_remote.py``).
 
-Since the shared-work execution plan landed (inverted keyword routing +
-shared window groups + shared detector units, ``repro.service.shards``),
-the ``serial`` and ``process`` cells measure the plan as shipped (shared,
-the production default) and a ``serial_unshared`` column re-runs the serial
-cells with ``shared_plan=False`` — the per-query predicate-scan baseline.
-``speedups.shared_vs_unshared_q64`` is the headline ratio; every cell's
-final per-query scores are cross-checked bit-identical against the serial
-shared reference, so the speedup is certified to change no answer.
+Every cell runs the one execution plan the service has (inverted keyword
+routing + shared window groups + shared detector units,
+``repro.service.shards``); every cell's final per-query scores are
+cross-checked bit-identical against the serial reference.  The unshared
+per-query predicate-scan plan this file used to carry as a
+``serial_unshared`` column was deleted with its last recorded ratio
+(``shared_vs_unshared_q64`` = 3.13×, schema v2) kept in CHANGES.md.
 
 Interpreting the process numbers requires ``config.cpu_count``: process
 sharding buys wall-clock throughput only when shards map onto real cores.
@@ -61,7 +59,7 @@ from repro.service import make_query_grid
 from repro.streams.objects import SpatialObject
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
-SCHEMA = "bench_service/v2"
+SCHEMA = "bench_service/v3"
 SEED = 20180416
 REGRESSION_TOLERANCE = 0.20
 
@@ -100,7 +98,6 @@ def run_cell(
     n_queries: int,
     executor: str,
     shards: int,
-    shared_plan: bool = True,
 ) -> dict:
     specs = make_query_grid(
         n_queries,
@@ -116,7 +113,6 @@ def run_cell(
         stream,
         shards=shards,
         executor=executor,
-        shared_plan=shared_plan,
         chunk_size=CHUNK_SIZE,
     )
     scores = {
@@ -136,36 +132,27 @@ def run_benchmark(query_counts, shard_counts, total_objects: int) -> dict:
     stream = make_stream(total_objects)
     results: dict[str, dict] = {}
     for n_queries in query_counts:
-        per_count: dict[str, dict] = {
-            "serial": {},
-            "serial_unshared": {},
-            "process": {},
-        }
-        # (column, executor, shards, shared_plan): the serial shared cell
-        # leads so every other cell — including the unshared baseline — is
-        # cross-checked bit-identical against it.
-        cells = [
-            ("serial", "serial", 1, True),
-            ("serial_unshared", "serial", 1, False),
-        ] + [("process", "process", shards, True) for shards in shard_counts]
+        per_count: dict[str, dict] = {"serial": {}, "process": {}}
+        # The serial cell leads so every process cell is cross-checked
+        # bit-identical against it.
+        cells = [("serial", 1)] + [("process", shards) for shards in shard_counts]
         reference_scores = None
-        for column, executor, shards, shared_plan in cells:
+        for executor, shards in cells:
             started = time.perf_counter()
-            cell = run_cell(stream, n_queries, executor, shards, shared_plan)
+            cell = run_cell(stream, n_queries, executor, shards)
             scores = cell.pop("_final_scores")
-            # Every executor/shard/plan combination must answer every query
-            # identically — neither sharding nor the shared-work plan may
-            # ever change a result.
+            # Every executor/shard combination must answer every query
+            # identically — sharding may never change a result.
             if reference_scores is None:
                 reference_scores = scores
             elif scores != reference_scores:
                 raise AssertionError(
-                    f"q{n_queries}/{column}/shards{shards}: final scores "
-                    f"differ from the serial shared-plan reference"
+                    f"q{n_queries}/{executor}/shards{shards}: final scores "
+                    f"differ from the serial reference"
                 )
-            per_count[column][f"shards{shards}"] = cell
+            per_count[executor][f"shards{shards}"] = cell
             print(
-                f"  q{n_queries:>3} {column:>15} shards={shards}  "
+                f"  q{n_queries:>3} {executor:>8} shards={shards}  "
                 f"{cell['object_query_pairs_per_second']:10,.0f} pairs/s  "
                 f"(wall {cell['wall_seconds']:6.2f}s, total "
                 f"{time.perf_counter() - started:6.2f}s)",
@@ -193,12 +180,7 @@ def run_benchmark(query_counts, shard_counts, total_objects: int) -> dict:
     }
     top = f"q{max(query_counts)}"
     serial = results[top]["serial"]["shards1"]["object_query_pairs_per_second"]
-    unshared = results[top]["serial_unshared"]["shards1"][
-        "object_query_pairs_per_second"
-    ]
-    speedups = {
-        f"shared_vs_unshared_{top}": serial / unshared if unshared > 0 else 0.0
-    }
+    speedups = {}
     for shards_key, cell in results[top]["process"].items():
         speedups[f"process_{shards_key}_vs_serial_{top}"] = (
             cell["object_query_pairs_per_second"] / serial if serial > 0 else 0.0

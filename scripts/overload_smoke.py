@@ -15,8 +15,8 @@ Four legs, all in-process, all over flash-crowd feeds from the shared
 * **compaction** — a duplicate query registered mid-stream lands in its
   own registration epoch (no sharing); a compaction pass merges it back
   into the veteran's window group and detector unit, and the compacted
-  service's results stay bit-identical to a never-churned twin *and* to
-  the unshared predicate-scan plan;
+  service's results stay bit-identical to a never-compacted twin *and* to
+  the independent-monitor oracle (``tests/helpers.replay_oracle``);
 * **strict mode** — ``policy="error"`` refuses the same flash crowd with a
   typed :class:`~repro.service.OverloadError` instead of degrading.
 
@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.core.query import SurgeQuery  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -48,6 +48,8 @@ from repro.service import (  # noqa: E402
 )
 from repro.streams.faults import FaultInjector  # noqa: E402
 from repro.streams.objects import SpatialObject  # noqa: E402
+from repro.streams.sources import iter_chunks  # noqa: E402
+from tests.helpers import replay_oracle, result_keys  # noqa: E402
 
 import random  # noqa: E402
 
@@ -182,7 +184,11 @@ def shedding_leg(arrivals) -> None:
 
 
 def compaction_leg(arrivals) -> None:
-    split = len(arrivals) // 3
+    # This leg is about churn, not disorder: replay the time-sorted stream
+    # in strict mode so the oracle sees exactly the service's chunks.
+    ordered = sorted(arrivals, key=lambda obj: obj.timestamp)
+    chunks = list(iter_chunks(ordered, CHUNK_SIZE))
+    split = len(chunks) // 3
     specs = make_specs()
     late = QuerySpec(
         query_id="late-dup",
@@ -192,35 +198,31 @@ def compaction_leg(arrivals) -> None:
         backend=specs[0].backend,
     )
 
-    def churn_run(shared_plan=True, compact=True):
+    def churn_run(compact):
         # Compaction runs on the cadence, not eagerly: right after
         # registration the newcomer's window trails the veteran's, so the
         # safe-boundary check defers the merge until the contents coincide.
         with SurgeService(
-            specs,
-            max_lateness=MAX_LATENESS,
-            shared_plan=shared_plan,
-            compact_every_chunks=8 if compact else None,
+            specs, compact_every_chunks=8 if compact else None
         ) as service:
-            for _ in service.run(arrivals[:split], CHUNK_SIZE):
-                pass
-            service.add_query(late)
-            for _ in service.run(
-                arrivals[split:], CHUNK_SIZE, start_offset=service.chunk_offset
-            ):
-                pass
+            for index, chunk in enumerate(chunks):
+                if index == split:
+                    service.add_query(late)
+                service.push_many(chunk)
             merged = service.overload_stats().queries_compacted
-            return {k: repr(v) for k, v in service.results().items()}, merged
+            return result_keys(service.results()), merged
 
-    compacted, merged = churn_run()
+    compacted, merged = churn_run(compact=True)
     assert merged == 1, f"expected the late duplicate to merge, got {merged}"
     churned, _ = churn_run(compact=False)
-    unshared, _ = churn_run(shared_plan=False, compact=False)
+    _, oracle, _, _ = replay_oracle(
+        ordered, specs, CHUNK_SIZE, schedule=[(split, "add", late)]
+    )
     assert compacted == churned, "compaction changed an answer"
-    assert compacted == unshared, "shared plan diverged from predicate scan"
+    assert compacted == oracle, "shared plan diverged from independent monitors"
     print(
         "smoke[compact]: late duplicate merged back into the veteran's "
-        "unit; compacted == never-compacted == unshared, bit for bit — OK"
+        "unit; compacted == never-compacted == oracle, bit for bit — OK"
     )
 
 

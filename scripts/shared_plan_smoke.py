@@ -3,21 +3,21 @@
 Replays one keyword-tagged stream through a 64-query grid (the
 ``group_aligned`` variant of :func:`repro.service.make_query_grid`, so the
 grid contains both window-sharing and exact-duplicate detector-sharing
-groups) four ways:
+groups) against the independent-monitor oracle
+(``tests/helpers.replay_oracle``: 64 private monitors over keyword-filtered
+substreams) three ways:
 
-* ``serial`` / 1 shard with the shared plan **off** — the per-query
-  predicate-scan reference;
-* ``serial`` / 1 shard with the shared plan **on**;
-* ``process`` / 2 shards with the shared plan on (worker processes build
-  and run the plan on their side of the pickle boundary);
-* ``serial`` shared with a mid-stream checkpoint, a simulated crash, and a
-  cross-plan restore (``shared_plan=False``) that replays the tail — the
-  plan must also be invisible across the durability boundary.
+* ``serial`` / 1 shard;
+* ``process`` / 2 shards (worker processes build and run the plan on their
+  side of the pickle boundary);
+* ``serial`` with a mid-stream checkpoint, a simulated crash, and a restore
+  that replays the tail — the plan's aliasing must also be invisible across
+  the durability boundary.
 
-Every variant must report bit-identical final results, top-k lists and
-routed-object counts.  Exercised as a standalone script (``make
-smoke-shared``) because the process-executor leg depends on worker process
-spawning, which only breaks outside the unit-test process.
+Every variant must report final results, top-k lists and routed-object
+counts bit-identical to the oracle's.  Exercised as a standalone script
+(``make smoke-shared``) because the process-executor leg depends on worker
+process spawning, which only breaks outside the unit-test process.
 
 Usage::
 
@@ -34,9 +34,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.service import SurgeService, make_query_grid
-from repro.streams.objects import SpatialObject
-from repro.streams.sources import iter_chunks
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))
+
+from repro.service import SurgeService, make_query_grid  # noqa: E402
+from repro.streams.objects import SpatialObject  # noqa: E402
+from repro.streams.sources import iter_chunks  # noqa: E402
+from tests.helpers import replay_oracle, result_key, result_keys  # noqa: E402
 
 VOCABULARY = ("traffic", "food", "weather", "sports", "news", "music", "work", "travel")
 CHUNK_SIZE = 256
@@ -71,22 +75,10 @@ def make_specs() -> list:
 
 def fingerprint(service: SurgeService) -> dict:
     """Bitwise observable state: finals, top-k and routed counts per query."""
-
-    def key(result):
-        if result is None:
-            return None
-        return (
-            result.score,
-            result.region.as_tuple(),
-            result.point.as_tuple(),
-            result.fc,
-            result.fp,
-        )
-
     return {
-        "finals": {qid: key(r) for qid, r in service.results().items()},
+        "finals": result_keys(service.results()),
         "top_k": {
-            qid: tuple(key(r) for r in results)
+            qid: tuple(result_key(r) for r in results)
             for qid, results in service.top_k().items()
         },
         "routed": {
@@ -96,11 +88,14 @@ def fingerprint(service: SurgeService) -> dict:
     }
 
 
-def replay(stream, *, executor: str, shards: int, shared_plan: bool):
+def oracle_fingerprint(stream) -> dict:
+    _, finals, top_k, routed = replay_oracle(stream, make_specs(), CHUNK_SIZE)
+    return {"finals": finals, "top_k": top_k, "routed": routed}
+
+
+def replay(stream, *, executor: str, shards: int):
     started = time.perf_counter()
-    with SurgeService(
-        make_specs(), shards=shards, executor=executor, shared_plan=shared_plan
-    ) as service:
+    with SurgeService(make_specs(), shards=shards, executor=executor) as service:
         for _ in service.run(stream, CHUNK_SIZE):
             pass
         wall = time.perf_counter() - started
@@ -108,9 +103,9 @@ def replay(stream, *, executor: str, shards: int, shared_plan: bool):
 
 
 def replay_with_crash(stream, workdir: Path):
-    """Shared-plan service, checkpoint mid-stream, cross-plan resume."""
+    """Checkpoint mid-stream, crash, restore and replay the tail."""
     checkpoint_dir = workdir / "ckpt"
-    doomed = SurgeService(make_specs(), shared_plan=True, checkpoint_dir=checkpoint_dir)
+    doomed = SurgeService(make_specs(), checkpoint_dir=checkpoint_dir)
     chunks = iter(iter_chunks(stream, CHUNK_SIZE))
     crash_after = max(1, len(stream) // (2 * CHUNK_SIZE))
     with doomed:
@@ -119,8 +114,7 @@ def replay_with_crash(stream, workdir: Path):
         doomed.checkpoint()
     del doomed  # the crash: all in-memory state gone
 
-    restored = SurgeService.restore(checkpoint_dir, shared_plan=False)
-    assert restored.shared_plan is False
+    restored = SurgeService.restore(checkpoint_dir)
     with restored:
         for chunk in iter_chunks(stream, CHUNK_SIZE, start_offset=restored.chunk_offset):
             restored.push_many(chunk)
@@ -139,15 +133,17 @@ def main() -> int:
         flush=True,
     )
 
-    reference, wall_unshared = replay(
-        stream, executor="serial", shards=1, shared_plan=False
+    started = time.perf_counter()
+    reference = oracle_fingerprint(stream)
+    print(
+        f"  independent-monitor oracle: {time.perf_counter() - started:6.2f}s",
+        flush=True,
     )
-    print(f"  serial/unshared reference: {wall_unshared:6.2f}s", flush=True)
 
     failures = []
     variants = [
-        ("serial/1-shard/shared", dict(executor="serial", shards=1, shared_plan=True)),
-        ("process/2-shard/shared", dict(executor="process", shards=2, shared_plan=True)),
+        ("serial/1-shard", dict(executor="serial", shards=1)),
+        ("process/2-shard", dict(executor="process", shards=2)),
     ]
     for label, kwargs in variants:
         got, wall = replay(stream, **kwargs)
@@ -162,14 +158,14 @@ def main() -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     status = "ok" if got == reference else "DIVERGED"
-    print(f"  shared checkpoint -> unshared resume: {status}", flush=True)
+    print(f"  checkpoint -> crash -> resume: {status}", flush=True)
     if got != reference:
-        failures.append("cross-plan resume")
+        failures.append("checkpoint resume")
 
     if failures:
-        print(f"FAILED: {', '.join(failures)} diverged from the unshared reference")
+        print(f"FAILED: {', '.join(failures)} diverged from the oracle")
         return 1
-    print("shared-plan smoke passed: all variants bit-identical")
+    print("shared-plan smoke passed: all variants bit-identical to the oracle")
     return 0
 
 

@@ -228,31 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "locally instead of waiting for external 'repro worker' processes "
         "(single-command distributed mode)",
     )
-    plan = serve.add_mutually_exclusive_group()
-    plan.add_argument(
-        "--no-shared-plan",
-        dest="shared_plan",
-        action="store_const",
-        const=False,
-        default=None,
-        help="disable the shared-work execution plan (inverted keyword "
-        "routing + shared window groups/detector units) and route every "
-        "chunk through each query's own predicate scan instead; results "
-        "are bit-identical either way — this is an escape hatch and the "
-        "baseline the plan is benchmarked against (with --resume the "
-        "checkpoint's recorded plan is kept unless one of the plan flags "
-        "is given)",
-    )
-    plan.add_argument(
-        "--shared-plan",
-        dest="shared_plan",
-        action="store_const",
-        const=True,
-        help="force the shared-work execution plan on (the default for a "
-        "fresh service); with --resume this overrides a checkpoint that "
-        "was recorded with the plan off — restore re-normalises the "
-        "snapshot to the requested plan, bit-identically",
-    )
     serve.add_argument(
         "--report-every",
         type=int,
@@ -783,7 +758,6 @@ def _build_serve_service(args: argparse.Namespace, *, require_queries: bool = Tr
             checkpoint_dir,
             executor=args.executor,
             executor_options=_remote_executor_options(args, resolved_executor),
-            shared_plan=args.shared_plan,
             checkpoint_policy=policy,
             quarantine_dir=args.quarantine_dir,
             tracer=tracer,
@@ -820,7 +794,6 @@ def _build_serve_service(args: argparse.Namespace, *, require_queries: bool = Tr
         shards=args.shards if args.shards is not None else 1,
         executor=executor_name,
         executor_options=_remote_executor_options(args, executor_name),
-        shared_plan=args.shared_plan if args.shared_plan is not None else True,
         checkpoint_dir=checkpoint_dir,
         checkpoint_policy=policy,
         checkpoint_extra={"chunk_size": args.chunk_size},
@@ -1117,8 +1090,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"queries = {stats.object_query_pairs} object-query pairs in "
             f"{stats.wall_seconds:.2f}s "
             f"({stats.pairs_per_second:,.0f} pairs/s, "
-            f"executor={service.executor_name}, shards={service.n_shards}, "
-            f"plan={'shared' if service.shared_plan else 'unshared'})",
+            f"executor={service.executor_name}, shards={service.n_shards})",
             file=sys.stderr,
         )
         if overload_on:

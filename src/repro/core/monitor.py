@@ -210,18 +210,6 @@ class SurgeMonitor:
         tracer.record("settle", started, perf_counter())
         return result
 
-    def drain_time(self, time: float) -> list[WindowEvent]:
-        """The window half of :meth:`advance_time`: clock advance → events.
-
-        Moves the stream clock forward and returns the ``GROWN`` /
-        ``EXPIRED`` events it triggered, without feeding the detector;
-        combined with :meth:`push_events` this is exactly
-        :meth:`advance_time`, split so shared-window consumers can advance
-        a group-owned pair once and fan the events out — and skip the
-        result settle entirely when the advance crossed no deadline.
-        """
-        return self.windows.advance_time(time)
-
     def push_events(self, events: Iterable[WindowEvent]) -> RegionResult | None:
         """Feed pre-computed window events directly (advanced use)."""
         for event in events:

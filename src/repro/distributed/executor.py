@@ -123,7 +123,6 @@ class RemoteExecutor(ShardExecutor):
     def __init__(
         self,
         shard_specs: Sequence[Sequence[QuerySpec]],
-        shared_plan: bool = True,
         *,
         workers: int = 1,
         listen: tuple[str, int] = ("127.0.0.1", 0),
@@ -137,7 +136,7 @@ class RemoteExecutor(ShardExecutor):
         join_timeout: float = 60.0,
         on_listening=None,
     ) -> None:
-        super().__init__(shard_specs, shared_plan)
+        super().__init__(shard_specs)
         if workers < 1:
             raise ValueError("the remote executor needs at least one worker")
         self._specs = [tuple(specs) for specs in shard_specs]
@@ -487,9 +486,9 @@ class RemoteExecutor(ShardExecutor):
         """Assign ``shard`` to ``target`` from its base, optionally replaying."""
         base_path = self._base[shard]
         if base_path is None:
-            base = ("specs", self._specs[shard], self.shared_plan)
+            base = ("specs", self._specs[shard])
         else:
-            base = ("snapshot", base_path, self.shared_plan)
+            base = ("snapshot", base_path)
         self._rpc(target, assign_frame(shard, self._next_seq(shard), base))
         old = self._owner[shard]
         if old is not None:

@@ -30,10 +30,10 @@ Coordinator → worker
 --------------------
 ``hello_ack``      admission; carries the coordinator-assigned worker id.
 ``assign``         host a shard: the payload is either
-                   ``("specs", specs, shared_plan)`` — build fresh
-                   pipelines — or ``("snapshot", path, shared_plan)`` —
-                   restore the shard's latest durable generation from
-                   shared checkpoint storage (the failover path).
+                   ``("specs", specs)`` — build fresh pipelines — or
+                   ``("snapshot", path)`` — restore the shard's latest
+                   durable generation from shared checkpoint storage
+                   (the failover path).
 ``scatter``        one shard message (chunk/advance/add/remove/results/
                    checkpoint/restore/trace/...), tagged with a per-shard
                    monotonic ``seq``.

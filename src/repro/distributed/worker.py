@@ -92,11 +92,11 @@ class WorkerShardHost:
 
     def _assign(self, shard: int, frame: dict[str, Any]) -> list[str]:
         base = decode_payload(frame["payload"])
-        base_kind, payload, shared_plan = base
+        base_kind, payload = base
         if base_kind == "specs":
-            state = ShardState(payload, shared_plan)
+            state = ShardState(payload)
         elif base_kind == "snapshot":
-            state = ShardState((), shared_plan)
+            state = ShardState()
             state.restore(payload)
         else:
             raise ValueError(f"unknown assign base {base_kind!r}")

@@ -174,7 +174,6 @@ class ServiceRunResult:
     shards: int
     chunk_size: int
     n_queries: int
-    shared_plan: bool
     objects_total: int
     wall_seconds: float
     object_query_pairs: int
@@ -196,7 +195,6 @@ def run_service(
     shards: int = 1,
     executor: str = "serial",
     executor_options=None,
-    shared_plan: bool = True,
     chunk_size: int = 512,
     checkpoint_dir=None,
     checkpoint_policy=None,
@@ -208,11 +206,6 @@ def run_service(
     excluded, matching the steady-state serving cost; the per-event
     protocol's warm-up condition does not apply because each query has its
     own window clock).
-
-    ``shared_plan`` selects the shard execution plan (see
-    :mod:`repro.service.shards`); results are bit-identical either way, so
-    benchmarking the same workload under both isolates the shared-work
-    speedup (``benchmarks/bench_service.py``).
 
     ``checkpoint_dir`` / ``checkpoint_policy`` (see :mod:`repro.state`)
     enable durable checkpoints *inside* the measured window, so comparing a
@@ -230,7 +223,6 @@ def run_service(
         shards=shards,
         executor=executor,
         executor_options=executor_options,
-        shared_plan=shared_plan,
         checkpoint_dir=checkpoint_dir,
         checkpoint_policy=checkpoint_policy,
     ) as service:
@@ -262,7 +254,6 @@ def run_service(
         shards=shards,
         chunk_size=chunk_size,
         n_queries=len(specs),
-        shared_plan=shared_plan,
         objects_total=len(stream),
         wall_seconds=wall,
         object_query_pairs=len(stream) * len(specs),
@@ -424,7 +415,6 @@ def service_scenario_grid(
     query_counts: Sequence[int] = (1, 8),
     shard_counts: Sequence[int] = (1, 2),
     executors: Sequence[str] = ("serial",),
-    shared_plan: bool = True,
     chunk_size: int = 512,
     **grid_options,
 ) -> list[ServiceRunResult]:
@@ -451,7 +441,6 @@ def service_scenario_grid(
                 stream,
                 shards=shards,
                 executor=executor,
-                shared_plan=shared_plan,
                 chunk_size=chunk_size,
             )
         )

@@ -8,8 +8,9 @@ Public surface:
   :func:`~repro.service.spec.make_query_grid` helpers;
 * :class:`~repro.service.service.SurgeService` — the service facade
   (``push_many`` / ``run`` / ``add_query`` / ``remove_query`` / ``results``);
-* :mod:`~repro.service.shards` — the pluggable ``serial`` / ``thread`` /
-  ``process`` shard executors (:data:`~repro.service.shards.EXECUTOR_NAMES`);
+* :mod:`~repro.service.shards` — the shared-work execution plan and the
+  pluggable ``serial`` / ``process`` / ``remote`` shard executors
+  (:data:`~repro.service.shards.EXECUTOR_NAMES`);
 * :mod:`~repro.service.bus` — :class:`~repro.service.bus.QueryUpdate`,
   :class:`~repro.service.bus.QueryStats`,
   :class:`~repro.service.bus.ServiceStats` and the subscriber bus, with

@@ -6,19 +6,18 @@ every registered :class:`~repro.service.spec.QuerySpec`:
 * **routing** — each query sees only the objects its keyword predicate
   accepts (``None`` = the whole stream), exactly as if it ran a private
   :class:`~repro.core.monitor.SurgeMonitor` over the filtered substream.
-  By default shards run the *shared-work execution plan*: the chunk is
-  bucketed by keyword once (O(chunk + matches) instead of
-  O(queries × chunk)), same-keyword/same-window queries share one sliding
-  window pair and one event batch, and fully identical specs share the
-  detector itself — bit-identical to the unshared plan, just without the
-  redundant work (see :mod:`repro.service.shards`; ``shared_plan=False``
-  is the escape hatch);
+  Shards run the *shared-work execution plan*: the chunk is bucketed by
+  keyword once (O(chunk + matches) instead of O(queries × chunk)),
+  same-keyword/same-window queries share one sliding window pair and one
+  event batch, and fully identical specs share the detector itself —
+  bit-identical to independent monitors, just without the redundant work
+  (see :mod:`repro.service.shards`);
 * **shared chunking** — the stream is cut into chunks once; every chunk is
   broadcast to each shard exactly once, and inside the shard each query's
-  monitor ingests its filtered slice through the batched ``push_many`` path;
+  detector applies its filtered slice through the batched event path;
 * **sharded execution** — queries are assigned round-robin to ``shards``
-  shards, driven by a pluggable executor backend (``serial`` / ``thread`` /
-  ``process``, see :mod:`repro.service.shards`).  Results are bit-identical
+  shards, driven by a pluggable executor backend (``serial`` / ``process``
+  / ``remote``, see :mod:`repro.service.shards`).  Results are bit-identical
   across backends: the backend only decides *where* the identical per-shard
   code runs;
 * **result bus** — every chunk yields one
@@ -99,14 +98,11 @@ class SurgeService:
         Number of shards the queries are spread over (round-robin in
         registration order).
     executor:
-        Shard execution backend: ``"serial"``, ``"thread"`` or ``"process"``.
-    shared_plan:
-        Whether shards run the shared-work execution plan (inverted keyword
-        routing, shared window groups and shared detector units — see
-        :mod:`repro.service.shards`).  Default on; results are bit-identical
-        either way, the plan only removes redundant work, so ``False`` is an
-        escape hatch (``repro serve --no-shared-plan``) and the baseline the
-        plan's speedup is benchmarked against.
+        Shard execution backend: ``"serial"``, ``"process"`` or
+        ``"remote"`` (see :mod:`repro.distributed`).
+    executor_options:
+        Backend-specific keyword arguments; only ``remote`` accepts any
+        (see :class:`repro.distributed.executor.RemoteExecutor`).
     checkpoint_dir:
         Optional checkpoint directory (see :mod:`repro.state`).  When given,
         every ingested chunk is recorded in the directory's write-ahead log
@@ -199,7 +195,6 @@ class SurgeService:
         shards: int = 1,
         executor: str = "serial",
         executor_options: Mapping[str, Any] | None = None,
-        shared_plan: bool = True,
         checkpoint_dir: str | Path | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         checkpoint_extra: Mapping[str, Any] | None = None,
@@ -221,7 +216,6 @@ class SurgeService:
         self.executor_name = executor.lower()
         self.executor_options = dict(executor_options) if executor_options else {}
         self.n_shards = shards
-        self.shared_plan = bool(shared_plan)
         if self.executor_name == "remote" and checkpoint_dir is None:
             # Legal but worth flagging: without durable generations the
             # failover base degrades to "rebuild from specs + replay every
@@ -245,10 +239,7 @@ class SurgeService:
             self._claim(spec)
             shard_specs[self._shard_of[spec.query_id]].append(spec)
         self._executor = make_executor(
-            self.executor_name,
-            shard_specs,
-            shared_plan=self.shared_plan,
-            **self.executor_options,
+            self.executor_name, shard_specs, **self.executor_options
         )
         self.bus = ResultBus()
         # Observability tier (see repro.obs): shard-side span recording is
@@ -362,9 +353,12 @@ class SurgeService:
         try:
             self._executor.send(self._shard_of[spec.query_id], ("add", spec))
         except Exception:
+            # Undo _claim entirely — including the round-robin counter, or a
+            # refused registration would shift every later query's shard.
             self._order.remove(spec.query_id)
             del self._shard_of[spec.query_id]
             del self._specs[spec.query_id]
+            self._registered -= 1
             raise
         if self._checkpoint_dir is not None:
             self.checkpoint()
@@ -430,8 +424,7 @@ class SurgeService:
         the priority threshold.  A partially-shed class would force a
         shared window group's clock to advance for some members but not
         others, splitting provably-identical state; whole classes keep
-        every group fully shed or fully active, so the shared and unshared
-        plans degrade bit-identically.
+        every group fully shed or fully active.
         """
         if self._shed_cache is not None:
             return self._shed_cache
@@ -689,8 +682,8 @@ class SurgeService:
         if self.executor_name in ("process", "remote"):
             # Worker processes run on their own perf_counter epoch; rebase
             # their spans onto this process's clock (anchored at the
-            # dispatch start) so all lanes share one timeline.  Serial and
-            # thread executors already share the clock — no shift.
+            # dispatch start) so all lanes share one timeline.  The serial
+            # executor already shares the clock — no shift.
             delta = dispatch_started - min(span[1] for span in spans)
         else:
             delta = 0.0
@@ -1325,7 +1318,6 @@ class SurgeService:
             },
             shard_files=shard_files,
             extra=dict(self.checkpoint_extra),
-            shared_plan=self.shared_plan,
             ingest=ingest_record,
             overload=overload_record,
             server=(
@@ -1362,7 +1354,6 @@ class SurgeService:
         *,
         executor: str | None = None,
         executor_options: Mapping[str, Any] | None = None,
-        shared_plan: bool | None = None,
         checkpoint_policy: CheckpointPolicy | None = None,
         attach: bool = True,
         on_bad_record: Callable[[Any, str], None] | None = None,
@@ -1385,10 +1376,6 @@ class SurgeService:
         ``executor`` optionally overrides the recorded backend (results are
         identical across backends); the shard count always comes from the
         manifest, because the per-shard snapshot files partition the queries.
-        ``shared_plan`` likewise overrides the recorded execution plan —
-        shard restore re-normalises the snapshot's sharing structure to the
-        requested plan, so a checkpoint taken under either plan restores
-        under either plan, bit-identically.
         With ``attach=True`` (default) the directory stays attached for
         further WAL appends and automatic checkpoints under
         ``checkpoint_policy`` (default: the recorded policy).
@@ -1423,7 +1410,6 @@ class SurgeService:
         kwargs: dict[str, Any] = dict(
             executor=executor,
             executor_options=executor_options,
-            shared_plan=shared_plan,
             checkpoint_policy=checkpoint_policy,
             attach=attach,
             on_bad_record=on_bad_record,
@@ -1464,7 +1450,6 @@ class SurgeService:
         *,
         executor: str | None,
         executor_options: Mapping[str, Any] | None,
-        shared_plan: bool | None,
         checkpoint_policy: CheckpointPolicy | None,
         attach: bool,
         on_bad_record: Callable[[Any, str], None] | None,
@@ -1506,9 +1491,6 @@ class SurgeService:
             shards=manifest.n_shards,
             executor=executor if executor is not None else manifest.executor,
             executor_options=executor_options,
-            shared_plan=(
-                manifest.shared_plan if shared_plan is None else shared_plan
-            ),
             max_lateness=(
                 float(ingest_record.get("max_lateness", 0.0))
                 if ingest_record is not None

@@ -1,16 +1,18 @@
 """Shard execution backends for the multi-query service.
 
 A *shard* owns a disjoint subset of the registered queries: one
-:class:`QueryPipeline` per query (routing predicate + per-query
+:class:`QueryPipeline` per query (spec + per-query
 :class:`~repro.core.monitor.SurgeMonitor`).  The service broadcasts each
 stream chunk to every shard exactly once; inside the shard the chunk is
-routed to the per-query monitors' batched ``push_many`` path.
+routed and applied through the batched event path.
 
 Shared-work execution plan
 --------------------------
-With ``shared_plan=True`` (the default) each shard runs a three-tier plan
-that eliminates the work N queries would redundantly repeat on one shared
-chunk, while staying **bit-identical** to running every query in isolation:
+Each shard runs a three-tier plan that eliminates the work N queries would
+redundantly repeat on one shared chunk, while staying **bit-identical** to
+running every query in isolation (N independent monitors over
+keyword-filtered substreams — the oracle the differential suites replay,
+``tests/helpers.replay_oracle``):
 
 1. **Inverted keyword routing** — instead of every query scanning the whole
    chunk through its own predicate (O(queries × chunk)), the shard buckets
@@ -41,24 +43,17 @@ ingestion *epoch* at registration, and only same-epoch queries may share
 state (a query added mid-stream starts with empty windows, so it must not
 adopt a group's history).  Checkpoints pickle the whole shard in one
 snapshot, so group-owned windows and unit-owned monitors are stored exactly
-once (pickle memoisation) and restored with the sharing intact; restoring a
-shared-plan snapshot with the plan disabled (or vice versa) re-normalises
-the pipelines — cloning shared state apart, or re-aliasing provably
-identical state together — so the plan is a pure execution strategy, never
-an observable property of a checkpoint.
+once (pickle memoisation) and restored with the sharing intact; a restore
+re-derives the plan from the restored pipelines (re-aliasing provably
+identical state), so a snapshot whose pipelines were stored unaliased — one
+written by an earlier commit's unshared plan — restores the same way.
 
-Three interchangeable executors drive the shards:
+Two in-process executors drive the shards (a third, ``remote``, lives in
+:mod:`repro.distributed`):
 
 ``serial``
     All shards run inline in the calling thread.  The reference backend —
     every other backend must produce bit-identical results.
-
-``thread``
-    One :class:`concurrent.futures.ThreadPoolExecutor` worker per shard.
-    Shards of a chunk run concurrently; the GIL serialises the pure-Python
-    detector work, so this backend only pays off when a sweep backend
-    releases the GIL (numpy) or work is IO-bound.  It exists mainly to keep
-    the dispatch machinery honest under real concurrency.
 
 ``process``
     One persistent single-worker :class:`concurrent.futures.ProcessPoolExecutor`
@@ -67,7 +62,7 @@ Three interchangeable executors drive the shards:
     across chunks); each chunk is pickled to every shard once.  This is the
     backend that scales with cores.
 
-All three speak the same message protocol (:meth:`ShardState.handle`), so
+All executors speak the same message protocol (:meth:`ShardState.handle`), so
 the executors contain no query logic — determinism across backends falls out
 of running the identical per-shard code.
 """
@@ -76,7 +71,7 @@ from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 from repro.obs.tracer import Tracer, activate
@@ -88,11 +83,11 @@ from repro.streams.windows import SlidingWindowPair
 #: Executor backends accepted by :class:`repro.service.SurgeService`.
 #: ``remote`` lives in :mod:`repro.distributed` and is imported lazily by
 #: :func:`make_executor` (it pulls in the network stack).
-EXECUTOR_NAMES = ("serial", "thread", "process", "remote")
+EXECUTOR_NAMES = ("serial", "process", "remote")
 
 
 class QueryPipeline:
-    """Routing filter + monitor + counters for one registered query.
+    """Spec + monitor + counters for one registered query.
 
     ``epoch`` is the owning shard's ingestion counter at registration time —
     the shared plan only groups pipelines with equal epochs, because only
@@ -142,46 +137,15 @@ class QueryPipeline:
             self.chunks_skipped = 0
             self.last_result = self.monitor.result()
 
-    def push_chunk(self, chunk: Sequence[SpatialObject], chunk_index: int) -> QueryUpdate:
-        """Route one shared-stream chunk into the monitor; report the result.
-
-        The unshared plan: this pipeline scans the whole chunk through its
-        own predicate.  Routing time counts as busy time — the filter scan
-        is work this query causes on every chunk, matched or not.
-        """
-        started = time.perf_counter()
-        matches = self.spec.matches
-        matched = [obj for obj in chunk if matches(obj)]
-        if matched:
-            result = self.monitor.push_many(matched)
-            self.last_result = result
-        else:
-            # Nothing routed and nothing ingested: the window clock did not
-            # move, so no deadline can have crossed — the previous settled
-            # result is still exact and the settle is skipped outright.
-            result = self.last_result
-            self.chunks_skipped += 1
-        busy = time.perf_counter() - started
-        self.objects_routed += len(matched)
-        self.chunks_processed += 1
-        self.busy_seconds += busy
-        return QueryUpdate(
-            query_id=self.spec.query_id,
-            chunk_index=chunk_index,
-            result=result,
-            objects_routed=len(matched),
-            busy_seconds=busy,
-        )
-
     def apply_batch(self, batch, chunk_index: int, n_routed: int, shared_seconds: float) -> QueryUpdate:
         """Apply a group-ingested event batch to this pipeline's detector.
 
-        The shared-plan counterpart of :meth:`push_chunk` for a non-empty
-        route: the owning :class:`WindowGroup` already ran ``observe_batch``
-        on the shared window pair; this pipeline only pays the detector
-        half.  ``shared_seconds`` is this pipeline's slice of the shard-wide
-        routing/windowing work, folded into ``busy_seconds`` so the counter
-        keeps meaning "time this query's presence cost the shard".
+        The non-empty-route path: the owning :class:`WindowGroup` already
+        ran ``observe_batch`` on the shared window pair; this pipeline only
+        pays the detector half.  ``shared_seconds`` is this pipeline's slice
+        of the shard-wide routing/windowing work, folded into
+        ``busy_seconds`` so the counter keeps meaning "time this query's
+        presence cost the shard".
         """
         started = time.perf_counter()
         result = self.monitor.apply_batch(batch)
@@ -266,11 +230,6 @@ class QueryPipeline:
             busy_seconds=busy,
         )
 
-    def advance(self, stream_time: float, chunk_index: int) -> QueryUpdate:
-        """Advance this query's clock without new arrivals (unshared plan)."""
-        events = self.monitor.drain_time(stream_time)
-        return self.apply_window_events(events, chunk_index)
-
 
 class WindowGroup:
     """One shared sliding-window pair plus the pipelines riding it.
@@ -352,8 +311,8 @@ class ShardState:
         registration order.  The optional ``shed`` frozenset names queries
         whose chunk is load-shed (degraded mode): their window clocks stay
         unmoved and their updates carry ``shed=True``.  The service only
-        sheds whole route classes, so a shared-plan window group is always
-        fully shed or fully active.
+        sheds whole route classes, so a window group is always fully shed
+        or fully active.
     ``("compact",)``
         Safe-boundary re-epoching (see :meth:`compact`); returns the
         number of pipelines merged back into older sharing groups.
@@ -384,9 +343,8 @@ class ShardState:
         this is how process shards get their lane in the Chrome trace.
     """
 
-    def __init__(self, specs: Sequence[QuerySpec] = (), shared_plan: bool = True) -> None:
+    def __init__(self, specs: Sequence[QuerySpec] = ()) -> None:
         self.pipelines: dict[str, QueryPipeline] = {}
-        self.shared_plan = bool(shared_plan)
         self._epoch = 0
         self._groups: list[WindowGroup] = []
         self._routed_keywords: frozenset[str] = frozenset()
@@ -441,9 +399,7 @@ class ShardState:
         purity settles to the same answers its own would); grid-family
         pipelines only ever share windows, never monitors, across
         histories.  All decisions are pure functions of pipeline state, so
-        every plan and every executor compacts identically — and under
-        ``shared_plan=False`` the restamp is recorded but aliases nothing,
-        keeping cross-plan checkpoints interchangeable.
+        every executor compacts identically.
 
         Returns the number of pipelines merged into an older epoch.
         """
@@ -521,17 +477,8 @@ class ShardState:
         Aliasing is sound because same-key pipelines provably hold
         bit-identical state (same substream, same message history since the
         same epoch), so rebuilding is safe at any time — including over
-        pipelines restored from an *unshared* checkpoint.
-
-        With the plan disabled the same function runs in reverse: any state
-        still shared (a shared-plan checkpoint restored plan-off) is cloned
-        apart so every pipeline owns its monitor and windows privately.
+        restored pipelines whose snapshot stored them unaliased.
         """
-        if not self.shared_plan:
-            self._groups = []
-            self._routed_keywords = frozenset()
-            self._unshare()
-            return
         window_groups: dict[tuple, list[QueryPipeline]] = {}
         for pipeline in self.pipelines.values():
             windows = pipeline.monitor.windows
@@ -574,25 +521,6 @@ class ShardState:
             group.keyword for group in groups if group.keyword is not None
         )
 
-    def _unshare(self) -> None:
-        """Give every pipeline private state (clone shared objects apart)."""
-        import pickle
-
-        seen_monitors: set[int] = set()
-        seen_windows: set[int] = set()
-        for pipeline in self.pipelines.values():
-            monitor = pipeline.monitor
-            if id(monitor) in seen_monitors:
-                # The same pickle machinery the snapshot codec uses, so the
-                # clone is bit-identical the same way a restore is.
-                pipeline.monitor = pickle.loads(pickle.dumps(monitor))
-                seen_windows.add(id(pipeline.monitor.windows))
-                continue
-            seen_monitors.add(id(monitor))
-            if id(monitor.windows) in seen_windows:
-                monitor.windows = monitor.windows.clone()
-            seen_windows.add(id(monitor.windows))
-
     def _route_chunk(self, chunk: Sequence[SpatialObject]) -> dict[str, list[SpatialObject]]:
         """Bucket the chunk by routed keyword in one pass (inverted index).
 
@@ -612,10 +540,10 @@ class ShardState:
                 continue
             if isinstance(keywords, str):
                 # A bare string predates the tuple normalisation the file
-                # loaders apply.  The per-query predicate evaluates
-                # ``keyword in <str>`` — substring membership — so the
-                # router must replicate exactly that, or the two plans
-                # would route (and answer) differently.
+                # loaders apply.  The per-query predicate
+                # (``QuerySpec.matches``) evaluates ``keyword in <str>`` —
+                # substring membership — so the router must replicate
+                # exactly that to stay identical to independent monitors.
                 for keyword in wanted:
                     if keyword in keywords:
                         bucket = buckets.get(keyword)
@@ -633,7 +561,7 @@ class ShardState:
                     bucket.append(obj)
         return buckets
 
-    def _push_chunk_shared(
+    def _push_chunk(
         self,
         chunk: Sequence[SpatialObject],
         chunk_index: int,
@@ -658,8 +586,7 @@ class ShardState:
                 for pipeline in unit
             ):
                 # The whole group is shed: its window clock stays unmoved
-                # (exactly the unshared plan's per-pipeline behaviour, since
-                # the service only sheds whole route classes).  Shedding a
+                # (the service only sheds whole route classes).  Shedding a
                 # *partial* group is never requested — it would advance the
                 # shared windows past the shed members — so a partial shed
                 # set is ignored and the group processes normally.
@@ -706,7 +633,7 @@ class ShardState:
         self._epoch += 1
         return [updates[query_id] for query_id in self.pipelines]
 
-    def _advance_shared(self, stream_time: float, chunk_index: int) -> list[QueryUpdate]:
+    def _advance(self, stream_time: float, chunk_index: int) -> list[QueryUpdate]:
         updates: dict[str, QueryUpdate] = {}
         for group in self._groups:
             events = group.windows.advance_time(stream_time)
@@ -750,9 +677,9 @@ class ShardState:
     def restore(self, path: str) -> list[str]:
         """Replace this shard's pipelines with the snapshot at ``path``.
 
-        The snapshot's *plan* is not adopted — the restored pipelines are
-        re-normalised to this shard's own ``shared_plan`` setting, so a
-        checkpoint taken under either plan restores under either plan with
+        The snapshot's sharing structure is not adopted as stored: the plan
+        is re-derived from the restored pipelines, so a snapshot written by
+        an earlier commit's unshared plan (nothing aliased) restores with
         bit-identical behaviour.
         """
         from repro.state.recovery import SHARD_SNAPSHOT_KIND
@@ -773,23 +700,9 @@ class ShardState:
             else:
                 _, chunk, chunk_index = message
                 shed = frozenset()
-            if self.shared_plan:
-                return self._push_chunk_shared(chunk, chunk_index, shed)
-            self._epoch += 1
-            return [
-                pipeline.skip_chunk(chunk_index, shed=True)
-                if pipeline.spec.query_id in shed
-                else pipeline.push_chunk(chunk, chunk_index)
-                for pipeline in self.pipelines.values()
-            ]
+            return self._push_chunk(chunk, chunk_index, shed)
         _, stream_time, chunk_index = message
-        if self.shared_plan:
-            return self._advance_shared(stream_time, chunk_index)
-        self._epoch += 1
-        return [
-            pipeline.advance(stream_time, chunk_index)
-            for pipeline in self.pipelines.values()
-        ]
+        return self._advance(stream_time, chunk_index)
 
     def handle(self, message: tuple) -> Any:
         kind = message[0]
@@ -846,18 +759,15 @@ class ShardState:
 
 
 class ShardExecutor(abc.ABC):
-    """Common interface of the three shard execution backends."""
+    """Common interface of the shard execution backends."""
 
     #: Name under which the backend is selectable.
     name: str = "executor"
 
-    def __init__(
-        self, shard_specs: Sequence[Sequence[QuerySpec]], shared_plan: bool = True
-    ) -> None:
+    def __init__(self, shard_specs: Sequence[Sequence[QuerySpec]]) -> None:
         if not shard_specs:
             raise ValueError("an executor needs at least one shard")
         self.n_shards = len(shard_specs)
-        self.shared_plan = bool(shared_plan)
 
     @abc.abstractmethod
     def send(self, shard_index: int, message: tuple) -> Any:
@@ -901,56 +811,15 @@ class SerialExecutor(ShardExecutor):
 
     name = "serial"
 
-    def __init__(
-        self, shard_specs: Sequence[Sequence[QuerySpec]], shared_plan: bool = True
-    ) -> None:
-        super().__init__(shard_specs, shared_plan)
-        self._shards = [ShardState(specs, shared_plan) for specs in shard_specs]
+    def __init__(self, shard_specs: Sequence[Sequence[QuerySpec]]) -> None:
+        super().__init__(shard_specs)
+        self._shards = [ShardState(specs) for specs in shard_specs]
 
     def send(self, shard_index: int, message: tuple) -> Any:
         return self._shards[shard_index].handle(message)
 
     def broadcast(self, message: tuple) -> list[Any]:
         return [shard.handle(message) for shard in self._shards]
-
-
-class ThreadExecutor(ShardExecutor):
-    """One pool thread per shard; shards of a chunk run concurrently.
-
-    The service broadcasts chunks with a gather barrier between chunks, so a
-    given shard's state is only ever touched by one in-flight task at a time
-    — no locking is needed.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self, shard_specs: Sequence[Sequence[QuerySpec]], shared_plan: bool = True
-    ) -> None:
-        super().__init__(shard_specs, shared_plan)
-        self._shards = [ShardState(specs, shared_plan) for specs in shard_specs]
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.n_shards, thread_name_prefix="surge-shard"
-        )
-
-    def send(self, shard_index: int, message: tuple) -> Any:
-        return self._pool.submit(self._shards[shard_index].handle, message).result()
-
-    def broadcast(self, message: tuple) -> list[Any]:
-        futures = [
-            self._pool.submit(shard.handle, message) for shard in self._shards
-        ]
-        return [future.result() for future in futures]
-
-    def _scatter(self, messages: Sequence[tuple]) -> list[Any]:
-        futures = [
-            self._pool.submit(shard.handle, message)
-            for shard, message in zip(self._shards, messages)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------
@@ -961,10 +830,10 @@ class ThreadExecutor(ShardExecutor):
 _WORKER_SHARD: ShardState | None = None
 
 
-def _init_worker_shard(specs: Sequence[QuerySpec], shared_plan: bool = True) -> None:
+def _init_worker_shard(specs: Sequence[QuerySpec]) -> None:
     """Pool initializer: build the shard's pipelines inside the worker."""
     global _WORKER_SHARD
-    _WORKER_SHARD = ShardState(specs, shared_plan)
+    _WORKER_SHARD = ShardState(specs)
 
 
 def _worker_handle(message: tuple) -> Any:
@@ -984,15 +853,13 @@ class ProcessExecutor(ShardExecutor):
 
     name = "process"
 
-    def __init__(
-        self, shard_specs: Sequence[Sequence[QuerySpec]], shared_plan: bool = True
-    ) -> None:
-        super().__init__(shard_specs, shared_plan)
+    def __init__(self, shard_specs: Sequence[Sequence[QuerySpec]]) -> None:
+        super().__init__(shard_specs)
         self._pools = [
             ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_init_worker_shard,
-                initargs=(tuple(specs), shared_plan),
+                initargs=(tuple(specs),),
             )
             for specs in shard_specs
         ]
@@ -1018,7 +885,6 @@ class ProcessExecutor(ShardExecutor):
 
 _EXECUTORS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
 }
 
@@ -1026,7 +892,6 @@ _EXECUTORS = {
 def make_executor(
     name: str,
     shard_specs: Sequence[Sequence[QuerySpec]],
-    shared_plan: bool = True,
     **options: Any,
 ) -> ShardExecutor:
     """Instantiate a shard executor by backend name.
@@ -1040,7 +905,7 @@ def make_executor(
     if key == "remote":
         from repro.distributed.executor import RemoteExecutor
 
-        return RemoteExecutor(shard_specs, shared_plan, **options)
+        return RemoteExecutor(shard_specs, **options)
     if key not in _EXECUTORS:
         raise ValueError(
             f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
@@ -1049,4 +914,4 @@ def make_executor(
         raise ValueError(
             f"executor {key!r} accepts no options, got {sorted(options)}"
         )
-    return _EXECUTORS[key](shard_specs, shared_plan)
+    return _EXECUTORS[key](shard_specs)

@@ -111,15 +111,6 @@ class ServiceManifest:
     #: Free-form caller metadata (e.g. the CLI records its ``--chunk-size``
     #: here so a resume can refuse a mismatching re-chunking).
     extra: dict = field(default_factory=dict)
-    #: Whether the service ran the shared-work execution plan (inverted
-    #: keyword routing + shared window groups/detector units, see
-    #: :mod:`repro.service.shards`).  Informational: restore re-normalises
-    #: the shard state to whichever plan the restored service is given, so
-    #: this only selects the *default* when no override is passed.  Absent
-    #: in pre-shared-plan manifests, which defaults to the plan those
-    #: services effectively ran bit-identically to (either value restores
-    #: them correctly).
-    shared_plan: bool = True
     #: Disorder-tolerant ingestion tier state (``None`` = strict mode, and
     #: in every pre-robustness manifest): ``max_lateness``, the raw-record
     #: replay offset ``raw_consumed``, the quarantine/subscriber counters,
@@ -166,7 +157,6 @@ class ServiceManifest:
             "stats": dict(self.stats),
             "shard_files": list(self.shard_files),
             "extra": dict(self.extra),
-            "shared_plan": self.shared_plan,
             "ingest": dict(self.ingest) if self.ingest is not None else None,
             "overload": dict(self.overload) if self.overload is not None else None,
             "server": dict(self.server) if self.server is not None else None,
@@ -177,7 +167,7 @@ class ServiceManifest:
     def from_dict(record: Mapping[str, Any], path: str | Path) -> "ServiceManifest":
         check_schema(record.get("schema"), MANIFEST_SCHEMA, path, "service manifest")
         try:
-            return ServiceManifest(
+            manifest = ServiceManifest(
                 generation=int(record["generation"]),
                 chunk_offset=int(record["chunk_offset"]),
                 chunk_index=int(record["chunk_index"]),
@@ -192,7 +182,6 @@ class ServiceManifest:
                 stats=dict(record.get("stats", {})),
                 shard_files=list(record["shard_files"]),
                 extra=dict(record.get("extra", {})),
-                shared_plan=bool(record.get("shared_plan", True)),
                 ingest=(
                     dict(record["ingest"])
                     if record.get("ingest") is not None
@@ -219,6 +208,18 @@ class ServiceManifest:
                 f"{path}: corrupt service manifest (missing or malformed "
                 f"field: {exc})"
             ) from exc
+        # Manifests written by earlier commits may carry a ``shared_plan``
+        # key (ignored: there is one plan, and shard restore re-derives it)
+        # or ``executor: "thread"`` (that backend is gone; shard snapshots
+        # restore under any backend, so the other in-process one takes over).
+        if manifest.executor == "thread":
+            logger.warning(
+                "%s records the removed 'thread' executor; restoring as 'serial'",
+                path,
+                extra={"event": "manifest_executor_replaced"},
+            )
+            manifest.executor = "serial"
+        return manifest
 
 
 def manifest_path(directory: str | Path) -> Path:

@@ -288,23 +288,6 @@ class SlidingWindowPair:
         for obj in objects:
             yield from self.observe(obj)
 
-    def clone(self) -> "SlidingWindowPair":
-        """An independent copy with bit-identical window state.
-
-        Used by the multi-query service to *un-share* a window pair when a
-        shard checkpointed under the shared execution plan is restored with
-        the plan disabled: every member pipeline then gets its own pair,
-        each continuing the stream exactly as the shared one would have.
-        """
-        twin = SlidingWindowPair(
-            self.window_length, past_window_length=self.past_window_length
-        )
-        twin._current = deque(self._current)
-        twin._past = deque(self._past)
-        twin._time = self._time
-        twin._expired_seen = self._expired_seen
-        return twin
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------

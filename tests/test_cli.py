@@ -304,11 +304,11 @@ class TestServeCommand:
         assert "object-query pairs" in captured.err
         assert "routed" in captured.err
 
-    def test_serve_thread_executor_matches_serial(self, tmp_path, capsys):
+    def test_serve_process_executor_matches_serial(self, tmp_path, capsys):
         stream_path = self._make_stream(tmp_path)
         queries_path = self._make_queries(tmp_path)
         outputs = []
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             code = main(
                 [
                     "serve",
@@ -327,96 +327,17 @@ class TestServeCommand:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_serve_no_shared_plan_matches_default(self, tmp_path, capsys):
-        """--no-shared-plan is an escape hatch, never a different answer."""
+    def test_serve_rejects_the_removed_thread_executor(self, tmp_path, capsys):
         stream_path = self._make_stream(tmp_path)
         queries_path = self._make_queries(tmp_path)
-        outputs, errs = [], []
-        for extra in ((), ("--no-shared-plan",)):
-            code = main(
-                [
-                    "serve",
-                    str(stream_path),
-                    "--queries",
-                    str(queries_path),
-                    "--chunk-size",
-                    "64",
-                    *extra,
-                ]
-            )
-            assert code == 0
-            captured = capsys.readouterr()
-            outputs.append(captured.out)
-            errs.append(captured.err)
-        assert outputs[0] == outputs[1]
-        assert "plan=shared" in errs[0]
-        assert "plan=unshared" in errs[1]
-
-    def test_serve_resume_keeps_recorded_plan_unless_overridden(
-        self, tmp_path, capsys
-    ):
-        stream_path = self._make_stream(tmp_path)
-        queries_path = self._make_queries(tmp_path)
-        ckpt = tmp_path / "ckpt"
-        base = ["serve", str(stream_path), "--chunk-size", "64"]
-        assert (
-            main(base + ["--queries", str(queries_path), "--checkpoint-dir", str(ckpt)])
-            == 0
-        )
-        capsys.readouterr()
-        # Default resume keeps the recorded (shared) plan.
-        assert main(base + ["--resume", "--checkpoint-dir", str(ckpt)]) == 0
-        assert "plan=shared" in capsys.readouterr().err
-        # The flags override the recorded plan on resume, in either
-        # direction — including forcing the plan back on over a checkpoint
-        # recorded with it off.
-        assert (
+        with pytest.raises(SystemExit) as excinfo:
             main(
-                base + ["--resume", "--checkpoint-dir", str(ckpt), "--no-shared-plan"]
+                ["serve", str(stream_path), "--queries", str(queries_path),
+                 "--executor", "thread"]
             )
-            == 0
-        )
-        assert "plan=unshared" in capsys.readouterr().err
-        assert (
-            main(base + ["--resume", "--checkpoint-dir", str(ckpt), "--shared-plan"])
-            == 0
-        )
-        assert "plan=shared" in capsys.readouterr().err
-
-    def test_serve_resume_shared_plan_over_unshared_checkpoint(
-        self, tmp_path, capsys
-    ):
-        stream_path = self._make_stream(tmp_path)
-        queries_path = self._make_queries(tmp_path)
-        ckpt = tmp_path / "ckpt"
-        base = ["serve", str(stream_path), "--chunk-size", "64"]
-        assert (
-            main(
-                base
-                + [
-                    "--queries",
-                    str(queries_path),
-                    "--no-shared-plan",
-                    "--checkpoint-dir",
-                    str(ckpt),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # Recorded plan (unshared) is kept by default...
-        assert main(base + ["--resume", "--checkpoint-dir", str(ckpt)]) == 0
-        assert "plan=unshared" in capsys.readouterr().err
-        # ...and --shared-plan switches it back on.
-        assert (
-            main(base + ["--resume", "--checkpoint-dir", str(ckpt), "--shared-plan"])
-            == 0
-        )
-        assert "plan=shared" in capsys.readouterr().err
-        # The two flags are mutually exclusive.
-        with pytest.raises(SystemExit):
-            main(base + ["--resume", "--checkpoint-dir", str(ckpt),
-                         "--shared-plan", "--no-shared-plan"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in ("serial", "process", "remote"))
 
     def test_serve_rejects_bad_usage(self, tmp_path, capsys):
         stream_path = self._make_stream(tmp_path)

@@ -7,7 +7,7 @@ failover machinery — is *observationally identical* to the in-process
 
 * the full 10-detector differential replay (all detector names,
   heterogeneous keywords / rectangles / windows / k) is bit-identical to
-  the single-monitor oracle under both execution plans;
+  the single-monitor oracle;
 * a worker SIGKILLed mid-stream is invisible in the results: its shards
   fail over to a survivor (checkpoint base + ledger replay) and the
   replayed trace still matches the oracle bit for bit;
@@ -55,13 +55,11 @@ from repro.server.protocol import ProtocolError
 from repro.service import QuerySpec, SurgeService, make_executor
 from repro.service.shards import ShardState
 from repro.state import CheckpointPolicy
-from tests.helpers import make_objects
+from tests.helpers import make_objects, replay_oracle, result_key
 from tests.test_service_differential import (
     CHUNK_SIZE,
     make_keyword_stream,
     make_specs,
-    replay_oracle,
-    result_key,
 )
 
 #: Options that make a test-owned remote fleet self-contained and quick
@@ -90,7 +88,7 @@ def stream():
 
 @pytest.fixture(scope="module")
 def oracle(stream):
-    return replay_oracle(stream, make_specs())
+    return replay_oracle(stream, make_specs(), CHUNK_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +96,7 @@ def oracle(stream):
 # ---------------------------------------------------------------------------
 class TestWorkerShardHost:
     def assign(self, host, shard=0, seq=1):
-        frame = assign_frame(shard, seq, ("specs", (spec("a"),), True))
+        frame = assign_frame(shard, seq, ("specs", (spec("a"),)))
         return host.handle_frame(frame)
 
     def test_assign_builds_and_reports_pipelines(self):
@@ -120,7 +118,7 @@ class TestWorkerShardHost:
 
         # The shard saw the chunk exactly once: its results match a fresh
         # shard that applied the message a single time.
-        oracle_shard = ShardState([spec("a")], True)
+        oracle_shard = ShardState([spec("a")])
         oracle_shard.handle(("chunk", chunk, 0))
         results = host.handle_frame(scatter_frame(0, 3, ("results",)))
         got = decode_payload(results["payload"])
@@ -241,7 +239,7 @@ class TestRpcSemantics:
             got = executor.send(0, ("results",))
             assert executor.stats.replies_discarded >= 1
 
-            oracle_shard = ShardState([spec("a")], True)
+            oracle_shard = ShardState([spec("a")])
             oracle_shard.handle(("chunk", chunk, 0))
             want = oracle_shard.handle(("results",))
             assert [(qid, result_key(r)) for qid, r in got] == [
@@ -332,19 +330,17 @@ class TestRpcSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Differential: remote == the single-monitor oracle, both plans
+# Differential: remote == the single-monitor oracle
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("shared_plan", [True, False], ids=["shared", "unshared"])
-def test_remote_equals_independent_monitors(stream, oracle, shared_plan):
+def test_remote_equals_independent_monitors(stream, oracle):
     """All 10 detectors, every chunk, bit for bit, across process boundaries."""
-    oracle_trace, oracle_top_k, oracle_routed = oracle
+    oracle_trace, _, oracle_top_k, oracle_routed = oracle
     trace = []
     with SurgeService(
         make_specs(),
         shards=2,
         executor="remote",
         executor_options=dict(FAST_FLEET),
-        shared_plan=shared_plan,
     ) as service:
         for updates in service.run(stream, CHUNK_SIZE):
             trace.append(
@@ -378,7 +374,7 @@ def test_worker_kill_mid_stream_is_invisible(
     generation plus a short ledger replay; without one the shard is rebuilt
     from specs and the full ledger — both must reproduce the oracle.
     """
-    oracle_trace, oracle_top_k, _ = oracle
+    oracle_trace, _, oracle_top_k, _ = oracle
     options = dict(FAST_FLEET)
     kwargs = {}
     if with_checkpoint:

@@ -285,21 +285,21 @@ class TestServiceTracing:
             assert data["count"] == sum(data["buckets"])
             assert data["total_seconds"] >= 0.0
 
-    def test_thread_executor_spans_carry_shard_lanes(self):
-        tracer, _ = self._run_service("thread", chunks=3)
+    def test_process_executor_spans_carry_shard_lanes(self):
+        tracer, _ = self._run_service("process", chunks=3)
         lanes = {span[3] for span in tracer.recorder.spans()}
         assert {"shard0", "shard1", "bus"} <= lanes
-        # Shard spans fit inside the recorded timeline (no rebasing applied
-        # to thread shards: they share this process's clock).
+        # Worker spans crossed the pipe with each reply and were rebased
+        # onto this process's clock.
         stats = tracer.stage_stats()
         assert stats["route.bucket"]["count"] == 3 * 2
 
     def test_stage_stats_identical_across_executors(self):
         serial_stats = self._run_service("serial", chunks=3)[0].stage_stats()
-        thread_stats = self._run_service("thread", chunks=3)[0].stage_stats()
+        process_stats = self._run_service("process", chunks=3)[0].stage_stats()
         assert {
             stage: data["count"] for stage, data in serial_stats.items()
-        } == {stage: data["count"] for stage, data in thread_stats.items()}
+        } == {stage: data["count"] for stage, data in process_stats.items()}
 
     def test_untraced_service_records_nothing(self):
         service = SurgeService([spec("a")], shards=1)

@@ -11,15 +11,15 @@ identical to never having crashed** —
   in-memory state discarded), restored and replayed the lost tail via
   ``run(start_offset=...)`` must produce the same per-chunk updates, final
   results, top-k lists and cumulative :class:`~repro.service.QueryStats`
-  object counts as an uninterrupted run — under the ``serial``, ``thread``
-  and ``process`` shard executors and under both shard execution plans
-  (one query per detector name, so all 10 detectors cross the snapshot
-  boundary under every backend).  The uninterrupted reference runs with
-  the shared-work plan *disabled*, so every shared-plan crash cycle is
-  simultaneously a cross-plan bit-identity proof; dedicated tests also
-  restore a shared-plan checkpoint with the plan off (and vice versa),
-  because group-owned windows / unit-owned monitors are snapshotted once
-  and must clone apart (or re-alias together) on restore;
+  object counts as an uninterrupted run — under the ``serial`` and
+  ``process`` shard executors (one query per detector name, so all 10
+  detectors cross the snapshot boundary under every backend).  The
+  uninterrupted reference is itself checked against the
+  independent-monitor oracle (``tests/helpers.replay_oracle``), so every
+  crash cycle is simultaneously a proof that the shared-work plan's
+  group-owned windows / unit-owned monitors survive the snapshot;
+* a manifest written by an earlier commit — carrying a ``shared_plan`` key
+  or the removed ``thread`` executor — still restores;
 * the ``repro serve --checkpoint-dir / --resume`` CLI implements exactly
   that protocol end to end, including refusing a resume at a different
   ``--chunk-size`` and refusing to clobber an existing checkpoint.
@@ -45,19 +45,15 @@ from repro.state.recovery import manifest_path, read_manifest, wal_path
 from repro.state.wal import ChunkWal
 from repro.streams.objects import SpatialObject
 from repro.streams.sources import iter_chunks
+from tests.helpers import replay_oracle, result_key, result_keys
 
 VOCABULARY = ("concert", "parade", "zika", "festival")
 CHUNK_SIZE = 41  # ragged: does not divide the stream length
 
-#: (executor, shards, shared_plan) combinations the kill-and-restore replay
-#: runs under.  All of them are compared against the *unshared* serial
-#: uninterrupted reference, so the shared rows prove crash recovery and the
-#: shared-work execution plan are jointly unobservable.
+#: (executor, shards) combinations the kill-and-restore replay runs under.
 EXECUTOR_GRID = (
-    ("serial", 3, True),
-    ("serial", 3, False),
-    ("thread", 2, True),
-    ("process", 2, True),
+    ("serial", 3),
+    ("process", 2),
 )
 
 
@@ -107,19 +103,6 @@ def make_specs() -> list[QuerySpec]:
             )
         )
     return specs
-
-
-def result_key(result):
-    """Exact identity of a reported result (bitwise, no tolerance)."""
-    if result is None:
-        return None
-    return (
-        result.score,
-        result.region.as_tuple(),
-        result.point.as_tuple(),
-        result.fc,
-        result.fp,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +169,9 @@ class TestMonitorSaveLoad:
 # Service kill-and-restore across executors
 # ---------------------------------------------------------------------------
 def uninterrupted_run(stream, executor="serial", shards=1):
-    """Per-chunk trace + finals of a run that never crashes.
-
-    Runs with the shared-work plan disabled: the per-query baseline every
-    crash-and-restore cycle (shared or not) must reproduce bit for bit.
-    """
+    """Per-chunk trace + finals of a run that never crashes."""
     trace = []
-    with SurgeService(
-        make_specs(), shards=shards, executor=executor, shared_plan=False
-    ) as service:
+    with SurgeService(make_specs(), shards=shards, executor=executor) as service:
         for updates in service.run(stream, CHUNK_SIZE):
             trace.append({u.query_id: result_key(u.result) for u in updates})
         finals = {qid: result_key(r) for qid, r in service.results().items()}
@@ -214,17 +191,27 @@ def reference(stream):
     return uninterrupted_run(stream)
 
 
+def test_uninterrupted_reference_equals_oracle(stream, reference):
+    """The yardstick of this module is itself the independent-monitor oracle."""
+    ref_trace, ref_finals, ref_top_k, ref_counts = reference
+    oracle_trace, oracle_finals, oracle_top_k, oracle_routed = replay_oracle(
+        stream, make_specs(), CHUNK_SIZE
+    )
+    assert ref_trace == [
+        {qid: key for qid, (key, _) in step.items()} for step in oracle_trace
+    ]
+    assert ref_finals == oracle_finals
+    assert ref_top_k == oracle_top_k
+    assert {qid: routed for qid, (routed, _) in ref_counts.items()} == oracle_routed
+
+
 @pytest.mark.parametrize(
-    "executor,shards,shared_plan",
-    EXECUTOR_GRID,
-    ids=[
-        f"{e}-{s}shard-{'shared' if p else 'unshared'}" for e, s, p in EXECUTOR_GRID
-    ],
+    "executor,shards", EXECUTOR_GRID, ids=[f"{e}-{s}shard" for e, s in EXECUTOR_GRID]
 )
 def test_kill_and_restore_equals_uninterrupted(
-    tmp_path, stream, reference, executor, shards, shared_plan
+    tmp_path, stream, reference, executor, shards
 ):
-    """All 10 detectors crossing a crash under every executor and plan."""
+    """All 10 detectors crossing a crash under every executor."""
     ref_trace, ref_finals, ref_top_k, ref_counts = reference
     checkpoint_dir = tmp_path / "ckpt"
 
@@ -234,7 +221,6 @@ def test_kill_and_restore_equals_uninterrupted(
         make_specs(),
         shards=shards,
         executor=executor,
-        shared_plan=shared_plan,
         checkpoint_dir=checkpoint_dir,
         checkpoint_policy=CheckpointPolicy(every_chunks=3),
     )
@@ -274,7 +260,7 @@ def test_restore_can_switch_executor(tmp_path, stream, reference):
     """A checkpoint taken under one backend restores under another."""
     _, ref_finals, _, _ = reference
     checkpoint_dir = tmp_path / "ckpt"
-    with SurgeService(make_specs(), shards=2, executor="thread") as service:
+    with SurgeService(make_specs(), shards=2, executor="process") as service:
         for chunk in iter_chunks(stream[: 4 * CHUNK_SIZE], CHUNK_SIZE):
             service.push_many(chunk)
         service.checkpoint(checkpoint_dir)
@@ -288,62 +274,34 @@ def test_restore_can_switch_executor(tmp_path, stream, reference):
         )
 
 
-@pytest.mark.parametrize(
-    "checkpoint_plan,restore_plan",
-    [(True, False), (False, True)],
-    ids=["shared-to-unshared", "unshared-to-shared"],
-)
-def test_restore_can_switch_execution_plan(
-    tmp_path, stream, reference, checkpoint_plan, restore_plan
+def test_manifest_from_an_earlier_commit_still_restores(
+    tmp_path, stream, reference, caplog
 ):
-    """A checkpoint taken under one execution plan restores under the other.
-
-    The hard direction is shared→unshared: the snapshot stores each
-    group-owned window pair and unit-owned monitor exactly once (pickle
-    memoisation preserves the aliasing), and the plan-off restore must
-    clone that shared state apart so every pipeline evolves privately —
-    and still finish the stream bit-identically.  The reverse direction
-    must re-alias provably identical state back together.
+    """A ``shared_plan`` key is ignored and ``executor: "thread"`` resumes as
+    ``serial`` (with a warning): those checkpoint directories exist today.
     """
     _, ref_finals, ref_top_k, _ = reference
     checkpoint_dir = tmp_path / "ckpt"
-    with SurgeService(
-        make_specs(), shards=2, shared_plan=checkpoint_plan
-    ) as service:
+    with SurgeService(make_specs(), shards=2) as service:
         for chunk in iter_chunks(stream[: 4 * CHUNK_SIZE], CHUNK_SIZE):
             service.push_many(chunk)
         service.checkpoint(checkpoint_dir)
-    restored = SurgeService.restore(
-        checkpoint_dir, shared_plan=restore_plan, attach=False
-    )
-    assert restored.shared_plan is restore_plan
+    path = manifest_path(checkpoint_dir)
+    record = json.loads(path.read_text())
+    record.update(shared_plan=False, executor="thread")
+    path.write_text(json.dumps(record))
+    with caplog.at_level(logging.WARNING, logger="repro.state.recovery"):
+        restored = SurgeService.restore(checkpoint_dir, attach=False)
+    assert restored.executor_name == "serial"
+    assert any("'thread' executor" in r.getMessage() for r in caplog.records)
     with restored:
         for _ in restored.run(stream, CHUNK_SIZE, start_offset=restored.chunk_offset):
             pass
-        assert {qid: result_key(r) for qid, r in restored.results().items()} == (
-            ref_finals
-        )
+        assert result_keys(restored.results()) == ref_finals
         assert {
             qid: tuple(result_key(r) for r in results)
             for qid, results in restored.top_k().items()
         } == ref_top_k
-
-
-def test_restore_defaults_to_the_recorded_plan(tmp_path, stream):
-    """Without an override, restore resumes the plan the manifest records."""
-    checkpoint_dir = tmp_path / "ckpt"
-    with SurgeService(
-        make_specs()[:2], shared_plan=False, checkpoint_dir=checkpoint_dir
-    ) as service:
-        service.push_many(stream[:50])
-        service.checkpoint()
-    assert read_manifest(checkpoint_dir).shared_plan is False
-    with SurgeService.restore(checkpoint_dir, attach=False) as restored:
-        assert restored.shared_plan is False
-    with SurgeService.restore(
-        checkpoint_dir, attach=False, shared_plan=True
-    ) as restored:
-        assert restored.shared_plan is True
 
 
 def test_registry_mutations_survive_restore(tmp_path, stream):
@@ -430,7 +388,7 @@ class TestRestoreValidation:
             with pytest.raises(ValueError, match="no checkpoint directory"):
                 service.checkpoint()
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_scatter_requires_one_message_per_shard(self, executor):
         from repro.service.shards import make_executor
 
@@ -750,7 +708,7 @@ class TestCliResume:
         assert (
             self.serve(
                 main, partial, "--queries", str(queries),
-                "--executor", "thread", "--shards", "2",
+                "--executor", "process", "--shards", "2",
                 "--checkpoint-dir", str(ckpt),
             )
             == 0
@@ -758,7 +716,7 @@ class TestCliResume:
         capsys.readouterr()
         assert self.serve(main, full, "--resume", "--checkpoint-dir", str(ckpt)) == 0
         err = capsys.readouterr().err
-        assert "executor=thread" in err
+        assert "executor=process" in err
         assert "shards=2" in err
 
     def test_resume_requires_checkpoint_dir(self, cli_env, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -189,6 +190,9 @@ class TestSurgeService:
             SurgeService(shards=0)
         with pytest.raises(ValueError, match="unknown executor"):
             SurgeService(executor="gpu")
+        # The removed GIL-bound backend is refused with the valid names.
+        with pytest.raises(ValueError, match="serial, process, remote"):
+            SurgeService(executor="thread")
         with pytest.raises(ValueError, match="already registered"):
             SurgeService([spec("a"), spec("a")])
 
@@ -199,6 +203,19 @@ class TestSurgeService:
             service.add_query(spec("d"))  # takes slot index 3 -> shard 1
             assert service._shard_of == {"a": 0, "c": 0, "d": 1}
             assert service.query_ids == ["a", "c", "d"]
+
+    def test_refused_registration_does_not_leak_a_round_robin_slot(self):
+        # The shard rejects the spec (unknown sweep backend — reachable from
+        # a wire `register` frame); later queries must land where they would
+        # in a service that never saw the refused one.
+        bad = replace(spec("bad"), backend="nope")
+        with SurgeService([spec("g0")], shards=2) as service:
+            with pytest.raises(ValueError, match="unknown sweep backend"):
+                service.add_query(bad)
+            service.add_query(spec("g1"))
+            service.add_query(spec("g2"))
+            assert service._shard_of == {"g0": 0, "g1": 1, "g2": 0}
+            assert service.query_ids == ["g0", "g1", "g2"]
 
     def test_duplicate_and_missing_registration_errors(self):
         with SurgeService([spec("a")]) as service:
@@ -255,6 +272,6 @@ class TestSurgeService:
                 assert latest.result.score == results["a"].score
 
     def test_close_is_idempotent(self):
-        service = SurgeService([spec("a")], executor="thread", shards=2)
+        service = SurgeService([spec("a")], executor="process", shards=2)
         service.close()
         service.close()

@@ -10,12 +10,12 @@ the keyword-filtered substream, with the same chunk boundaries:
   rectangle sizes / window lengths / k) is replayed chunk by chunk, and
   after **every** chunk each query's update must match its oracle monitor
   bit for bit — score, region, point, and top-k lists;
-* the whole replay is repeated under every executor backend (``serial``,
-  ``thread``, ``process``), several shard counts, and both execution plans
-  (the shared-work plan — inverted keyword routing + shared window groups
-  and detector units — and the per-query predicate-scan plan); the
-  per-chunk traces must be identical across all of them — sharding, the
-  execution backend, and the shared plan must never change an answer;
+* the whole replay is repeated under the in-process executor backends
+  (``serial``, ``process``; ``remote`` has its own suite in
+  ``test_distributed.py``) and several shard counts; the per-chunk traces
+  must be identical across all of them — sharding, the execution backend,
+  and the shared-work plan (inverted keyword routing + shared window groups
+  and detector units) must never change an answer;
 * routing statistics (objects routed per query) must equal the oracle
   filter counts.
 
@@ -29,26 +29,21 @@ import random
 
 import pytest
 
-from repro.core.monitor import DETECTOR_NAMES, SurgeMonitor
+from repro.core.monitor import DETECTOR_NAMES
 from repro.core.query import SurgeQuery
-from repro.datasets.keywords import filter_by_keyword, keyword_predicate
+from repro.datasets.keywords import filter_by_keyword
 from repro.service import QuerySpec, SurgeService
 from repro.streams.objects import SpatialObject
 from repro.streams.sources import iter_chunks
+from tests.helpers import replay_oracle, result_key
 
 VOCABULARY = ("concert", "parade", "zika", "festival")
 
-#: (executor, shards, shared_plan) combinations replayed against the oracle.
-#: The serial single-shard unshared run is literally the oracle's own
-#: protocol; everything else — other backends, other shard counts, and the
-#: shared-work execution plan — must reproduce it exactly.
+#: (executor, shards) combinations replayed against the oracle.
 EXECUTOR_GRID = (
-    ("serial", 1, False),
-    ("serial", 1, True),
-    ("serial", 3, True),
-    ("thread", 2, True),
-    ("process", 2, False),
-    ("process", 2, True),
+    ("serial", 1),
+    ("serial", 3),
+    ("process", 2),
 )
 
 CHUNK_SIZE = 57  # ragged: does not divide the stream length
@@ -101,31 +96,10 @@ def make_specs() -> list[QuerySpec]:
     return specs
 
 
-def result_key(result):
-    """Exact identity of a reported result (bitwise, no tolerance)."""
-    if result is None:
-        return None
-    return (
-        result.score,
-        result.region.min_x,
-        result.region.min_y,
-        result.region.max_x,
-        result.region.max_y,
-        result.point.x,
-        result.point.y,
-        result.fc,
-        result.fp,
-    )
-
-
-def replay_service(
-    stream, specs, executor, shards, shared_plan=True, chunk_size=CHUNK_SIZE
-):
+def replay_service(stream, specs, executor, shards, chunk_size=CHUNK_SIZE):
     """Per-chunk (query_id -> result key) trace plus final top-k trace."""
     trace = []
-    with SurgeService(
-        specs, shards=shards, executor=executor, shared_plan=shared_plan
-    ) as service:
+    with SurgeService(specs, shards=shards, executor=executor) as service:
         for updates in service.run(stream, chunk_size):
             trace.append(
                 {u.query_id: (result_key(u.result), u.objects_routed) for u in updates}
@@ -141,32 +115,6 @@ def replay_service(
     return trace, top_k, routed
 
 
-def replay_oracle(stream, specs, chunk_size=CHUNK_SIZE):
-    """Independent per-query monitors over filtered substreams, same chunks."""
-    monitors = {spec.query_id: spec.build_monitor() for spec in specs}
-    predicates = {spec.query_id: keyword_predicate(spec.keyword) for spec in specs}
-    trace = []
-    routed = {spec.query_id: 0 for spec in specs}
-    for chunk in iter_chunks(stream, chunk_size):
-        step = {}
-        for spec in specs:
-            predicate = predicates[spec.query_id]
-            matched = [obj for obj in chunk if predicate(obj)]
-            monitor = monitors[spec.query_id]
-            if matched:
-                result = monitor.push_many(matched)
-            else:
-                result = monitor.result()
-            routed[spec.query_id] += len(matched)
-            step[spec.query_id] = (result_key(result), len(matched))
-        trace.append(step)
-    top_k = {
-        query_id: tuple(result_key(r) for r in monitor.top_k())
-        for query_id, monitor in monitors.items()
-    }
-    return trace, top_k, routed
-
-
 @pytest.fixture(scope="module")
 def stream():
     return make_keyword_stream()
@@ -174,30 +122,21 @@ def stream():
 
 @pytest.fixture(scope="module")
 def oracle(stream):
-    return replay_oracle(stream, make_specs())
+    return replay_oracle(stream, make_specs(), CHUNK_SIZE)
 
 
 @pytest.mark.parametrize(
-    "executor,shards,shared_plan",
-    EXECUTOR_GRID,
-    ids=[
-        f"{e}-{s}shard-{'shared' if p else 'unshared'}" for e, s, p in EXECUTOR_GRID
-    ],
+    "executor,shards", EXECUTOR_GRID, ids=[f"{e}-{s}shard" for e, s in EXECUTOR_GRID]
 )
-def test_service_equals_independent_monitors(
-    stream, oracle, executor, shards, shared_plan
-):
+def test_service_equals_independent_monitors(stream, oracle, executor, shards):
     """Every chunk, every detector: service result == oracle monitor result."""
-    oracle_trace, oracle_top_k, oracle_routed = oracle
-    trace, top_k, routed = replay_service(
-        stream, make_specs(), executor, shards, shared_plan
-    )
+    oracle_trace, _, oracle_top_k, oracle_routed = oracle
+    trace, top_k, routed = replay_service(stream, make_specs(), executor, shards)
     assert len(trace) == len(oracle_trace)
     for chunk_index, (got, want) in enumerate(zip(trace, oracle_trace)):
         assert got == want, (
-            f"{executor}/{shards} shards "
-            f"({'shared' if shared_plan else 'unshared'} plan) diverged from "
-            f"the single-monitor oracle at chunk {chunk_index}"
+            f"{executor}/{shards} shards diverged from the single-monitor "
+            f"oracle at chunk {chunk_index}"
         )
     assert top_k == oracle_top_k
     assert routed == oracle_routed
@@ -206,7 +145,7 @@ def test_service_equals_independent_monitors(
 def test_routing_matches_keyword_filter(stream):
     """Per-query routed counts equal the case-study filter on the substream."""
     specs = make_specs()
-    _, _, routed = replay_oracle(stream, specs)
+    _, _, _, routed = replay_oracle(stream, specs, CHUNK_SIZE)
     for spec in specs:
         if spec.keyword is None:
             assert routed[spec.query_id] == len(stream)
@@ -225,7 +164,7 @@ def test_chunk_boundaries_do_not_change_final_answers(stream):
     specs = make_specs()
     baselines = {}
     for chunk_size in (1, 57, 10_000):
-        _, top_k, _ = replay_oracle(stream, specs, chunk_size=chunk_size)
+        _, _, top_k, _ = replay_oracle(stream, specs, chunk_size=chunk_size)
         for query_id, results in top_k.items():
             scores = tuple(r[0] for r in results)
             if query_id not in baselines:
@@ -239,11 +178,10 @@ def test_chunk_boundaries_do_not_change_final_answers(stream):
                     )
 
 
-@pytest.mark.parametrize("shared_plan", [True, False], ids=["shared", "unshared"])
-def test_mid_stream_registration_equals_late_monitor(stream, shared_plan):
+def test_mid_stream_registration_equals_late_monitor(stream):
     """A query added mid-stream behaves like a monitor started at that point
-    (under both execution plans; the shared plan's registration-epoch rule
-    gets a dedicated same-keyword test in ``test_service_shared_plan.py``).
+    (the registration-epoch rule gets a dedicated same-keyword test in
+    ``test_service_shared_plan.py``).
     """
     specs = make_specs()[:2]
     late_spec = QuerySpec(
@@ -253,22 +191,20 @@ def test_mid_stream_registration_equals_late_monitor(stream, shared_plan):
         keyword="concert",
         backend="python",
     )
-    split = 170
-    with SurgeService(
-        specs, shards=2, executor="serial", shared_plan=shared_plan
-    ) as service:
-        for chunk in iter_chunks(stream[:split], CHUNK_SIZE):
-            service.push_many(chunk)
-        service.add_query(late_spec)
-        for chunk in iter_chunks(stream[split:], CHUNK_SIZE):
-            service.push_many(chunk)
-        got = result_key(service.results()["late"])
-
-    oracle_monitor = late_spec.build_monitor()
-    predicate = keyword_predicate(late_spec.keyword)
-    result = None
-    for chunk in iter_chunks(stream[split:], CHUNK_SIZE):
-        matched = [obj for obj in chunk if predicate(obj)]
-        if matched:
-            result = oracle_monitor.push_many(matched)
-    assert got == result_key(result)
+    split_chunk = 3
+    trace = []
+    with SurgeService(specs, shards=2, executor="serial") as service:
+        for chunk_index, chunk in enumerate(iter_chunks(stream, CHUNK_SIZE)):
+            if chunk_index == split_chunk:
+                service.add_query(late_spec)
+            trace.append(
+                {
+                    u.query_id: (result_key(u.result), u.objects_routed)
+                    for u in service.push_many(chunk)
+                }
+            )
+    want, _, _, _ = replay_oracle(
+        stream, specs, CHUNK_SIZE, schedule=[(split_chunk, "add", late_spec)]
+    )
+    assert trace == want
+    assert trace[-1]["late"][0] is not None

@@ -14,8 +14,10 @@ Three layers of the overload tier, each with its own contract:
 * **Re-epoching / compaction** — :meth:`SurgeService.compact` merges
   late-registered duplicate queries back into existing shared window
   groups once their windows converge, restoring sharing after churn with
-  results **bit-identical** to both the never-churned shared run and the
-  unshared oracle, across every executor and through checkpoint/restore.
+  results **bit-identical** to both the uncompacted churned run and the
+  independent-monitor oracle (``tests/helpers.replay_oracle`` with the late
+  registration scheduled), across every executor and through
+  checkpoint/restore.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ from repro.state import CheckpointPolicy
 from repro.state.recovery import read_manifest
 from repro.streams.watermark import WatermarkReorderBuffer
 
+from tests.helpers import replay_oracle, result_keys
 from tests.test_service_robustness import make_clean, make_specs, replay
 
-EXECUTOR_GRID = [("serial", 1), ("thread", 2), ("process", 2)]
+EXECUTOR_GRID = [("serial", 1), ("serial", 2), ("process", 2)]
 
 
 def make_update(query_id: str = "q", chunk_index: int = 0, **kw) -> QueryUpdate:
@@ -482,7 +485,6 @@ class TestCompaction:
         self,
         algorithm: str,
         *,
-        shared_plan: bool = True,
         compact: bool = True,
         executor: str = "serial",
         shards: int = 1,
@@ -500,7 +502,6 @@ class TestCompaction:
         late = replace(specs[0], query_id="late")
         service = SurgeService(
             specs,
-            shared_plan=shared_plan,
             executor=executor,
             shards=shards,
             compact_every_chunks=compact_every,
@@ -514,6 +515,13 @@ class TestCompaction:
             merged = service.compact() if compact else 0
             return service.results(), merged, service.overload_stats()
 
+    def assert_equals_churned_oracle(self, results, specs, late, count=150):
+        """``results`` == independent monitors, ``late`` started after chunk 3."""
+        _, finals, _, _ = replay_oracle(
+            make_clean(count, seed=97), specs, self.CHUNK, schedule=[(3, "add", late)]
+        )
+        assert result_keys(results) == finals
+
     def test_late_duplicate_merges_and_results_are_bit_identical(self):
         results, merged, overload = self.churn_replay("ccs")
         assert merged == 1
@@ -523,9 +531,11 @@ class TestCompaction:
         # churned run without the compact pass...
         no_compact, _, _ = self.churn_replay("ccs", compact=False)
         assert results == no_compact
-        # ...and against the unshared oracle (every query independent).
-        unshared, _, _ = self.churn_replay("ccs", shared_plan=False, compact=False)
-        assert results == unshared
+        # ...and against the oracle (every query an independent monitor).
+        specs = make_specs("ccs")
+        self.assert_equals_churned_oracle(
+            results, specs, replace(specs[0], query_id="late")
+        )
 
     @pytest.mark.parametrize("executor, shards", EXECUTOR_GRID)
     def test_compaction_identity_across_executors(self, executor, shards):
@@ -545,10 +555,10 @@ class TestCompaction:
         # unmerged, and results stay exact.
         results, merged, _ = self.churn_replay(algorithm)
         assert merged == 0
-        unshared, _, _ = self.churn_replay(
-            algorithm, shared_plan=False, compact=False
+        specs = make_specs(algorithm)
+        self.assert_equals_churned_oracle(
+            results, specs, replace(specs[0], query_id="late")
         )
-        assert results == unshared
 
     @pytest.mark.parametrize("algorithm", ["gaps", "kgaps"])
     def test_impure_compatible_query_merges_at_window_tier(self, algorithm):
@@ -565,20 +575,15 @@ class TestCompaction:
             query=replace(specs[0].query, rect_width=2.0, rect_height=2.0),
         )
 
-        def run(shared_plan, compact):
-            with SurgeService(specs, shared_plan=shared_plan) as service:
-                chunks = 0
-                for _ in service.run(iter(clean), chunk_size=self.CHUNK):
-                    chunks += 1
-                    if chunks == 3:
-                        service.add_query(compatible)
-                merged = service.compact() if compact else 0
-                return service.results(), merged
-
-        results, merged = run(True, True)
-        assert merged == 1
-        unshared, _ = run(False, False)
-        assert results == unshared
+        with SurgeService(specs) as service:
+            chunks = 0
+            for _ in service.run(iter(clean), chunk_size=self.CHUNK):
+                chunks += 1
+                if chunks == 3:
+                    service.add_query(compatible)
+            assert service.compact() == 1
+            results = service.results()
+        self.assert_equals_churned_oracle(results, specs, compatible)
 
     def test_compact_is_idempotent(self):
         clean = make_clean(150, seed=97)
@@ -632,6 +637,12 @@ class TestCompaction:
         assert overload.queries_compacted == 1
         manual, _, _ = self.churn_replay("ccs")
         assert results == manual
+        # Merged mid-stream, the pipelines kept running as one group: the
+        # chunks after the merge must still equal independent monitors.
+        specs = make_specs("ccs")
+        self.assert_equals_churned_oracle(
+            results, specs, replace(specs[0], query_id="late")
+        )
 
     def test_auto_compaction_is_exactly_once_across_restore(self, tmp_path):
         # Compaction fires at fixed chunk offsets, so a crash + replay

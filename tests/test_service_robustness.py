@@ -4,10 +4,10 @@ The tier's whole contract (``SurgeService(max_lateness=...)`` +
 :class:`~repro.streams.watermark.WatermarkReorderBuffer`) is that *bounded
 disorder is invisible*: replaying a stream whose arrivals are displaced by
 at most ``max_lateness`` produces results **bit-identical** to replaying the
-pre-sorted stream — for every detector, execution plan and executor, with
-nothing dropped.  This module locks that with a Hypothesis property plus a
-deterministic full cross of detectors × plans, then covers the edges around
-it: strict-mode fail-fast (:class:`~repro.streams.windows.OutOfOrderError`),
+pre-sorted stream through independent monitors (``tests/helpers.
+replay_oracle``) — for every detector and executor, with nothing dropped.
+This module locks that with a Hypothesis property plus a deterministic
+sweep of all detectors, then covers the edges around it: strict-mode fail-fast (:class:`~repro.streams.windows.OutOfOrderError`),
 poison-record quarantine (counted, spilled, surfaced via ``on_bad_record``),
 duplicate ids across chunk boundaries, subscriber-fault isolation, and
 checkpoint/restore with held-back events in the buffer.
@@ -31,6 +31,7 @@ from repro.streams.faults import FaultInjector
 from repro.streams.objects import SpatialObject
 from repro.streams.watermark import IngestStats
 from repro.streams.windows import OutOfOrderError
+from tests.helpers import replay_oracle, result_keys
 
 MAX_LATENESS = 2.0
 
@@ -74,14 +75,12 @@ def replay(
     *,
     chunk_size: int = 8,
     max_lateness: float = 0.0,
-    shared_plan: bool = True,
     executor: str = "serial",
     shards: int = 1,
 ):
     """Run ``arrivals`` through a fresh service; return (results, ingest)."""
     with SurgeService(
         specs,
-        shared_plan=shared_plan,
         executor=executor,
         shards=shards,
         max_lateness=max_lateness,
@@ -91,35 +90,28 @@ def replay(
         return service.results(), service.ingest_stats()
 
 
-def assert_tolerant_matches_strict(
+def assert_tolerant_matches_sorted_oracle(
     injector: FaultInjector,
     algorithm: str,
     *,
     max_lateness: float,
     chunk_size: int = 8,
-    shared_plan: bool = True,
     executor: str = "serial",
     shards: int = 1,
 ) -> IngestStats:
-    expected, _ = replay(
-        make_specs(algorithm),
-        injector.reference(),
-        chunk_size=chunk_size,
-        shared_plan=shared_plan,
-        executor=executor,
-        shards=shards,
+    _, expected, _, _ = replay_oracle(
+        injector.reference(), make_specs(algorithm), chunk_size
     )
     got, ingest = replay(
         make_specs(algorithm),
         injector.materialize(),
         chunk_size=chunk_size,
         max_lateness=max_lateness,
-        shared_plan=shared_plan,
         executor=executor,
         shards=shards,
     )
     assert ingest.late_dropped == 0
-    assert got == expected  # RegionResult equality is exact, not approximate
+    assert result_keys(got) == expected
     return ingest
 
 
@@ -132,11 +124,10 @@ def assert_tolerant_matches_strict(
     count=st.integers(min_value=10, max_value=50),
     disorder_fraction=st.floats(min_value=0.05, max_value=0.6),
     algorithm=st.sampled_from(DETECTOR_NAMES),
-    shared_plan=st.booleans(),
     chunk_size=st.integers(min_value=1, max_value=16),
 )
 def test_bounded_disorder_is_bit_invisible(
-    seed, count, disorder_fraction, algorithm, shared_plan, chunk_size
+    seed, count, disorder_fraction, algorithm, chunk_size
 ):
     injector = FaultInjector(
         make_clean(count, seed),
@@ -144,34 +135,27 @@ def test_bounded_disorder_is_bit_invisible(
         disorder_fraction=disorder_fraction,
         max_disorder=MAX_LATENESS,
     )
-    assert_tolerant_matches_strict(
-        injector,
-        algorithm,
-        max_lateness=MAX_LATENESS,
-        chunk_size=chunk_size,
-        shared_plan=shared_plan,
+    assert_tolerant_matches_sorted_oracle(
+        injector, algorithm, max_lateness=MAX_LATENESS, chunk_size=chunk_size
     )
 
 
 @pytest.mark.parametrize("algorithm", DETECTOR_NAMES)
-@pytest.mark.parametrize("shared_plan", [True, False])
-def test_every_detector_and_plan_absorbs_ten_percent_disorder(
-    algorithm, shared_plan
-):
+def test_every_detector_absorbs_ten_percent_disorder(algorithm):
     injector = FaultInjector(
         make_clean(80, seed=17),
         seed=17,
         disorder_fraction=0.10,
         max_disorder=MAX_LATENESS,
     )
-    ingest = assert_tolerant_matches_strict(
-        injector, algorithm, max_lateness=MAX_LATENESS, shared_plan=shared_plan
+    ingest = assert_tolerant_matches_sorted_oracle(
+        injector, algorithm, max_lateness=MAX_LATENESS
     )
     assert ingest.reordered > 0  # the case was non-trivial
 
 
 @pytest.mark.parametrize(
-    "executor, shards", [("serial", 1), ("thread", 2), ("process", 2)]
+    "executor, shards", [("serial", 1), ("serial", 2), ("process", 2)]
 )
 def test_disorder_tolerance_across_executors(executor, shards):
     injector = FaultInjector(
@@ -180,7 +164,7 @@ def test_disorder_tolerance_across_executors(executor, shards):
         disorder_fraction=0.15,
         max_disorder=MAX_LATENESS,
     )
-    assert_tolerant_matches_strict(
+    assert_tolerant_matches_sorted_oracle(
         injector,
         "ccs",
         max_lateness=MAX_LATENESS,

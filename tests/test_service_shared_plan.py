@@ -1,7 +1,9 @@
 """Unit and structural tests for the shared-work execution plan.
 
 ``tests/test_service_differential.py`` proves the shared plan changes no
-answer; this module pins the *mechanics* that make that safe:
+answer (it is replayed against independent monitors,
+``tests/helpers.IndependentMonitors``); this module pins the *mechanics*
+that make that safe:
 
 * the inverted routing index routes exactly the objects the per-query
   keyword predicate accepts — multi-keyword objects land in every matching
@@ -13,9 +15,9 @@ answer; this module pins the *mechanics* that make that safe:
   and a query registered mid-stream never adopts a group's history (the
   registration-epoch rule);
 * group/unit membership survives ``remove_query`` (including removing a
-  unit leader) and a checkpoint/restore cycle under either plan —
-  restoring re-aliases or clones apart as the restoring shard's plan
-  demands;
+  unit leader) and a checkpoint/restore cycle — including a snapshot whose
+  pipelines were stored unaliased (an earlier commit's unshared plan),
+  which restore re-aliases;
 * the settle-free fast path for empty routes is taken (``chunks_skipped``)
   and still reports the correct result;
 * ``make_query_grid(group_aligned=True)`` produces the documented explicit
@@ -24,6 +26,7 @@ answer; this module pins the *mechanics* that make that safe:
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -33,6 +36,7 @@ from repro.datasets.keywords import keyword_predicate
 from repro.service import QuerySpec, SurgeService, make_query_grid
 from repro.service.shards import ShardState
 from repro.streams.objects import SpatialObject
+from tests.helpers import IndependentMonitors, result_key, result_keys
 
 KEYWORDS = ("concert", "parade", "zika")
 
@@ -87,8 +91,7 @@ def make_keyword_stream(count=120, seed=13):
 class TestInvertedRouting:
     def test_buckets_equal_predicate_filters(self):
         shard = ShardState(
-            [make_spec("a", "concert"), make_spec("b", "parade"), make_spec("c", None)],
-            shared_plan=True,
+            [make_spec("a", "concert"), make_spec("b", "parade"), make_spec("c", None)]
         )
         chunk = make_keyword_stream()
         buckets = shard._route_chunk(chunk)
@@ -101,24 +104,21 @@ class TestInvertedRouting:
         assert set(buckets) <= {"concert", "parade"}
 
     def test_duplicate_keywords_route_once(self):
-        shard = ShardState([make_spec("a", "concert")], shared_plan=True)
+        shard = ShardState([make_spec("a", "concert")])
         obj = make_object(0, 1.0, ("concert", "concert", "parade"))
         buckets = shard._route_chunk([obj])
         assert buckets["concert"] == [obj]
 
     def test_bare_string_keywords_route_like_the_predicate(self):
-        """A str 'keywords' attribute must route identically under both plans.
+        """A str 'keywords' attribute must route like the per-query predicate.
 
         The file loaders normalise keywords to tuples, but the public API
         accepts any SpatialObject; the per-query predicate then evaluates
         ``keyword in <str>`` — *substring* membership — and the inverted
-        router must replicate exactly that, or the plans would answer
-        differently for the same input.
+        router must replicate exactly that, or the service would answer
+        differently from independent monitors for the same input.
         """
-        shard = ShardState(
-            [make_spec("a", "concert"), make_spec("b", "parade")],
-            shared_plan=True,
-        )
+        shard = ShardState([make_spec("a", "concert"), make_spec("b", "parade")])
         objs = [
             SpatialObject(
                 x=1.0, y=1.0, timestamp=float(i), weight=1.0, object_id=i,
@@ -134,28 +134,21 @@ class TestInvertedRouting:
             assert buckets.get(keyword, []) == [o for o in objs if predicate(o)]
         # Substring semantics really did fire: "concerto" contains "concert".
         assert [o.object_id for o in buckets["concert"]] == [0, 2]
-        # And end to end: both plans produce identical updates.
-        results = {}
-        for shared in (False, True):
-            with SurgeService(
-                [make_spec("a", "concert"), make_spec("b", "parade")],
-                shared_plan=shared,
-            ) as service:
-                (update_a, update_b) = service.push_many(objs)
-                results[shared] = (
-                    update_a.objects_routed,
-                    update_b.objects_routed,
-                    update_a.result and update_a.result.score,
-                    update_b.result and update_b.result.score,
-                )
-        assert results[True] == results[False]
-        assert results[True][0] == 2
+        # And end to end: the service's updates equal the oracle's.
+        specs = [make_spec("a", "concert"), make_spec("b", "parade")]
+        with SurgeService(specs) as service:
+            got = {
+                u.query_id: (result_key(u.result), u.objects_routed)
+                for u in service.push_many(objs)
+            }
+        assert got == IndependentMonitors(specs).push_many(objs)
+        assert got["a"][1] == 2
 
     def test_no_routed_keywords_builds_nothing(self):
-        shard = ShardState([make_spec("all", None)], shared_plan=True)
+        shard = ShardState([make_spec("all", None)])
         assert shard._route_chunk(make_keyword_stream(20)) == {}
 
-    def test_routed_counts_match_unshared_plan(self):
+    def test_routed_counts_match_independent_monitors(self):
         stream = make_keyword_stream()
         specs = [
             make_spec("a", "concert"),
@@ -163,19 +156,19 @@ class TestInvertedRouting:
             make_spec("c", "parade"),
             make_spec("d", None),
         ]
-        counts = {}
-        for shared in (False, True):
-            with SurgeService(specs, shared_plan=shared) as service:
-                for start in range(0, len(stream), 17):
-                    service.push_many(stream[start : start + 17])
-                counts[shared] = {
-                    qid: service.bus.stats(qid).objects_routed
-                    for qid in service.query_ids
-                }
-        assert counts[True] == counts[False]
+        oracle = IndependentMonitors(specs)
+        with SurgeService(specs) as service:
+            for start in range(0, len(stream), 17):
+                service.push_many(stream[start : start + 17])
+                oracle.push_many(stream[start : start + 17])
+            counts = {
+                qid: service.bus.stats(qid).objects_routed
+                for qid in service.query_ids
+            }
+        assert counts == oracle.routed
         predicate = keyword_predicate("concert")
-        assert counts[True]["a"] == sum(1 for o in stream if predicate(o))
-        assert counts[True]["d"] == len(stream)
+        assert counts["a"] == sum(1 for o in stream if predicate(o))
+        assert counts["d"] == len(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +183,6 @@ class TestPlanStructure:
                 make_spec("c", "concert", window=40.0),  # different window
                 make_spec("d", "parade"),  # different keyword
             ],
-            shared_plan=True,
         )
         windows = {qid: p.monitor.windows for qid, p in shard.pipelines.items()}
         assert windows["a"] is windows["b"]
@@ -206,7 +198,6 @@ class TestPlanStructure:
                 make_spec("b", "concert"),  # byte-identical spec, new id
                 make_spec("c", "concert", algorithm="gaps"),  # same windows only
             ],
-            shared_plan=True,
         )
         assert shard.pipelines["a"].monitor is shard.pipelines["b"].monitor
         assert shard.pipelines["a"].monitor is not shard.pipelines["c"].monitor
@@ -233,19 +224,8 @@ class TestPlanStructure:
         object.__setattr__(a, "options", {"probe": [1, 2]})
         assert _detector_unit_key(a) is None
 
-    def test_unshared_plan_shares_nothing(self):
-        shard = ShardState(
-            [make_spec("a", "concert"), make_spec("b", "concert")],
-            shared_plan=False,
-        )
-        assert shard.pipelines["a"].monitor is not shard.pipelines["b"].monitor
-        assert (
-            shard.pipelines["a"].monitor.windows
-            is not shard.pipelines["b"].monitor.windows
-        )
-
     def test_mid_stream_add_starts_its_own_group(self):
-        shard = ShardState([make_spec("old", "concert")], shared_plan=True)
+        shard = ShardState([make_spec("old", "concert")])
         stream = make_keyword_stream(40)
         shard.handle(("chunk", stream[:20], 0))
         shard.add(make_spec("late", "concert"))
@@ -268,7 +248,7 @@ class TestPlanStructure:
         grouping it would alias window history the late query never saw.
         """
         stream = make_keyword_stream(50)
-        shard = ShardState([make_spec("old", "concert")], shared_plan=True)
+        shard = ShardState([make_spec("old", "concert")])
         shard.handle(("chunk", stream[:30], 0))
         shard.add(make_spec("late", "concert"))
         # Simulate the legacy round-trip: epochs were never recorded.
@@ -305,84 +285,65 @@ class TestPlanStructure:
     def test_remove_unit_leader_keeps_followers_running(self):
         specs = [make_spec(q, "concert") for q in ("a", "b", "c")]
         stream = make_keyword_stream(60)
-        with SurgeService(specs, shared_plan=True) as service:
+        oracle = IndependentMonitors(specs)
+        with SurgeService(specs) as service:
             service.push_many(stream[:30])
             service.remove_query("a")  # the unit leader
             service.push_many(stream[30:])
-            shared_results = {
-                qid: (r.score, r.region) if r else None
-                for qid, r in service.results().items()
-            }
-        with SurgeService(specs, shared_plan=False) as service:
-            service.push_many(stream[:30])
-            service.remove_query("a")
-            service.push_many(stream[30:])
-            unshared_results = {
-                qid: (r.score, r.region) if r else None
-                for qid, r in service.results().items()
-            }
-        assert shared_results == unshared_results
-        assert set(shared_results) == {"b", "c"}
+            got = result_keys(service.results())
+        oracle.push_many(stream[:30])
+        oracle.remove("a")
+        oracle.push_many(stream[30:])
+        assert got == oracle.results()
+        assert set(got) == {"b", "c"}
 
 
 # ---------------------------------------------------------------------------
-# Restore re-normalisation (shard level)
+# Checkpoint round-trip (shard level)
 # ---------------------------------------------------------------------------
-class TestRestoreNormalisation:
-    STREAM = None  # one stream, split into a head and a replayable tail
+class TestCheckpointRoundTrip:
+    @staticmethod
+    def specs():
+        return [
+            make_spec("a", "concert"),
+            make_spec("b", "concert"),
+            make_spec("c", "concert", rect=1.5),
+        ]
 
-    def checkpoint_roundtrip(self, tmp_path, from_plan, to_plan):
-        if TestRestoreNormalisation.STREAM is None:
-            TestRestoreNormalisation.STREAM = make_keyword_stream(130)
-        source = ShardState(
-            [
-                make_spec("a", "concert"),
-                make_spec("b", "concert"),
-                make_spec("c", "concert", rect=1.5),
-            ],
-            shared_plan=from_plan,
-        )
-        source.handle(("chunk", self.STREAM[:50], 0))
+    def roundtrip(self, tmp_path, unalias):
+        stream = make_keyword_stream(130)
+        source = ShardState(self.specs())
+        source.handle(("chunk", stream[:50], 0))
+        if unalias:
+            # What an earlier commit's unshared plan stored: every pipeline
+            # owning private (bit-identical) monitor and window objects.
+            for pipeline in source.pipelines.values():
+                pipeline.monitor = pickle.loads(pickle.dumps(pipeline.monitor))
         path = tmp_path / "shard.ckpt"
         source.checkpoint(str(path))
-        target = ShardState([], shared_plan=to_plan)
+        target = ShardState()
         assert target.restore(str(path)) == ["a", "b", "c"]
-        return source, target
+        return stream, target
 
-    def test_shared_snapshot_unshares_on_plan_off_restore(self, tmp_path):
-        _, target = self.checkpoint_roundtrip(tmp_path, True, False)
-        a, b, c = (target.pipelines[q] for q in "abc")
-        assert a.monitor is not b.monitor
-        assert a.monitor.windows is not b.monitor.windows
-        assert a.monitor.windows is not c.monitor.windows
-        # The clones are bit-identical: same window contents and clocks.
-        assert a.monitor.window_state() == b.monitor.window_state()
-        assert a.monitor.window_state() == c.monitor.window_state()
-        assert [r and r.score for r in (a.last_result, b.last_result)][0] == (
-            b.last_result and b.last_result.score
-        )
-
-    def test_unshared_snapshot_realiases_on_plan_on_restore(self, tmp_path):
-        _, target = self.checkpoint_roundtrip(tmp_path, False, True)
+    @pytest.mark.parametrize("unalias", [False, True], ids=["aliased", "unaliased"])
+    def test_restore_rederives_the_sharing(self, tmp_path, unalias):
+        _, target = self.roundtrip(tmp_path, unalias)
         a, b, c = (target.pipelines[q] for q in "abc")
         assert a.monitor is b.monitor
         assert a.monitor.windows is c.monitor.windows
         assert c.monitor is not a.monitor
 
-    @pytest.mark.parametrize(
-        "from_plan,to_plan",
-        [(True, True), (True, False), (False, True), (False, False)],
-        ids=["s-s", "s-u", "u-s", "u-u"],
-    )
-    def test_roundtrip_continues_identically(self, tmp_path, from_plan, to_plan):
-        source, target = self.checkpoint_roundtrip(tmp_path, from_plan, to_plan)
-        tail = self.STREAM[50:]
-        got = target.handle(("chunk", tail, 1))
-        want = source.handle(("chunk", tail, 1))
+    @pytest.mark.parametrize("unalias", [False, True], ids=["aliased", "unaliased"])
+    def test_roundtrip_continues_identically(self, tmp_path, unalias):
+        stream, target = self.roundtrip(tmp_path, unalias)
+        uninterrupted = ShardState(self.specs())
+        uninterrupted.handle(("chunk", stream[:50], 0))
+        got = target.handle(("chunk", stream[50:], 1))
+        want = uninterrupted.handle(("chunk", stream[50:], 1))
         assert [
-            (u.query_id, u.objects_routed, u.result and u.result.score) for u in got
+            (u.query_id, u.objects_routed, result_key(u.result)) for u in got
         ] == [
-            (u.query_id, u.objects_routed, u.result and u.result.score) for u in want
+            (u.query_id, u.objects_routed, result_key(u.result)) for u in want
         ]
 
 
@@ -390,11 +351,9 @@ class TestRestoreNormalisation:
 # Settle-free fast path for empty routes
 # ---------------------------------------------------------------------------
 class TestSkipFastPath:
-    @pytest.mark.parametrize("shared_plan", [True, False], ids=["shared", "unshared"])
-    def test_unmatched_chunks_skip_the_settle(self, shared_plan):
+    def test_unmatched_chunks_skip_the_settle(self):
         shard = ShardState(
-            [make_spec("hit", "concert"), make_spec("miss", "never-tagged")],
-            shared_plan=shared_plan,
+            [make_spec("hit", "concert"), make_spec("miss", "never-tagged")]
         )
         stream = make_keyword_stream(60)
         n_chunks = 0
@@ -419,7 +378,7 @@ class TestSkipFastPath:
             make_object(i, float(i + 1), ("concert",) if i < 10 else ("parade",))
             for i in range(20)
         ]
-        with SurgeService([spec], shared_plan=True) as service:
+        with SurgeService([spec]) as service:
             (matched_update,) = service.push_many(stream[:10])
             (skipped_update,) = service.push_many(stream[10:])
         assert matched_update.objects_routed == 10
@@ -484,7 +443,7 @@ class TestGroupAlignedGrid:
 # ---------------------------------------------------------------------------
 # Shared plan under advance_time (service level)
 # ---------------------------------------------------------------------------
-def test_advance_time_matches_unshared_plan():
+def test_advance_time_matches_independent_monitors():
     specs = [
         make_spec("a", "concert"),
         make_spec("b", "concert"),
@@ -509,18 +468,13 @@ def test_advance_time_matches_unshared_plan():
                 for i, t in enumerate(times)
             ]
         )
-    traces = {}
-    for shared in (False, True):
-        trace = []
-        with SurgeService(specs, shared_plan=shared) as service:
-            for chunk in chunks:
-                service.push_many(chunk)
-                service.advance_time(chunk[-1].timestamp + 22.0)
-                trace.append(
-                    {
-                        qid: (r.score, r.region) if r is not None else None
-                        for qid, r in service.results().items()
-                    }
-                )
-        traces[shared] = trace
-    assert traces[True] == traces[False]
+    oracle = IndependentMonitors(specs)
+    with SurgeService(specs) as service:
+        for chunk in chunks:
+            service.push_many(chunk)
+            oracle.push_many(chunk)
+            advanced = service.advance_time(chunk[-1].timestamp + 22.0)
+            assert {
+                u.query_id: result_key(u.result) for u in advanced
+            } == oracle.advance_time(chunk[-1].timestamp + 22.0)
+            assert result_keys(service.results()) == oracle.results()

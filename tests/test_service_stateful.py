@@ -1,16 +1,13 @@
 """Stateful property suite: the service under arbitrary operation interleavings.
 
-A Hypothesis :class:`RuleBasedStateMachine` drives three live
-:class:`~repro.service.SurgeService` instances (serial×1-shard with the
-shared-work execution plan *disabled* — the per-query reference —
-serial×3-shard and thread×2-shard with the shared plan on) through random
-interleavings of ``push`` / ``push_many`` / ``advance_time`` /
-``add_query`` / ``remove_query`` / ``checkpoint_restore`` (kill one
-service and resurrect it from a durable checkpoint mid-interleaving *with
-the opposite execution plan* — the restored instance must be
-indistinguishable from the others from then on, so a checkpoint/restore
-cycle and a plan flip are both unobservable), mirroring every operation
-onto two oracles:
+A Hypothesis :class:`RuleBasedStateMachine` drives two live
+:class:`~repro.service.SurgeService` instances (serial×1-shard and
+serial×3-shard) through random interleavings of ``push`` / ``push_many`` /
+``advance_time`` / ``add_query`` / ``remove_query`` /
+``checkpoint_restore`` (kill one service and resurrect it from a durable
+checkpoint mid-interleaving — the restored instance must be
+indistinguishable from the other from then on, so a checkpoint/restore
+cycle is unobservable), mirroring every operation onto two oracles:
 
 * a **batch oracle** — one private :class:`~repro.core.monitor.SurgeMonitor`
   per query fed the keyword-filtered slice of exactly the same chunks.  The
@@ -94,9 +91,8 @@ class ServiceEquivalenceMachine(RuleBasedStateMachine):
     @initialize()
     def start_services(self) -> None:
         self.services = [
-            SurgeService(shards=1, executor="serial", shared_plan=False),
+            SurgeService(shards=1, executor="serial"),
             SurgeService(shards=3, executor="serial"),
-            SurgeService(shards=2, executor="thread"),
         ]
 
     # ------------------------------------------------------------------
@@ -188,26 +184,22 @@ class ServiceEquivalenceMachine(RuleBasedStateMachine):
             service.push(chunk[0])
         self._mirror_chunk(chunk)
 
-    @rule(service_index=st.integers(min_value=0, max_value=2))
+    @rule(service_index=st.integers(min_value=0, max_value=1))
     def checkpoint_restore(self, service_index) -> None:
         """Kill one service and resurrect it from a durable checkpoint.
 
         The restored instance replaces the original in the fleet, so every
         subsequent rule and invariant exercises it against the survivors and
         the oracles — a checkpoint/restore cycle at an arbitrary point of an
-        arbitrary operation interleaving must be unobservable.  The restore
-        flips the victim's shared-work execution plan, so checkpoints taken
-        under either plan are continually proven to resume under the other
-        bit-identically (the plan is an execution strategy, not state).
+        arbitrary operation interleaving must be unobservable.
         """
         victim = self.services[service_index]
         checkpoint_dir = self.workdir / f"ckpt-{self.next_checkpoint_index}"
         self.next_checkpoint_index += 1
         victim.checkpoint(checkpoint_dir)
-        flipped_plan = not victim.shared_plan
         victim.close()  # the "crash": all in-memory state is gone
         self.services[service_index] = SurgeService.restore(
-            checkpoint_dir, attach=False, shared_plan=flipped_plan
+            checkpoint_dir, attach=False
         )
 
     @rule(dt=st.floats(min_value=0.0, max_value=40.0, allow_nan=False))
