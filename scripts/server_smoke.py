@@ -7,7 +7,9 @@ fails loudly if any step breaks:
    queries file, a checkpoint dir, and the disorder-tolerant tier on;
 2. over the wire: register one extra query (the full ``QuerySpec`` as
    JSON), ingest the first half of a seeded stream, subscribe on a second
-   connection and receive pushed result frames, and ``GET /metrics``;
+   connection and receive pushed result frames — the first one within
+   ``PUSH_LIMIT_MS`` of the ingest ack: delivery is woken by the publish,
+   not found by a poll — and ``GET /metrics``;
 3. SIGTERM the server mid-stream: it must exit 0, report ``drained:`` on
    stderr, and leave a final checkpoint (taken *without* flushing the
    reorder buffer);
@@ -54,6 +56,9 @@ CHUNK_SIZE = 16
 MAX_LATENESS = 2.0
 TOTAL = 240
 SEED = 1337
+#: Ingest ack -> first pushed frame held by the subscriber.  Milliseconds
+#: when the publish wakes the pump; up to 250 ms if it only polls.
+PUSH_LIMIT_MS = 100.0
 
 
 def make_stream() -> list[SpatialObject]:
@@ -209,12 +214,18 @@ def _run(workdir: Path) -> int:
                 ack = admin.register(extra_spec())
                 assert ack["queries"] == 3, ack
                 ack = admin.ingest(arrivals[:half])
+                acked_at = time.perf_counter()
                 assert ack["accepted"] == half, ack
                 assert ack["chunks_dispatched"] > 0, ack
             frame = subscriber.recv_result()
+            push_ms = 1e3 * (time.perf_counter() - acked_at)
             assert frame["query_id"] == "wire-extra", frame
         print(f"  phase 1: ingested {half}, subscriber saw chunk "
-              f"{frame['chunk_index']}")
+              f"{frame['chunk_index']} {push_ms:.1f} ms after the ack")
+        assert push_ms <= PUSH_LIMIT_MS, (
+            f"first pushed frame trailed the ingest ack by {push_ms:.1f} ms "
+            f"(limit {PUSH_LIMIT_MS:.0f} ms): is the pump polling again?"
+        )
 
         status, body = http_get("127.0.0.1", metrics_port, "/metrics",
                                 timeout=TIMEOUT)

@@ -279,6 +279,12 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
         ("frames_in_total", "counter", "Request frames received."),
         ("frames_out_total", "counter", "Frames sent to clients."),
         (
+            "pump_writes_total",
+            "counter",
+            "Socket writes made by subscription pumps (each carries every "
+            "frame buffered at wake-up).",
+        ),
+        (
             "ingest_rejected_total",
             "counter",
             "Ingest batches refused with a 503 overloaded reply.",

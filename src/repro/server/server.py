@@ -24,10 +24,18 @@ Overload semantics on the wire (the PR 7 tier, surfaced):
   subscribers with a ``draining`` control frame, close, exit 0.
 
 Subscribed connections get a dedicated *pump thread*: it blocks on the
-bounded :class:`~repro.service.bus.Subscription` (so a slow TCP peer
+bounded :class:`~repro.service.bus.Subscription` and is woken by the
+publish itself.  On each wake-up it takes the head update plus everything
+else buffered, encodes every frame, and hands the event loop one joined
+byte string — one socket write, one ``drain`` and one thread↔loop hop per
+wake-up, however many frames it carries (``pump_writes_total`` beside
+``frames_out_total`` in the stats; their ratio is the coalescing factor).
+The pump waits for that write before taking more, so a slow TCP peer
 fills the subscription and the chosen ``block``/``drop_oldest``/``evict``
-policy engages on the engine's publish path, exactly as in-process) and
-forwards each update to the event loop for writing.
+policy engages on the engine's publish path, exactly as in-process.
+Per-subscriber memory is therefore bounded by the subscription's queue
+(≤ ``maxsize`` updates) plus the one batch in flight (≤ ``maxsize + 1``:
+the head plus a queue the publisher refilled before the drain).
 """
 
 from __future__ import annotations
@@ -108,13 +116,16 @@ class _Connection:
         self._write_lock = asyncio.Lock()
 
     async def send(self, frame: dict[str, Any], server: "SurgeServer") -> None:
-        data = encode_frame(frame)
+        await self.write(encode_frame(frame), 1, server)
+
+    async def write(self, data: bytes, frames: int, server: "SurgeServer") -> None:
+        """One socket write carrying ``frames`` already-encoded frames."""
         async with self._write_lock:
             if self.closed:
                 raise ConnectionResetError("connection already closed")
             self.writer.write(data)
             await self.writer.drain()
-        server.frames_out += 1
+        server.frames_out += frames
 
 
 class SurgeServer:
@@ -151,6 +162,9 @@ class SurgeServer:
         self.connections_total = 0
         self.frames_in = 0
         self.frames_out = 0
+        #: Socket writes made by subscription pumps; ``frames_out`` counts
+        #: every frame, so pushed frames ÷ this is the coalescing factor.
+        self.pump_writes = 0
 
     @property
     def engine(self) -> ServerEngine:
@@ -471,19 +485,24 @@ class SurgeServer:
         assert loop is not None
         tracer = self._service.tracer
         while True:
-            update = subscription.get(timeout=0.25)
-            if update is None:
+            # Woken by the publish (or the close); the timeout only lets a
+            # pump whose connection died without a publish notice and exit.
+            head = subscription.get(timeout=0.25)
+            if head is None:
                 if conn.closed or (
                     subscription.closed and subscription.depth == 0
                 ):
                     return
                 continue
+            batch = [head, *subscription.drain()]
             traced = tracer is not None and tracer.enabled
             pump_started = perf_counter() if traced else 0.0
-            frame = encode_update(update)
+            data = b"".join(
+                encode_frame(encode_update(update)) for update in batch
+            )
             try:
                 future = asyncio.run_coroutine_threadsafe(
-                    conn.send(frame, self), loop
+                    self._pump_write(conn, data, len(batch)), loop
                 )
                 # Wait for the write: a slow peer must fill the bounded
                 # subscription (engaging its policy), not an unbounded
@@ -497,7 +516,13 @@ class SurgeServer:
                     pump_started,
                     perf_counter(),
                     lane="server",
+                    meta={"frames": len(batch), "bytes": len(data)},
                 )
+
+    async def _pump_write(self, conn: _Connection, data: bytes, frames: int) -> None:
+        await conn.write(data, frames, self)
+        # Counted on the loop thread: pumps are many, the loop is one.
+        self.pump_writes += 1
 
     def _on_control_event(self, event: dict[str, Any]) -> None:
         # Engine worker thread: hand the broadcast to the event loop and
@@ -536,6 +561,7 @@ class SurgeServer:
             "connections_total": self.connections_total,
             "frames_in_total": self.frames_in,
             "frames_out_total": self.frames_out,
+            "pump_writes_total": self.pump_writes,
             "ingest_rejected_total": self.engine.ingest_rejected,
             "listen": f"{self.host}:{self.port}",
         }

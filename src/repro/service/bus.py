@@ -200,8 +200,20 @@ class Subscription:
       the first overflowing publish (``maxsize == 0`` evicts on the first
       publish), counted in ``ResultBus.evicted_subscribers``.
 
+    Every publish that enqueues (or closes) wakes consumers blocked in
+    :meth:`get`, under every policy: a ``timeout`` there bounds the wait
+    for a publish that never comes, it is not how updates are delivered.
+
+    Memory per subscriber is the queue (buffered ≤ ``maxsize``) plus
+    whatever the consumer has taken and not yet finished with.  The wire
+    pump (:mod:`repro.server.server`) holds at most one drained batch in
+    flight — :meth:`get` then :meth:`drain`, so ≤ ``maxsize + 1`` updates —
+    and takes no more until that batch is written.
+
     Counters satisfy ``offered == delivered + dropped + depth`` at every
-    quiescent point (i.e. outside a concurrent :meth:`get`).  With a
+    quiescent point (i.e. outside a concurrent :meth:`get`); ``delivered``
+    counts an update the moment :meth:`get`/:meth:`drain` hands it over, so
+    an in-flight batch is already on the ``delivered`` side.  With a
     ``query_ids`` filter, updates for other queries bypass the subscription
     entirely — they are not offered, so the identity holds over the
     filtered updates alone.
@@ -261,6 +273,11 @@ class Subscription:
 
         Returns the query ids of any updates discarded to make room, or
         ``None`` when the subscription must be evicted.
+
+        Single exit: whichever policy ran, a change a consumer could be
+        waiting for (an enqueue or a close) reaches ``peak_depth`` and
+        ``notify_all`` at the bottom — a policy branch that returned early
+        would leave a blocked :meth:`get` asleep until its timeout.
         """
         if self.query_ids is not None and update.query_id not in self.query_ids:
             return []
@@ -268,26 +285,23 @@ class Subscription:
             if self.closed:
                 return []
             self.offered += 1
+            dropped_ids: list[str] = []
             if self.policy == "evict":
                 if len(self._queue) >= self.maxsize:
                     self.evicted = True
                     self.closed = True
-                    self._cond.notify_all()
-                    return None
-                self._queue.append(update)
+                else:
+                    self._queue.append(update)
             elif self.policy == "drop_oldest":
-                dropped_ids: list[str] = []
                 if self.maxsize == 0:
                     self.dropped += 1
-                    return [update.query_id]
-                while len(self._queue) >= self.maxsize:
-                    stale = self._queue.popleft()
-                    self.dropped += 1
-                    dropped_ids.append(stale.query_id)
-                self._queue.append(update)
-                if len(self._queue) > self.peak_depth:
-                    self.peak_depth = len(self._queue)
-                return dropped_ids
+                    dropped_ids.append(update.query_id)
+                else:
+                    while len(self._queue) >= self.maxsize:
+                        stale = self._queue.popleft()
+                        self.dropped += 1
+                        dropped_ids.append(stale.query_id)
+                    self._queue.append(update)
             else:  # block
                 if (
                     self.block_timeout is None
@@ -318,13 +332,12 @@ class Subscription:
                         f"(maxsize={self.maxsize}, policy=block)",
                         depth_chunks=float(len(self._queue)),
                     )
-                if self.closed:
-                    return []
-                self._queue.append(update)
+                if not self.closed:
+                    self._queue.append(update)
             if len(self._queue) > self.peak_depth:
                 self.peak_depth = len(self._queue)
             self._cond.notify_all()
-            return []
+            return None if self.evicted else dropped_ids
 
     def get(self, timeout: float | None = None) -> QueryUpdate | None:
         """Pop the oldest buffered update (``None`` on timeout/closed-empty)."""

@@ -12,7 +12,10 @@ Three regressions pinned here:
   flight must never produce negative or absurd ``lag_seconds``;
 * a ``query_ids``-filtered subscription must keep the conservation law
   ``offered == delivered + dropped + depth`` over the *filtered* updates
-  alone — bypassed updates are not offered.
+  alone — bypassed updates are not offered;
+* a publish (or a close) must wake a consumer blocked in ``get`` under
+  **every** policy — ``drop_oldest`` used to return before the notify, so
+  its consumers only ever woke on their own poll timeout.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from repro.service import (
     SubscriptionSelfBlockError,
     SurgeService,
 )
-from repro.service.bus import QueryUpdate, ResultBus, Subscription
+from repro.service.bus import (
+    SUBSCRIPTION_POLICIES,
+    QueryUpdate,
+    ResultBus,
+    Subscription,
+)
 from repro.streams.objects import SpatialObject
 
 
@@ -132,6 +140,77 @@ class TestSelfBlockDetection:
             assert subscription._offer(make_update("q", 1)) == []
         finally:
             closer.cancel()
+
+
+class BlockedConsumer(threading.Thread):
+    """One ``get(timeout=5)`` on its own thread, timing its return."""
+
+    def __init__(self, subscription: Subscription) -> None:
+        super().__init__(daemon=True)
+        self.subscription = subscription
+        self.waiting = threading.Event()
+        self.update: QueryUpdate | None = None
+        self.returned_at: float | None = None
+
+    def run(self) -> None:
+        self.waiting.set()
+        self.update = self.subscription.get(timeout=5)
+        self.returned_at = time.perf_counter()
+
+    def start_blocked(self) -> "BlockedConsumer":
+        self.start()
+        assert self.waiting.wait(timeout=5)
+        time.sleep(0.05)  # from "about to call get" to parked in wait_for
+        return self
+
+    def wake_seconds(self, since: float) -> float:
+        self.join(timeout=5)
+        assert not self.is_alive() and self.returned_at is not None
+        return self.returned_at - since
+
+
+@pytest.mark.parametrize("policy", SUBSCRIPTION_POLICIES)
+class TestPublishWakesConsumers:
+    def test_publish_wakes_a_blocked_get(self, policy):
+        bus = ResultBus()
+        subscription = bus.open_subscription(maxsize=4, policy=policy)
+        consumer = BlockedConsumer(subscription).start_blocked()
+        published_at = time.perf_counter()
+        bus.publish([make_update("q", 7)])
+        assert consumer.wake_seconds(published_at) < 0.1
+        assert consumer.update is not None and consumer.update.chunk_index == 7
+        assert subscription.peak_depth == 1
+
+    def test_close_wakes_a_blocked_get(self, policy):
+        subscription = Subscription(maxsize=4, policy=policy)
+        consumer = BlockedConsumer(subscription).start_blocked()
+        closed_at = time.perf_counter()
+        subscription.close()
+        assert consumer.wake_seconds(closed_at) < 0.1
+        assert consumer.update is None
+
+    def test_conservation_after_interleaved_get_and_drain(self, policy):
+        bus = ResultBus()
+        subscription = bus.open_subscription(maxsize=3, policy=policy)
+
+        def conserved() -> bool:
+            counters = subscription.counters()
+            return counters["offered"] == (
+                counters["delivered"] + counters["dropped"] + counters["depth"]
+            )
+
+        taken = 0
+        for round_no in range(4):
+            # Never past maxsize between consumes: block would wait and
+            # evict would detach; overflow has its own tests.
+            bus.publish([make_update("q", 3 * round_no + i) for i in range(3)])
+            assert conserved()
+            assert subscription.get(timeout=1) is not None
+            assert conserved()
+            taken += 1 + len(subscription.drain())
+            assert conserved()
+        assert taken == subscription.delivered == 12
+        assert subscription.dropped == 0 and subscription.depth == 0
 
 
 class TestMonotonicLag:

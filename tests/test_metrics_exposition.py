@@ -8,6 +8,8 @@ escaped labels, float value), histogram families carry cumulative
 ``le`` buckets ending in ``+Inf`` with ``_sum``/``_count`` conservation,
 and the ``repro_stage_seconds`` histograms conserve against the work the
 service actually did (one ``bus.publish`` observation per chunk pushed).
+The wire pump's coalescing pair — ``repro_server_pump_writes_total`` beside
+``repro_server_frames_out_total`` — is scraped from a live server.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from tests.helpers import make_objects
 from repro.core.query import SurgeQuery
 from repro.obs import HISTOGRAM_BOUNDS, Tracer, install
+from repro.server import ServerClient, SurgeServer, http_get
 from repro.server.engine import ServerEngine
 from repro.server.metrics import escape_label_value, render_prometheus
 from repro.service import QuerySpec, SurgeService
@@ -234,6 +237,48 @@ class TestExpositionValidity:
         assert escape_label_value('a"b') == 'a\\"b'
         assert escape_label_value("a\\b") == "a\\\\b"
         assert escape_label_value("a\nb") == "a\\nb"
+
+
+class TestPumpCoalescingSeries:
+    def test_pump_writes_beside_frames_out(self):
+        chunks, queries = 6, 3
+        tracer = Tracer(enabled=True)
+        service = SurgeService(
+            [spec(f"q{index}") for index in range(queries)], tracer=tracer
+        )
+        server = SurgeServer(
+            service, port=0, metrics_port=0, chunk_size=16
+        ).start_background()
+        try:
+            with ServerClient("127.0.0.1", server.port, timeout=30) as subscriber:
+                subscriber.subscribe(maxsize=256)
+                with ServerClient("127.0.0.1", server.port, timeout=30) as feeder:
+                    feeder.ingest(make_objects(16 * chunks, seed=5))
+                    for _ in range(chunks * queries):
+                        subscriber.recv_result()
+                    server_stats = feeder.stats()["server"]
+                status, text = http_get(
+                    "127.0.0.1", server.metrics_port, "/metrics"
+                )
+        finally:
+            server.drain(timeout=30)
+            service.close()
+        assert status == 200
+        families = parse_exposition(text)
+        writes_family = families["repro_server_pump_writes_total"]
+        assert writes_family["type"] == "counter"
+        ((_, _, writes),) = writes_family["samples"]
+        ((_, _, frames_out),) = families["repro_server_frames_out_total"]["samples"]
+        pushed = chunks * queries
+        # Every pushed frame left in a pump write; a write carries at least
+        # one, so frames ÷ writes (the coalescing factor) is >= 1.
+        assert 1 <= writes <= pushed < frames_out
+        assert server_stats["pump_writes_total"] == writes
+        # One server.pump span per write, each sized in frames and bytes.
+        pump_spans = [s for s in tracer.recorder.spans() if s[0] == "server.pump"]
+        assert len(pump_spans) == writes
+        assert sum(span[5]["frames"] for span in pump_spans) == pushed
+        assert all(span[5]["bytes"] > 0 for span in pump_spans)
 
 
 class TestHistogramChecker:

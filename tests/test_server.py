@@ -209,6 +209,109 @@ class TestSubscriptions:
             assert excinfo.value.code == 409
 
 
+class TestEventDrivenDelivery:
+    """Results leave when they are published, one socket write per wake-up."""
+
+    def test_frames_follow_the_ack_promptly_and_in_publish_order(
+        self, server_factory
+    ):
+        specs = [make_spec("kw", "concert"), make_spec("all"), make_spec("p", "parade")]
+        n_batches, chunk_size = 20, 8
+        stream = make_clean(n_batches * chunk_size, seed=13)
+        service = SurgeService(list(specs))
+        server = server_factory(service, chunk_size=chunk_size)
+        # The publish order, recorded in-process next to the wire subscriber.
+        witness = server.engine.submit(
+            "subscribe", {"maxsize": 4096, "policy": "drop_oldest"}
+        ).result(timeout=10)
+        expected_frames = n_batches * len(specs)
+        received: list[tuple[float, int, str]] = []
+
+        def read_pushed(client: ServerClient) -> None:
+            while len(received) < expected_frames:
+                frame = client.recv_result()
+                received.append(
+                    (time.perf_counter(), frame["chunk_index"], frame["query_id"])
+                )
+
+        acked_at: dict[int, float] = {}
+        with connect(server) as subscriber, connect(server) as feeder:
+            subscriber.subscribe(maxsize=4096)  # default policy: drop_oldest
+            reader = threading.Thread(
+                target=read_pushed, args=(subscriber,), daemon=True
+            )
+            reader.start()
+            for index in range(n_batches):
+                ack = feeder.ingest(
+                    stream[index * chunk_size : (index + 1) * chunk_size]
+                )
+                acked_at[ack["chunk_index"] - 1] = time.perf_counter()
+                assert ack["chunks_dispatched"] == 1
+                time.sleep(0.02)
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+
+        published = [(u.chunk_index, u.query_id) for u in witness.drain()]
+        assert [(chunk, query) for _, chunk, query in received] == published
+        last_frame_at: dict[int, float] = {}
+        for at, chunk, _ in received:
+            last_frame_at[chunk] = at
+        lags = sorted(last_frame_at[chunk] - acked_at[chunk] for chunk in acked_at)
+        # A chunk's frames trail its ack by a wake-up and a write, not by
+        # the pump's 250 ms liveness timeout.
+        assert lags[len(lags) // 2] < 0.05, lags
+
+    def test_slow_peer_fills_the_queue_not_the_pump(self, server_factory):
+        n_queries, chunk_size = 16, 2
+        maxsize = 2 * n_queries
+        specs = [make_spec(f"q{index}") for index in range(n_queries)]
+        service = SurgeService(list(specs))
+        server = server_factory(service, chunk_size=chunk_size)
+        # Enough frames to fill any loopback socket buffer several times
+        # over; the loop stops as soon as the peer's has filled.
+        stream = make_clean(4000 * chunk_size, seed=14)
+        subscriber = connect(server)
+        subscriber.subscribe(maxsize=maxsize, name="stalled")
+        stalled_rounds = 0
+        previous = None
+        with connect(server) as feeder:
+            for round_no, start in enumerate(range(0, len(stream), chunk_size)):
+                # The subscriber never reads, yet every ingest is acked.
+                ack = feeder.ingest(stream[start : start + chunk_size])
+                assert ack["chunks_dispatched"] == 1
+                stats = feeder.stats()
+                (record,) = stats["subscriptions"]
+                # Updates the pump has taken and not finished writing: one
+                # batch at most (get + drain), whatever the peer does.  The
+                # snapshot reads the subscription before frames_out, which
+                # only grows, so this never overestimates.
+                replies = 2 + 2 * round_no  # subscribe ack, acks, stats so far
+                pushed = stats["server"]["frames_out_total"] - replies
+                assert record["delivered"] - pushed <= maxsize + 1, stats
+                assert record["depth"] <= maxsize
+                if previous is not None and record["delivered"] == previous:
+                    stalled_rounds += 1
+                    if stalled_rounds == 4:
+                        break
+                else:
+                    stalled_rounds = 0
+                previous = record["delivered"]
+            assert stalled_rounds == 4, "the peer's socket never filled"
+            # The pump is parked on its one write, so the counters are
+            # quiescent: what it could not take was dropped and counted.
+            assert record["dropped"] >= n_queries
+            assert record["offered"] == (
+                record["delivered"] + record["dropped"] + record["depth"]
+            )
+            assert record["peak_depth"] == maxsize
+            # The peer reads again: the write completes and the newest
+            # results (drop_oldest kept them) come through.
+            last_chunk = ack["chunk_index"] - 1
+            while subscriber.recv_result()["chunk_index"] != last_chunk:
+                pass
+        subscriber.close()
+
+
 class TestOverloadOnTheWire:
     def test_service_overload_is_a_503_reply_not_a_hangup(self, server_factory):
         service = SurgeService([make_spec("q")])
