@@ -20,9 +20,14 @@
 #   make bench-remote  distributed shard tier: remote-executor throughput at
 #                      1/2/4 workers (bit-identical to serial) plus a
 #                      kill-a-worker failover cell -> BENCH_remote.json
-#   make bench-smoke   5 s of the gating benchmark's exact_hotspot workload
-#                      (bench/run.py); its verifier cross-checks the shipped
-#                      default against full-snapshot sweeps on both kernels
+#   make bench-smoke   bench-smoke-fanout, then 5 s of the gating benchmark's
+#                      exact_hotspot workload (bench/run.py; needs numpy): its
+#                      verifier cross-checks the shipped default against
+#                      full-snapshot sweeps on both kernels
+#   make bench-smoke-fanout 5 s of its service_fanout workload (stdlib-only):
+#                      the verifier recomputes the gaps/mgaps scores, checks the
+#                      [(1-alpha)/4 * optimum, optimum] band and bit-identity
+#                      against an independent SurgeMonitor
 #                      (each bench-* above refuses to record a >20% regression;
 #                       BENCH_FLAGS=--force overrides, BENCH_FLAGS=--quick
 #                       runs a reduced smoke configuration)
@@ -77,7 +82,8 @@ SMOKE_TIMEOUT ?= 900
 COVERAGE_MIN ?= 92
 
 .PHONY: test paper bench bench-sweep bench-ingest bench-service bench-recovery \
-	bench-robustness bench-server bench-obs bench-remote bench-smoke smoke \
+	bench-robustness bench-server bench-obs bench-remote bench-smoke \
+	bench-smoke-fanout smoke \
 	smoke-recovery smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
 	smoke-remote coverage lint
 
@@ -114,8 +120,11 @@ bench-obs:
 bench-remote:
 	$(PYTHON) benchmarks/bench_remote.py $(BENCH_FLAGS)
 
-bench-smoke:
+bench-smoke: bench-smoke-fanout
 	$(PYTHON) bench/run.py --workload exact_hotspot --seed 7 --seconds 5 --trace 0
+
+bench-smoke-fanout:
+	$(PYTHON) bench/run.py --workload service_fanout --seed 7 --seconds 5 --trace 0
 
 smoke:
 	timeout $(SMOKE_TIMEOUT) $(PYTHON) scripts/recovery_smoke.py

@@ -133,16 +133,20 @@ class BurstyRegionDetector(abc.ABC):
 
         The default implementation simply loops :meth:`process` over the
         batch in its lifecycle-safe order, so every detector supports the
-        batch API out of the box.  Detectors for which batching pays —
-        the cell-based exact detectors and the naive full-sweep baseline —
-        override it to update their per-cell records for the whole batch
-        first and re-establish the reported result (bound invalidation, heap
+        batch API out of the box.  Every shipped detector overrides it to
+        update its per-cell records for the whole batch first and
+        re-establish the reported result (bound invalidation, heap
         maintenance, candidate searches) once per batch instead of once per
-        event.
+        event: the cell-based exact detectors (``ccs``, ``bccs``, ``base``,
+        ``ag2``, ``kccs``), the naive full-sweep baseline, and the grid
+        approximations (``gaps``, ``mgaps`` and, by inheritance, ``kgaps``,
+        ``kmgaps``).
 
         The reported result after the batch matches the per-event path up to
         floating-point associativity (scores may differ in the last bits
-        because bulk maintenance sums contributions in a different order).
+        because bulk maintenance sums contributions in a different order);
+        the grid approximations keep the per-event arithmetic and order, so
+        theirs is bit-identical to looping :meth:`process` over the batch.
         """
         for event in batch:
             self.process(event)

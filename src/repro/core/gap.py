@@ -15,12 +15,15 @@ cell heap directly yields the k cells with the highest burst scores.
 
 from __future__ import annotations
 
+from math import floor
+from typing import Iterable
+
 from repro.core.base import BurstyRegionDetector, RegionResult
-from repro.core.burst import WindowAccumulator
+from repro.core.burst import WindowAccumulator, burst_score
 from repro.core.query import SurgeQuery
 from repro.geometry.grids import CellIndex, GridSpec
 from repro.geometry.heaps import LazyMaxHeap
-from repro.streams.objects import EventKind, WindowEvent
+from repro.streams.objects import EventBatch, EventKind, WindowEvent
 
 
 class GapSurge(BurstyRegionDetector):
@@ -69,6 +72,80 @@ class GapSurge(BurstyRegionDetector):
             self._score_heap.remove(key)
         else:
             self._score_heap.push(key, accumulator.score(self.query.alpha))
+
+    def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
+        """Apply a whole event batch, refreshing the score heap once at the end.
+
+        Every event updates its cell's accumulator in the batch's
+        lifecycle-safe order with the arithmetic of :meth:`process` (the
+        query/grid constants hoisted and ``cell_of`` / the accumulator
+        updates inlined), so every cell's ``(fc, fp, counts)`` is
+        bit-identical to looping :meth:`process` over the same events.  Only
+        the heap maintenance is amortised: each touched cell is removed (if
+        the batch emptied it) or re-scored exactly once per batch.  Which of
+        two *equal-score* cells is reported may differ from that loop (heap
+        insertion order).
+        """
+        query = self.query
+        accepts = None if query.area is None else query.accepts
+        current_length = query.current_length
+        past_length = query.past_length
+        grid = self.grid
+        origin_x, origin_y = grid.origin_x, grid.origin_y
+        cell_width, cell_height = grid.cell_width, grid.cell_height
+        cells = self.cells
+        new, grown = EventKind.NEW, EventKind.GROWN
+        processed = skipped = 0
+        dirty: set[CellIndex] = set()
+        for event in batch:
+            processed += 1
+            obj = event.obj
+            x = obj.x
+            y = obj.y
+            if accepts is not None and not accepts(x, y):
+                skipped += 1
+                continue
+            key = (
+                floor((x - origin_x) / cell_width),
+                floor((y - origin_y) / cell_height),
+            )
+            kind = event.kind
+            accumulator = cells.get(key)
+            if accumulator is None:
+                if kind is not new:
+                    continue  # never-seen object, empty cell: nothing to undo
+                accumulator = cells[key] = WindowAccumulator()
+            if kind is new:
+                accumulator.fc += obj.weight / current_length
+                accumulator.count_current += 1
+            elif kind is grown:
+                accumulator.fc -= obj.weight / current_length
+                accumulator.fp += obj.weight / past_length
+                accumulator.count_current -= 1
+                accumulator.count_past += 1
+            else:
+                accumulator.fp -= obj.weight / past_length
+                accumulator.count_past -= 1
+            if accumulator.count_current == 0 and accumulator.count_past == 0:
+                # Dropped in event order, like ``process``: a later NEW into
+                # this cell must restart from a zero accumulator.
+                del cells[key]
+            dirty.add(key)
+        self.stats.events_processed += processed
+        self.stats.events_skipped += skipped
+
+        heap = self._score_heap
+        alpha = query.alpha
+        rescored = []
+        for key in dirty:
+            accumulator = cells.get(key)
+            if accumulator is None:
+                heap.remove(key)
+            else:
+                rescored.append(
+                    (key, burst_score(accumulator.fc, accumulator.fp, alpha))
+                )
+        heap.push_all(rescored)
 
     # ------------------------------------------------------------------
     # Results

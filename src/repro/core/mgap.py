@@ -14,10 +14,12 @@ non-overlapping cells.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.base import BurstyRegionDetector, DetectorStats, RegionResult
 from repro.core.gap import GapSurge
 from repro.core.query import SurgeQuery
-from repro.streams.objects import WindowEvent
+from repro.streams.objects import EventBatch, WindowEvent
 
 
 class MGapSurge(BurstyRegionDetector):
@@ -43,6 +45,23 @@ class MGapSurge(BurstyRegionDetector):
             return
         for detector in self.detectors:
             detector.process(event)
+
+    def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
+        """Filter the batch by the preferred area once, then batch every grid.
+
+        The accepted events go to the four :meth:`GapSurge.apply_events` in
+        the batch's lifecycle-safe order, so each grid ends bit-identical to
+        looping :meth:`process` and refreshes its score heap once per batch.
+        """
+        events = tuple(batch)
+        self.stats.events_processed += len(events)
+        if self.query.area is not None:
+            accepts = self.query.accepts
+            accepted = [e for e in events if accepts(e.obj.x, e.obj.y)]
+            self.stats.events_skipped += len(events) - len(accepted)
+            events = accepted
+        for detector in self.detectors:
+            detector.apply_events(events)
 
     # ------------------------------------------------------------------
     # Results

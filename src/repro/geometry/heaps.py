@@ -24,6 +24,7 @@ more than half of its entries are stale.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 K = TypeVar("K", bound=Hashable)
@@ -127,15 +128,15 @@ class LazyMaxHeap(Generic[K]):
     def top_n(self, n: int) -> list[tuple[K, float]]:
         """The ``n`` live entries with the largest priorities, sorted descending.
 
-        This is an ``O(m log m)`` scan over live entries; the top-k detectors
-        call it with small ``n`` on every event, which is acceptable because
-        ``m`` is the number of *non-empty* cells, and in practice it is far
-        smaller than the number of objects.
+        This is an ``O(m log n)`` scan over the ``m`` live entries (the
+        top-k detectors call it with small ``n`` on every read).  Entries of
+        equal priority come out in insertion order of their keys:
+        ``heapq.nlargest`` is documented as equivalent to the stable
+        ``sorted(..., reverse=True)[:n]``.
         """
         if n <= 0:
             return []
-        ordered = sorted(self._priorities.items(), key=lambda item: -item[1])
-        return ordered[:n]
+        return heapq.nlargest(n, self._priorities.items(), key=itemgetter(1))
 
     def __contains__(self, key: K) -> bool:
         return key in self._priorities

@@ -19,7 +19,19 @@ Notes on the contract being asserted:
   edges so closed-region membership matches CSPOT coverage exactly; the
   historical ``rect_from_top_right`` rounding caveat on edge ties is fixed
   and pinned by ``tests/test_region_edge_tie.py``);
-* the window contents themselves must match exactly.
+* the window contents themselves must match exactly;
+* the approximate family (``gaps`` / ``mgaps`` / ``kgaps`` / ``kmgaps``) is
+  additionally held to a tighter bar against ``process`` looped over the
+  *same* lifecycle-safe event sequence (what the default ``apply_events``
+  does): its batched path applies the per-event arithmetic in that order, so
+  the per-cell accumulators, the reported ``score`` / ``fc`` / ``fp``, the
+  top-k scores and the counters must be **equal** (``==``, no tolerance)
+  after every chunk.  (Against ``push`` one object at a time only the
+  tolerance above holds: a batch interleaves different objects' transitions
+  differently, and float addition is not associative.)  Which of two
+  *equal-score* cells is reported is unspecified across the two paths (it
+  depends on heap insertion order) — already true for the batched exact
+  detectors.
 
 Chunkings are chosen so that chunk boundaries split window expiries (a chunk
 starts mid-expiry-run) and so that at least one chunk contains a time jump
@@ -36,7 +48,9 @@ import pytest
 from repro.core.burst import burst_score
 from repro.core.monitor import DETECTOR_NAMES, SurgeMonitor, make_detector
 from repro.core.query import SurgeQuery
-from repro.streams.objects import SpatialObject
+from repro.geometry.primitives import Rect
+from repro.streams.objects import EventKind, SpatialObject, WindowEvent
+from repro.streams.windows import SlidingWindowPair
 
 #: Relative tolerance on scores: the two paths apply identical per-object
 #: updates, only the maintenance order differs.
@@ -44,6 +58,9 @@ SCORE_RTOL = 1e-9
 
 #: Detectors whose reported region must be exactly optimal on every snapshot.
 EXACT_NAMES = ("ccs", "bccs", "base", "ag2", "naive", "kccs")
+
+#: The grid-based approximate family (bit-identical across the two paths).
+APPROX_NAMES = ("gaps", "mgaps", "kgaps", "kmgaps")
 
 
 def make_stream(count: int, seed: int, extent: float = 6.0, jump_at: int | None = None):
@@ -243,3 +260,167 @@ def test_noop_event_does_not_cancel_dirty_cell_in_batch():
         result = batched.result()
         assert result is not None, f"{name}: batched path lost the only object"
         assert result.score == pytest.approx(reference.score, rel=1e-9), name
+
+
+# ----------------------------------------------------------------------
+# The approximate family: bit-identical state, not just close scores
+# ----------------------------------------------------------------------
+APPROX_QUERIES = {
+    "plain": SurgeQuery(rect_width=1.0, rect_height=1.0, window_length=20.0, alpha=0.5, k=3),
+    # Preferred area (skip path, grid anchored at the area origin) and a past
+    # window of a different length (the two divisors the loop hoists).
+    "area": SurgeQuery(
+        rect_width=1.0,
+        rect_height=0.8,
+        window_length=20.0,
+        alpha=0.3,
+        area=Rect(1.0, 1.5, 5.0, 5.5),
+        past_window_length=30.0,
+        k=3,
+    ),
+}
+
+
+def grids_of(detector):
+    """The GAP-SURGE instances behind a detector (four for the MGAPS family)."""
+    return getattr(detector, "detectors", (detector,))
+
+
+def assert_approx_identical(per_event, batched, where):
+    __tracebackhide__ = True
+    for grid_a, grid_b in zip(grids_of(per_event), grids_of(batched), strict=True):
+        assert grid_a.cells == grid_b.cells, where
+        assert grid_a.live_cell_count == grid_b.live_cell_count, where
+        assert grid_a.stats == grid_b.stats, where
+    assert per_event.stats == batched.stats, where
+    if hasattr(per_event, "combined_stats"):
+        assert per_event.combined_stats == batched.combined_stats, where
+    result_a, result_b = per_event.result(), batched.result()
+    if result_a is None or result_b is None:
+        assert result_a is None and result_b is None, where
+    else:
+        assert (result_a.score, result_a.fc, result_a.fp) == (
+            result_b.score,
+            result_b.fc,
+            result_b.fp,
+        ), where
+    assert [r.score for r in per_event.top_k(3)] == [
+        r.score for r in batched.top_k(3)
+    ], where
+
+
+def replay_both_paths(name, query, stream, chunk_size, as_input=lambda batch: batch):
+    """Feed each chunk's event batch to ``process`` (looped) and ``apply_events``.
+
+    ``as_input`` turns the ``EventBatch`` into what ``apply_events`` is given.
+    Yields ``(start, chunk, per_event, batched)`` after every chunk.
+    """
+    windows = SlidingWindowPair(query.window_length, query.past_window_length)
+    per_event = make_detector(name, query)
+    batched = make_detector(name, query)
+    for start in range(0, len(stream), chunk_size):
+        chunk = stream[start : start + chunk_size]
+        batch = windows.observe_batch(chunk)
+        for event in batch.events:
+            per_event.process(event)
+        batched.apply_events(as_input(batch))
+        yield start, chunk, per_event, batched
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+@pytest.mark.parametrize("query_name", sorted(APPROX_QUERIES))
+@pytest.mark.parametrize("chunk_size", [1, 7, 32])
+def test_approximate_family_is_bit_identical_per_chunk(name, query_name, chunk_size):
+    query = APPROX_QUERIES[query_name]
+    stream = make_stream(220, seed=sum(map(ord, name)) + chunk_size, jump_at=150)
+    for start, _, per_event, batched in replay_both_paths(name, query, stream, chunk_size):
+        assert_approx_identical(per_event, batched, (name, query_name, start))
+    assert batched.stats.events_processed > len(stream)
+    if query.area is not None:
+        assert batched.stats.events_skipped > 0
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+def test_approximate_family_cell_born_and_emptied_inside_one_batch(name):
+    """The chunk holding a > 2|W| jump: whole cell lifecycles inside one batch."""
+    query = APPROX_QUERIES["plain"]
+    # A sparse space (900 cells, ~110 live objects), so most arrivals open a
+    # cell of their own.
+    stream = make_stream(96, seed=23, extent=30.0, jump_at=72)
+    cells_before: set = set()
+    for start, chunk, per_event, batched in replay_both_paths(name, query, stream, 16):
+        assert_approx_identical(per_event, batched, (name, start))
+        grid = grids_of(batched)[0]
+        if start <= 72 < start + 16:
+            # Objects 64..71 arrive before the jump in this chunk and are
+            # expired by it: their fresh cells never outlive the batch.
+            transient = {
+                grid.grid.cell_of(o.x, o.y) for o in chunk[: 72 - start]
+            } - cells_before
+            assert transient, "stream no longer opens a cell before the jump"
+            assert not transient & set(grid.cells)
+            assert all(key not in grid._score_heap for key in transient)
+        cells_before = set(grid.cells)
+
+
+def test_approximate_family_area_anchors_the_grids():
+    query = APPROX_QUERIES["area"]
+    gaps = make_detector("gaps", query)
+    assert (gaps.grid.origin_x, gaps.grid.origin_y) == (1.0, 1.5)
+    mgaps = make_detector("mgaps", query)
+    assert [(d.grid.origin_x, d.grid.origin_y) for d in mgaps.detectors] == [
+        (1.0, 1.5),
+        (1.5, 1.5),
+        (1.0, 1.9),
+        (1.5, 1.9),
+    ]
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+@pytest.mark.parametrize("as_iterable", [list, iter], ids=["list", "generator"])
+def test_approximate_family_accepts_plain_event_iterables(name, as_iterable):
+    """``apply_events`` takes ``EventBatch | Iterable[WindowEvent]`` (no ``len``)."""
+    query = APPROX_QUERIES["area"]
+    stream = make_stream(120, seed=3, jump_at=90)
+    for start, _, per_event, batched in replay_both_paths(
+        name, query, stream, 24, as_input=lambda batch: as_iterable(batch.events)
+    ):
+        assert_approx_identical(per_event, batched, (name, start))
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+def test_approximate_family_unseen_object_transitions(name):
+    """GROWN / EXPIRED for a never-seen object: a no-op into an empty cell, a
+    real count into a live one — identically on both paths."""
+    query = APPROX_QUERIES["plain"]
+    unseen = SpatialObject(x=3.6, y=3.6, timestamp=0.0, weight=3.0, object_id=2)
+    orphans = [
+        WindowEvent(kind=EventKind.GROWN, obj=unseen, time=0.0),
+        WindowEvent(kind=EventKind.EXPIRED, obj=unseen, time=0.0),
+    ]
+    per_event = make_detector(name, query)
+    batched = make_detector(name, query)
+    for event in orphans:
+        per_event.process(event)
+    batched.apply_events(orphans)
+    for detector in (per_event, batched):
+        assert detector.result() is None
+        assert all(not grid.cells for grid in grids_of(detector))
+        assert detector.stats.events_processed == 2
+        assert detector.stats.events_skipped == 0
+    assert_approx_identical(per_event, batched, name)
+
+    # Into a live cell the same transitions count (a pre-existing behaviour
+    # of the count accumulators): the GROWN moves the cell's only count to
+    # the past window, the EXPIRED then empties and drops the cell.
+    seen = SpatialObject(x=3.5, y=3.5, timestamp=0.0, weight=5.0, object_id=1)
+    events = [WindowEvent(kind=EventKind.NEW, obj=seen, time=0.0), orphans[0]]
+    for event in events:
+        per_event.process(event)
+    batched.apply_events(events)
+    assert_approx_identical(per_event, batched, name)
+    assert batched.result() is not None
+    per_event.process(orphans[1])
+    batched.apply_events(orphans[1:])
+    assert_approx_identical(per_event, batched, name)
+    assert batched.result() is None

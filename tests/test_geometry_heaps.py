@@ -101,6 +101,23 @@ class TestTopN:
         heap.push("a", 5.0)
         assert heap.top_n(2) == [("a", 5.0), ("b", 2.0)]
 
+    def test_top_n_ties_come_out_in_key_insertion_order(self):
+        # Pins the tie order of the stable reversed sort: equal priorities in
+        # the order their keys were first inserted; an update keeps a key's
+        # place, a remove + re-push sends it to the back.
+        heap = LazyMaxHeap()
+        for key in "abcde":
+            heap.push(key, 1.0)
+        heap.push("f", 2.0)
+        heap.push("b", 1.0)
+        assert heap.top_n(4) == [("f", 2.0), ("a", 1.0), ("b", 1.0), ("c", 1.0)]
+        heap.remove("a")
+        heap.push_all([("a", 1.0)])
+        assert heap.top_n(6) == [
+            ("f", 2.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("e", 1.0), ("a", 1.0)
+        ]
+        assert heap.top_n(6) == sorted(heap, key=lambda item: -item[1])
+
 
 class TestStressAndCompaction:
     def test_many_updates_remain_consistent(self):
@@ -229,3 +246,20 @@ class TestPushAll:
             heap.push_all([(key, float(key)) for key in range(10)])
         assert len(heap) == 10
         assert len(heap._heap) <= max(64, 2 * len(heap._priorities)) + 20
+
+    def test_push_all_and_remove_rounds_keep_stale_entries_bounded(self):
+        # The batched gaps path: per chunk, one remove per emptied cell and
+        # one push_all of the re-scored cells.
+        import random
+
+        rng = random.Random(4)
+        heap = LazyMaxHeap()
+        batch = 40
+        for _ in range(400):
+            keys = [rng.randrange(300) for _ in range(batch)]
+            for key in keys[: batch // 4]:
+                heap.remove(key)
+            heap.push_all([(key, rng.random()) for key in keys[batch // 4 :]])
+            assert len(heap._heap) <= max(64, 2 * len(heap)) + batch
+        live = dict(heap)
+        assert heap.peek() == max(live.items(), key=lambda item: item[1])
