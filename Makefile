@@ -20,10 +20,11 @@
 #   make bench-remote  distributed shard tier: remote-executor throughput at
 #                      1/2/4 workers (bit-identical to serial) plus a
 #                      kill-a-worker failover cell -> BENCH_remote.json
-#   make bench-smoke   bench-smoke-fanout, then 5 s of the gating benchmark's
-#                      exact_hotspot workload (bench/run.py; needs numpy): its
-#                      verifier cross-checks the shipped default against
-#                      full-snapshot sweeps on both kernels
+#   make bench-smoke   bench-smoke-fanout, then 5 s each of the gating
+#                      benchmark's exact_hotspot and exact_uniform workloads
+#                      (bench/run.py; needs numpy): their verifier cross-checks
+#                      the shipped default against full-snapshot sweeps on both
+#                      kernels
 #   make bench-smoke-fanout 5 s of its service_fanout workload (stdlib-only):
 #                      the verifier recomputes the gaps/mgaps scores, checks the
 #                      [(1-alpha)/4 * optimum, optimum] band and bit-identity
@@ -122,6 +123,7 @@ bench-remote:
 
 bench-smoke: bench-smoke-fanout
 	$(PYTHON) bench/run.py --workload exact_hotspot --seed 7 --seconds 5 --trace 0
+	$(PYTHON) bench/run.py --workload exact_uniform --seed 7 --seconds 5 --trace 0
 
 bench-smoke-fanout:
 	$(PYTHON) bench/run.py --workload service_fanout --seed 7 --seconds 5 --trace 0

@@ -99,22 +99,7 @@ class AG2Detector(BurstyRegionDetector):
     # Event processing
     # ------------------------------------------------------------------
     def process(self, event: WindowEvent) -> None:
-        self.stats.events_processed += 1
-        obj = event.obj
-        if not self.query.accepts(obj.x, obj.y):
-            self.stats.events_skipped += 1
-            return
-        rect = obj.to_rectangle(self.query.rect_width, self.query.rect_height)
-        searches_before = self.stats.cells_searched
-
-        for key in self.grid.cells_overlapping(rect.rect):
-            cell = self._update_cell(key, rect, event.kind)
-            if cell is not None:
-                self._bound_heap.push(key, cell.static_bound)
-
-        self._refresh_result()
-        if self.stats.cells_searched > searches_before:
-            self.stats.events_triggering_search += 1
+        self.apply_events((event,))
 
     def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
         """Apply a whole event batch, re-running branch-and-bound once.
@@ -125,9 +110,7 @@ class AG2Detector(BurstyRegionDetector):
         """
         searches_before = self.stats.cells_searched
         cells = self.cells
-        dirty = self._apply_batch_records(
-            batch, cells, self._overlapping_cells, self._update_cell
-        )
+        dirty = self._apply_batch_records(batch)
         self._bound_heap.push_all(
             (key, cells[key].static_bound) for key in dirty if key in cells
         )

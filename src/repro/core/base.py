@@ -151,23 +151,18 @@ class BurstyRegionDetector(abc.ABC):
         for event in batch:
             self.process(event)
 
-    def _apply_batch_records(
-        self,
-        batch: "EventBatch | Iterable[WindowEvent]",
-        cells,
-        overlapping,
-        update_cell,
-    ) -> set:
-        """Shared record-update loop of the cell-based batch appliers.
+    def _apply_batch_records(self, batch: "EventBatch | Iterable[WindowEvent]") -> set:
+        """Record-update loop of ``kccs`` and ``ag2`` (own record types).
 
         Applies every event's per-cell record update (in the batch's
         lifecycle-safe order) and returns the set of *dirty* cell keys whose
-        heap priority the caller must refresh.  ``cells`` is the detector's
-        live-cell dict, ``overlapping(rect)`` lists the cell keys a rectangle
-        object touches, and ``update_cell(key, rect, kind)`` applies one
-        update, returning the surviving cell or ``None``.
+        heap priority the caller must refresh.  ``self.cells`` is the
+        detector's live-cell dict, ``self._overlapping_cells(rect)`` lists
+        the cell keys a rectangle object touches, and
+        ``self._update_cell(key, rect, kind)`` applies one update, returning
+        the surviving cell or ``None``.
 
-        ``None`` from ``update_cell`` means either "the event emptied and
+        ``None`` from ``_update_cell`` means either "the event emptied and
         removed the cell" or "the event was a no-op" (e.g. a GROWN/EXPIRED
         transition for an object this detector never saw); only the former
         may cancel dirtiness accumulated earlier in the batch, so the cell
@@ -177,6 +172,9 @@ class BurstyRegionDetector(abc.ABC):
         accepts = self.query.accepts
         rect_width = self.query.rect_width
         rect_height = self.query.rect_height
+        cells = self.cells
+        overlapping = self._overlapping_cells
+        update_cell = self._update_cell
         dirty: set = set()
         for event in batch:
             stats.events_processed += 1

@@ -23,20 +23,15 @@ implies no other cell can contain a better point.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.core.base import BurstyRegionDetector, RegionResult
-from repro.core.cell_index import UniformGridIndex
-from repro.core.cells import CandidatePoint, CellState
+from repro.core.base import RegionResult
+from repro.core.cells import CellSweepDetector
 from repro.core.query import SurgeQuery
-from repro.core.sweep_backends import SweepBackend, resolve_backend
-from repro.core.sweepline import sweep_bursty_point
+from repro.core.sweep_backends import SweepBackend
 from repro.geometry.grids import CellIndex, GridSpec
 from repro.geometry.heaps import LazyMaxHeap
-from repro.streams.objects import EventBatch, EventKind, RectangleObject, WindowEvent
 
 
-class CellCSPOT(BurstyRegionDetector):
+class CellCSPOT(CellSweepDetector):
     """Exact continuous detector with lazy cell updates (paper's ``CCS``)."""
 
     name = "ccs"
@@ -58,105 +53,30 @@ class CellCSPOT(BurstyRegionDetector):
         ``backend`` selects the SL-CSPOT sweep kernel (see
         :mod:`repro.core.sweep_backends`).
         """
-        super().__init__(query)
-        self.grid = grid if grid is not None else query.base_grid()
-        self.cell_index = UniformGridIndex(self.grid)
-        self.sweep_backend = resolve_backend(backend)
+        super().__init__(query, grid, backend)
         self.candidate_reuse = candidate_reuse
-        self.cells: dict[CellIndex, CellState] = {}
         self._bound_heap: LazyMaxHeap[CellIndex] = LazyMaxHeap()
         self._result: RegionResult | None = None
 
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------
-    def process(self, event: WindowEvent) -> None:
-        """Apply one window event and re-establish the current bursty point."""
-        self.stats.events_processed += 1
-        obj = event.obj
-        if not self.query.accepts(obj.x, obj.y):
-            self.stats.events_skipped += 1
-            return
-        rect = obj.to_rectangle(self.query.rect_width, self.query.rect_height)
-        searches_before = self.stats.cells_searched
+    def _settle(self, dirty: set[CellIndex]) -> None:
+        """Refresh the dirty cells' bounds and run the lazy search loop once.
 
-        for key in self.cell_index.cells_overlapping(
-            rect.x, rect.y, rect.x + rect.width, rect.y + rect.height
-        ):
-            cell = self._update_cell(key, rect, event.kind)
-            if cell is not None:
-                self._bound_heap.push(key, cell.upper_bound)
-
-        self._refresh_result()
-        if self.stats.cells_searched > searches_before:
-            self.stats.events_triggering_search += 1
-
-    def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
-        """Apply a whole event batch, settling the result once at the end.
-
-        Cell records and candidates are updated per event (in the batch's
-        lifecycle-safe order, so the Lemma 4 adjustments see exactly the
-        per-event sequence), but the expensive maintenance is amortised over
-        the batch: every touched cell's upper bound goes into the heap once
-        via :meth:`LazyMaxHeap.push_all` instead of once per event, and the
-        lazy search loop (Algorithm 2, lines 4-9) runs a single time after
-        the last event instead of after each one.
+        Every touched cell's upper bound goes into the heap once via
+        :meth:`LazyMaxHeap.push_all` instead of once per event, and the lazy
+        search loop (Algorithm 2, lines 4-9) runs a single time per batch.
         """
-        searches_before = self.stats.cells_searched
         cells = self.cells
-        dirty = self._apply_batch_records(
-            batch, cells, self._overlapping_cells, self._update_cell
-        )
-        self._bound_heap.push_all(
-            (key, cells[key].upper_bound) for key in dirty if key in cells
-        )
+        if not self.candidate_reuse:
+            for key in dirty:
+                cells[key].invalidate_candidate()
+        self._bound_heap.push_all((key, cells[key].upper_bound) for key in dirty)
         self._refresh_result()
-        if self.stats.cells_searched > searches_before:
-            self.stats.events_triggering_search += 1
 
-    def _update_cell(
-        self, key: CellIndex, rect: RectangleObject, kind: EventKind
-    ) -> CellState | None:
-        """Update one affected cell's records, bounds and candidate.
-
-        Returns the surviving cell (whose heap priority the caller must
-        refresh) or ``None`` when the event emptied and removed the cell.
-        """
-        cell = self.cells.get(key)
-        if kind is EventKind.NEW:
-            if cell is None:
-                cell = CellState(bounds=self.grid.cell_rect(key))
-                self.cells[key] = cell
-            cell.add_new(rect, self.query.current_length)
-            if self.candidate_reuse:
-                cell.update_candidate_for_new(
-                    rect, self.query.current_length, self.query.alpha
-                )
-            else:
-                cell.invalidate_candidate()
-        elif kind is EventKind.GROWN:
-            if cell is None:
-                return None
-            cell.mark_grown(rect, self.query.current_length)
-            if self.candidate_reuse:
-                cell.update_candidate_for_grown(rect)
-            else:
-                cell.invalidate_candidate()
-        else:  # EXPIRED
-            if cell is None:
-                return None
-            cell.remove_expired(rect, self.query.past_length, self.query.alpha)
-            if self.candidate_reuse:
-                cell.update_candidate_for_expired(
-                    rect, self.query.past_length, self.query.alpha
-                )
-            else:
-                cell.invalidate_candidate()
-            if cell.is_empty:
-                del self.cells[key]
-                self._bound_heap.remove(key)
-                return None
-        return cell
+    def _forget_cell(self, key: CellIndex) -> None:
+        self._bound_heap.remove(key)
 
     # ------------------------------------------------------------------
     # Lazy search loop (Algorithm 2, lines 4-9)
@@ -170,46 +90,11 @@ class CellCSPOT(BurstyRegionDetector):
             key, _ = top
             cell = self.cells[key]
             if cell.has_valid_candidate():
-                candidate = cell.candidate
-                assert candidate is not None
-                self._result = RegionResult.from_point(
-                    candidate.point,
-                    candidate.score,
-                    self.query,
-                    fc=candidate.fc,
-                    fp=candidate.fp,
-                )
+                self._result = self._region(cell.candidate)
                 return
-            self._search_cell(key, cell)
-
-    def _search_cell(self, key: CellIndex, cell: CellState) -> None:
-        """Run SL-CSPOT inside one cell and memoise the result (lines 6-7)."""
-        self.stats.cells_searched += 1
-        outcome = sweep_bursty_point(
-            cell.labeled_rects(),
-            alpha=self.query.alpha,
-            current_length=self.query.current_length,
-            past_length=self.query.past_length,
-            backend=self.sweep_backend,
-        )
-        if outcome is None:
-            # No rectangle intersects the cell (cannot normally happen because
-            # records are added only for overlapping cells); treat as empty.
-            cell.candidate = CandidatePoint(
-                point=cell.bounds.top_right, score=0.0, fc=0.0, fp=0.0, valid=True
-            )
-            cell.dynamic_bound = 0.0
-        else:
-            self.stats.rectangles_swept += outcome.rectangles_swept
-            cell.candidate = CandidatePoint(
-                point=outcome.point,
-                score=outcome.score,
-                fc=outcome.fc,
-                fp=outcome.fp,
-                valid=True,
-            )
-            cell.dynamic_bound = outcome.score
-        self._bound_heap.push(key, cell.upper_bound)
+            # Search the cell and re-rank it by its now exact bound (lines 6-7).
+            cell.dynamic_bound = self._search_cell(cell)
+            self._bound_heap.push(key, cell.upper_bound)
 
     # ------------------------------------------------------------------
     # Results
@@ -217,16 +102,3 @@ class CellCSPOT(BurstyRegionDetector):
     def result(self) -> RegionResult | None:
         """The current bursty region (top-right corner at the bursty point)."""
         return self._result
-
-    # ------------------------------------------------------------------
-    # Introspection helpers used by tests and benchmarks
-    # ------------------------------------------------------------------
-    @property
-    def live_cell_count(self) -> int:
-        """Number of non-empty cells currently materialised."""
-        return len(self.cells)
-
-    @property
-    def live_rectangle_count(self) -> int:
-        """Total number of (cell, rectangle) incidences currently stored."""
-        return sum(len(cell) for cell in self.cells.values())

@@ -1,9 +1,12 @@
-"""Per-cell state for the exact Cell-CSPOT detector.
+"""Per-cell state and the shared record loop of the cell-based exact detectors.
 
 Each grid cell (of exactly the query-rectangle size, Definition 6) tracks
 
-* the rectangle objects overlapping it — each already clipped to the cell,
-  once, when it arrives — with their window label,
+* the rectangle objects overlapping it, as *columns*: one row per rectangle
+  in arrival order — its extent clipped to the cell (once, when it arrives),
+  its weight, its window label and its object id — so a search hands the
+  sweep kernel the arrays themselves instead of rebuilding them from
+  per-rectangle objects,
 * the static upper bound ``Us`` (Definition 7 / Lemma 2),
 * the dynamic upper bound ``Ud`` (Equation 3 / Lemma 3), and
 * the candidate point of the last per-cell search together with its window
@@ -11,15 +14,31 @@ Each grid cell (of exactly the query-rectangle size, Definition 6) tracks
 
 The combined upper bound is ``U(c) = min(Us, Ud)`` (Definition 8); the
 detector ranks cells by it in a lazy max-heap.
+
+:class:`CellSweepDetector` is what the three detectors built on these cells
+(``ccs``, ``bccs``, ``base``) share: the live-cell dict, the loop that
+applies a batch of window events to the cells' rows, and the per-cell sweep.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass, field
+from typing import Iterable
 
+from repro.core.base import BurstyRegionDetector, RegionResult
 from repro.core.burst import burst_score
+from repro.core.cell_index import UniformGridIndex
+from repro.core.query import SurgeQuery
+from repro.core.sweep_backends import SweepBackend, resolve_backend
+from repro.core.sweep_backends.types import RectColumns
+from repro.core.sweepline import sweep_bursty_point
+from repro.geometry.grids import CellIndex, GridSpec
+from repro.geometry.heaps import LazyMaxHeap
 from repro.geometry.primitives import Point, Rect
-from repro.streams.objects import RectangleObject
+from repro.streams.objects import EventBatch, EventKind, RectangleObject, WindowEvent
+
+_INF = float("inf")
 
 
 @dataclass
@@ -35,15 +54,8 @@ class CandidatePoint:
 
 @dataclass(slots=True)
 class CellRecord:
-    """A rectangle object stored in a cell, with its current window label.
-
-    The coordinates are the rectangle *clipped to the cell*, computed once by
-    :meth:`CellState.add_new`: inside the cell the clipped and the unclipped
-    rectangle cover the same points, so a sweep over the records needs no
-    clipping pass.  The field names are those of
-    :class:`~repro.core.sweep_backends.types.LabeledRect`, which lets a sweep
-    kernel read a record directly.  ``rect`` is the unclipped original.
-    """
+    """Unpickle shim: one rectangle of a cell in a checkpoint that predates the
+    columns (see :meth:`CellState.__setstate__`); nothing else uses it."""
 
     rect: RectangleObject
     min_x: float
@@ -56,88 +68,193 @@ class CellRecord:
 
 @dataclass
 class CellState:
-    """Mutable state of one grid cell of the Cell-CSPOT detector."""
+    """Mutable state of one grid cell of the Cell-CSPOT detector.
+
+    ``add`` / ``grow`` / ``expire`` take a rectangle object's fields as
+    scalars (the record loop computes them once per event and builds no
+    object); ``add_new`` / ``mark_grown`` unpack one, for building a cell by
+    hand.
+    """
 
     bounds: Rect
-    records: dict[int, CellRecord] = field(default_factory=dict)
+    #: Object id of every row, in arrival order (parallel to ``rects``).
+    ids: list[int] = field(default_factory=list)
+    #: The rows' extents clipped to the cell, weights and window labels.
+    rects: RectColumns = field(default_factory=RectColumns)
     static_bound: float = 0.0
-    dynamic_bound: float = float("inf")
+    dynamic_bound: float = _INF
     candidate: CandidatePoint | None = None
+    #: Number of leading rows labelled past.  Windows are FIFO, so this is
+    #: the row a GROWN event concerns (and row 0 the one that expires); both
+    #: are verified against ``ids`` and searched for when they do not match.
+    grown: int = 0
+    #: Rows whose clipped extent is empty by a rounding error.
+    degenerate: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        records = self.__dict__.pop("records", None)
+        if records is None:
+            return
+        # A checkpoint written before the rectangles became columns:
+        # ``records`` maps object id -> CellRecord, in arrival order.
+        self.ids = list(records)
+        self.rects = RectColumns(records.values())
+        self.grown = 0
+        self._skip_grown()
+        self.degenerate = sum(
+            rect.min_x > rect.max_x or rect.min_y > rect.max_y for rect in self.rects
+        )
 
     # ------------------------------------------------------------------
     # Rectangle bookkeeping
     # ------------------------------------------------------------------
-    def add_new(self, rect: RectangleObject, current_length: float) -> None:
-        """A new rectangle object (current window) starts overlapping the cell."""
+    def add(
+        self, object_id: int, x: float, y: float, max_x: float, max_y: float,
+        weight: float, gain: float,
+    ) -> None:
+        """A new rectangle object (current window) starts overlapping the cell.
+
+        ``[x, max_x] × [y, max_y]`` is the rectangle, ``gain`` its
+        ``weight / |Wc|``.  The row keeps it clipped to the cell (inside the
+        cell both cover the same points), so a sweep needs no clipping pass.
+        """
         bounds = self.bounds
-        self.records[rect.object_id] = CellRecord(
-            rect,
-            max(rect.x, bounds.min_x),
-            max(rect.y, bounds.min_y),
-            min(rect.x + rect.width, bounds.max_x),
-            min(rect.y + rect.height, bounds.max_y),
-            rect.weight,
-        )
-        self.static_bound += rect.weight / current_length
-        if self.dynamic_bound != float("inf"):
-            self.dynamic_bound += rect.weight / current_length
+        min_x = max(x, bounds.min_x)
+        min_y = max(y, bounds.min_y)
+        max_x = min(max_x, bounds.max_x)
+        max_y = min(max_y, bounds.max_y)
+        if min_x > max_x or min_y > max_y:
+            self.degenerate += 1
+        rects = self.rects
+        self.ids.append(object_id)
+        rects.min_x.append(min_x)
+        rects.min_y.append(min_y)
+        rects.max_x.append(max_x)
+        rects.max_y.append(max_y)
+        rects.weight.append(weight)
+        rects.in_current.append(1)
+        self.static_bound += gain
+        if self.dynamic_bound != _INF:
+            self.dynamic_bound += gain
 
-    def mark_grown(self, rect: RectangleObject, current_length: float) -> None:
-        """A rectangle object moves from the current to the past window."""
-        record = self.records.get(rect.object_id)
-        if record is None:
-            return
-        record.in_current = False
-        self.static_bound -= rect.weight / current_length
+    def grow(self, object_id: int, gain: float) -> bool:
+        """A rectangle object moves from the current to the past window.
+
+        ``gain`` is its ``weight / |Wc|``.  Returns whether the cell holds
+        the object (a transition of an object it never saw is a no-op).
+        """
+        ids = self.ids
+        row = self.grown
+        if row >= len(ids) or ids[row] != object_id:
+            row = self._find(object_id)
+            if row < 0:
+                return False
+        self.rects.in_current[row] = 0
+        self._skip_grown()
+        self.static_bound -= gain
         # Equation 3: a grown event never increases any score, Ud is unchanged.
+        return True
 
-    def remove_expired(self, rect: RectangleObject, past_length: float, alpha: float) -> None:
-        """A rectangle object leaves the past window and the cell."""
-        if self.records.pop(rect.object_id, None) is None:
-            return
-        if self.dynamic_bound != float("inf"):
-            self.dynamic_bound += alpha * rect.weight / past_length
+    def expire(self, object_id: int, bound_gain: float) -> bool:
+        """A rectangle object leaves the past window and the cell.
+
+        ``bound_gain`` is Equation 3's ``α · weight / |Wp|``.  Returns whether
+        the cell held the object.
+        """
+        ids = self.ids
+        row = 0
+        if not ids or ids[0] != object_id:
+            row = self._find(object_id)
+            if row < 0:
+                return False
+        rects = self.rects
+        if self.degenerate and (
+            rects.min_x[row] > rects.max_x[row] or rects.min_y[row] > rects.max_y[row]
+        ):
+            self.degenerate -= 1
+        del ids[row]
+        del rects.min_x[row]
+        del rects.min_y[row]
+        del rects.max_x[row]
+        del rects.max_y[row]
+        del rects.weight[row]
+        del rects.in_current[row]
+        if row < self.grown:
+            self.grown -= 1
+        else:
+            self._skip_grown()
+        if self.dynamic_bound != _INF:
+            self.dynamic_bound += bound_gain
+        return True
+
+    def _find(self, object_id: int) -> int:
+        """Row of ``object_id`` when it is not where FIFO windows put it, or -1."""
+        try:
+            return self.ids.index(object_id)
+        except ValueError:
+            return -1
+
+    def _skip_grown(self) -> None:
+        """Re-establish ``grown`` as the number of leading past rows."""
+        in_current = self.rects.in_current
+        row = self.grown
+        rows = len(in_current)
+        while row < rows and not in_current[row]:
+            row += 1
+        self.grown = row
+
+    def add_new(self, rect: RectangleObject, current_length: float) -> None:
+        """:meth:`add` for a rectangle object."""
+        self.add(
+            rect.object_id, rect.x, rect.y, rect.x + rect.width,
+            rect.y + rect.height, rect.weight, rect.weight / current_length,
+        )
+
+    def mark_grown(self, rect: RectangleObject, current_length: float) -> bool:
+        """:meth:`grow` for a rectangle object."""
+        return self.grow(rect.object_id, rect.weight / current_length)
 
     # ------------------------------------------------------------------
     # Candidate maintenance (Lemma 4)
     # ------------------------------------------------------------------
-    def update_candidate_for_new(
-        self, rect: RectangleObject, current_length: float, alpha: float
+    def raise_candidate(
+        self, x: float, y: float, max_x: float, max_y: float,
+        fc_gain: float, fp_loss: float, alpha: float,
     ) -> None:
-        """Adjust or invalidate the candidate after a NEW event on this cell."""
+        """Adjust or invalidate the candidate after a NEW or EXPIRED event.
+
+        The event's rectangle ``[x, max_x] × [y, max_y]`` adds ``fc_gain`` to
+        the current-window score (NEW) or takes ``fp_loss`` off the
+        past-window score (EXPIRED) of the points it covers.  The candidate
+        stays the cell maximum only if it is one of them and gains in full.
+        """
         candidate = self.candidate
         if candidate is None or not candidate.valid:
-            if candidate is not None:
+            return
+        point = candidate.point
+        if (
+            x <= point.x <= max_x
+            and y <= point.y <= max_y
+            and candidate.fc - candidate.fp > 0.0
+        ):
+            candidate.fc += fc_gain
+            candidate.fp -= fp_loss
+            candidate.score = burst_score(candidate.fc, candidate.fp, alpha)
+        else:
+            candidate.valid = False
+
+    def lower_candidate(self, x: float, y: float, max_x: float, max_y: float) -> None:
+        """Invalidate the candidate if a GROWN event's rectangle covers it.
+
+        Otherwise it is untouched and remains the cell maximum (a grown
+        event can only lower scores of points inside the rectangle).
+        """
+        candidate = self.candidate
+        if candidate is not None and candidate.valid:
+            point = candidate.point
+            if x <= point.x <= max_x and y <= point.y <= max_y:
                 candidate.valid = False
-            return
-        if rect.covers_point(candidate.point) and candidate.fc - candidate.fp > 0.0:
-            candidate.fc += rect.weight / current_length
-            candidate.score = burst_score(candidate.fc, candidate.fp, alpha)
-        else:
-            candidate.valid = False
-
-    def update_candidate_for_grown(self, rect: RectangleObject) -> None:
-        """Adjust or invalidate the candidate after a GROWN event on this cell."""
-        candidate = self.candidate
-        if candidate is None or not candidate.valid:
-            return
-        if rect.covers_point(candidate.point):
-            candidate.valid = False
-        # Otherwise the candidate is untouched and remains the cell maximum
-        # (a grown event can only lower scores of points inside the rectangle).
-
-    def update_candidate_for_expired(
-        self, rect: RectangleObject, past_length: float, alpha: float
-    ) -> None:
-        """Adjust or invalidate the candidate after an EXPIRED event on this cell."""
-        candidate = self.candidate
-        if candidate is None or not candidate.valid:
-            return
-        if rect.covers_point(candidate.point) and candidate.fc - candidate.fp > 0.0:
-            candidate.fp -= rect.weight / past_length
-            candidate.score = burst_score(candidate.fc, candidate.fp, alpha)
-        else:
-            candidate.valid = False
 
     def invalidate_candidate(self) -> None:
         """Force the candidate to be recomputed on the next visit."""
@@ -147,32 +264,211 @@ class CellState:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def labeled_rects(self) -> list[CellRecord]:
+    def labeled_rects(self) -> RectColumns:
         """The cell's rectangles, clipped and labelled, ready to be swept.
 
-        A rectangle whose cell address and clipped extent disagree by a
-        rounding error (it touches the cell's grid line by address, misses it
-        by an ulp in coordinates) covers no point of the cell and is left out.
+        The cell's own columns (to read, not to keep or change) — or, while
+        it holds a rectangle that touches its grid line by address but misses
+        it by an ulp in coordinates, a copy without those rows: they cover no
+        point of the cell.
         """
-        return [
-            record
-            for record in self.records.values()
-            if record.min_x <= record.max_x and record.min_y <= record.max_y
-        ]
+        if not self.degenerate:
+            return self.rects
+        return RectColumns(
+            rect
+            for rect in self.rects
+            if rect.min_x <= rect.max_x and rect.min_y <= rect.max_y
+        )
 
     @property
     def upper_bound(self) -> float:
         """``U(c) = min(Us(c), Ud(c))`` (Definition 8)."""
         return min(self.static_bound, self.dynamic_bound)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether no rectangle object overlaps the cell any more."""
-        return not self.records
-
     def has_valid_candidate(self) -> bool:
         """Whether the memoised candidate is guaranteed to be the cell maximum."""
         return self.candidate is not None and self.candidate.valid
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+
+class CellSweepDetector(BurstyRegionDetector):
+    """Common part of the exact detectors that sweep query-sized cells.
+
+    Subclasses decide which cells to search and how to rank them
+    (:meth:`_settle`, :meth:`_forget_cell`); this class owns the cells,
+    keeps their rows in step with the window events and runs the per-cell
+    SL-CSPOT search.  A single event is a batch of one.
+    """
+
+    #: Whether candidates are carried across events through Lemma 4.  When
+    #: not, the subclass re-searches (or invalidates) every touched cell.
+    candidate_reuse = False
+
+    def __init__(
+        self,
+        query: SurgeQuery,
+        grid: GridSpec | None = None,
+        backend: str | SweepBackend | None = None,
+    ) -> None:
+        super().__init__(query)
+        self.grid = grid if grid is not None else query.base_grid()
+        self.cell_index = UniformGridIndex(self.grid)
+        self.sweep_backend = resolve_backend(backend)
+        self.cells: dict[CellIndex, CellState] = {}
+
+    def process(self, event: WindowEvent) -> None:
+        """Apply one window event and re-establish the current bursty point."""
+        self.apply_events((event,))
+
+    def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
+        """Apply a whole event batch, settling the result once at the end.
+
+        Cell rows (and, with ``candidate_reuse``, candidates) are updated per
+        event; the expensive maintenance — heap refreshes and cell searches,
+        :meth:`_settle` — runs a single time after the last event.
+        ``events_triggering_search`` therefore counts settlements that
+        searched at least one cell: per event when fed events one by one,
+        per batch otherwise.
+        """
+        searches_before = self.stats.cells_searched
+        self._settle(self._apply_records(batch))
+        if self.stats.cells_searched > searches_before:
+            self.stats.events_triggering_search += 1
+
+    def _apply_records(
+        self, batch: "EventBatch | Iterable[WindowEvent]"
+    ) -> set[CellIndex]:
+        """Apply every event of ``batch`` to the rows of the cells it overlaps.
+
+        Events are taken in the batch's lifecycle-safe order, so the Lemma 4
+        adjustments see exactly the per-event sequence.  Returns the *dirty*
+        cells: those still alive whose rows changed.  A cell emptied by an
+        event is deleted, reported to :meth:`_forget_cell` and no longer
+        dirty; a transition of an object a cell never saw (a detector
+        attached mid-stream) changes nothing and dirties nothing.
+        """
+        query = self.query
+        accepts = query.accepts
+        rect_width = query.rect_width
+        rect_height = query.rect_height
+        current_length = query.current_length
+        past_length = query.past_length
+        alpha = query.alpha
+        cells = self.cells
+        cells_overlapping = self.cell_index.cells_overlapping
+        cell_rect = self.grid.cell_rect
+        forget_cell = self._forget_cell
+        reuse = self.candidate_reuse
+        new, grown = EventKind.NEW, EventKind.GROWN
+        dirty: set[CellIndex] = set()
+        processed = skipped = 0
+        for event in batch:
+            processed += 1
+            obj = event.obj
+            x = obj.x
+            y = obj.y
+            if not accepts(x, y):
+                skipped += 1
+                continue
+            # The rectangle object of Theorem 1, as scalars.
+            max_x = x + rect_width
+            max_y = y + rect_height
+            weight = obj.weight
+            object_id = obj.object_id
+            kind = event.kind
+            keys = cells_overlapping(x, y, max_x, max_y)
+            if kind is new:
+                gain = weight / current_length
+                for key in keys:
+                    cell = cells.get(key)
+                    if cell is None:
+                        cell = cells[key] = CellState(cell_rect(key))
+                    cell.add(object_id, x, y, max_x, max_y, weight, gain)
+                    if reuse:
+                        cell.raise_candidate(x, y, max_x, max_y, gain, 0.0, alpha)
+                    dirty.add(key)
+            elif kind is grown:
+                gain = weight / current_length
+                for key in keys:
+                    cell = cells.get(key)
+                    if cell is not None and cell.grow(object_id, gain):
+                        if reuse:
+                            cell.lower_candidate(x, y, max_x, max_y)
+                        dirty.add(key)
+            else:  # EXPIRED
+                loss = weight / past_length
+                bound_gain = alpha * weight / past_length
+                for key in keys:
+                    cell = cells.get(key)
+                    if cell is None or not cell.expire(object_id, bound_gain):
+                        continue
+                    if cell.ids:
+                        if reuse:
+                            cell.raise_candidate(x, y, max_x, max_y, 0.0, loss, alpha)
+                        dirty.add(key)
+                    else:
+                        del cells[key]
+                        forget_cell(key)
+                        dirty.discard(key)
+        self.stats.events_processed += processed
+        self.stats.events_skipped += skipped
+        return dirty
+
+    @abc.abstractmethod
+    def _forget_cell(self, key: CellIndex) -> None:
+        """Drop a cell that just became empty from the subclass's rankings."""
+
+    @abc.abstractmethod
+    def _settle(self, dirty: set[CellIndex]) -> None:
+        """Re-rank the dirty cells and re-establish the reported result."""
+
+    def _search_cell(self, cell: CellState) -> float:
+        """Run SL-CSPOT inside one cell, memoise its best point, return its score."""
+        query = self.query
+        stats = self.stats
+        stats.cells_searched += 1
+        outcome = sweep_bursty_point(
+            cell.labeled_rects(),
+            alpha=query.alpha,
+            current_length=query.current_length,
+            past_length=query.past_length,
+            backend=self.sweep_backend,
+        )
+        if outcome is None:
+            # Every row misses the cell by a rounding error: nothing scores.
+            cell.candidate = CandidatePoint(cell.bounds.top_right, 0.0, 0.0, 0.0)
+            return 0.0
+        stats.rectangles_swept += outcome.rectangles_swept
+        cell.candidate = CandidatePoint(
+            outcome.point, outcome.score, outcome.fc, outcome.fp
+        )
+        return outcome.score
+
+    def _region(self, candidate: CandidatePoint) -> RegionResult:
+        """The bursty region whose top-right corner is the candidate point."""
+        return RegionResult.from_point(
+            candidate.point, candidate.score, self.query,
+            fc=candidate.fc, fp=candidate.fp,
+        )
+
+    def _best_region(self, score_heap: LazyMaxHeap[CellIndex]) -> RegionResult | None:
+        """The region of the best memoised candidate in a heap of cell scores."""
+        top = score_heap.peek()
+        if top is None:
+            return None
+        return self._region(self.cells[top[0]].candidate)
+
+    # ------------------------------------------------------------------
+    # Introspection helpers used by tests and benchmarks
+    # ------------------------------------------------------------------
+    @property
+    def live_cell_count(self) -> int:
+        """Number of non-empty cells currently materialised."""
+        return len(self.cells)
+
+    @property
+    def live_rectangle_count(self) -> int:
+        """Total number of (cell, rectangle) incidences currently stored."""
+        return sum(len(cell) for cell in self.cells.values())

@@ -35,10 +35,17 @@ backend instance is created; shared instances are cached per process).
 from __future__ import annotations
 
 import os
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.core.sweep_backends.python_backend import PythonSweepBackend
-from repro.core.sweep_backends.types import LabeledRect, SweepResult, clip_rects
+from repro.core.sweep_backends.types import (
+    LabeledRect,
+    RectColumns,
+    RectSnapshot,
+    SweepResult,
+    as_columns,
+    clip_rects,
+)
 
 #: Environment variable consulted by :func:`resolve_backend` when no explicit
 #: backend is requested.
@@ -49,20 +56,21 @@ BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 CROSSOVER_ENV_VAR = "REPRO_SWEEP_CROSSOVER"
 
 #: Default snapshot size at which ``auto`` switches from the Python kernel to
-#: NumPy.  Below this the fixed cost of array construction (~150 µs)
+#: NumPy.  Below this the fixed cost of the array set-up (~145 µs)
 #: outweighs vectorization.  Measured on what detectors actually sweep —
-#: prefixes of 150 cell-clipped snapshots captured from each of the gating
-#: benchmark's two exact workloads (every rectangle touches a cell corner and
-#: spans about half the slabs), median µs per sweep, python / numpy:
+#: prefixes of 150 cell snapshots captured from each of the gating
+#: benchmark's two exact workloads, handed over as the cells' own columns
+#: (every rectangle touches a cell corner and spans about half the slabs),
+#: median µs per sweep, python / numpy:
 #:
-#:     n      8     16     24     32     40     48     64     96    128
-#:   hot   37/156 77/164 131/176 198/193 277/221 369/259 593/296 1183/385 2006/448
-#:   unif  37/156 75/165 123/177 184/191 254/208 341/257 547/289 1117/389 1877/445
+#:     n      8     16     24     28     32     40     48     64     96    128
+#:   hot   42/149 82/156 139/168 173/176 213/183 300/213 386/241 600/269 1207/332 2054/415
+#:   unif  42/150 85/158 142/170 171/179 209/183 302/198 390/239 586/261 1168/370 1944/426
 #:
-#: (2 cores, CPython 3.11, numpy 2.4).  ``benchmarks/bench_sweep.py``'s
-#: free-floating rectangles cross at the same size (218/219 µs at n = 32).
-#: Override per environment with ``REPRO_SWEEP_CROSSOVER`` when the measured
-#: crossover differs on your hardware.
+#: (2 cores, CPython 3.11, numpy 2.4).  The kernels tie at n ≈ 28 and numpy
+#: is 13% ahead at 32.  Override per environment with
+#: ``REPRO_SWEEP_CROSSOVER`` when the measured crossover differs on your
+#: hardware.
 AUTO_NUMPY_THRESHOLD = 32
 
 
@@ -105,17 +113,18 @@ except ImportError:  # pragma: no cover - numpy is an optional dependency
 class SweepBackend(Protocol):
     """Protocol every sweep kernel implements.
 
-    ``sweep`` receives a non-empty, already-clipped sequence of rectangles
-    (anything with :class:`LabeledRect`'s six attributes, e.g. a cell's
-    records) and must return the exact bursty point of the snapshot (the
-    facade handles clipping and the empty case).
+    ``sweep`` receives a non-empty, already-clipped snapshot — a
+    :class:`RectColumns` (what a cell keeps and the facade passes) or a
+    sequence of records with :class:`LabeledRect`'s six attributes, converted
+    once by :func:`as_columns` — and must return the exact bursty point of
+    the snapshot (the facade handles clipping and the empty case).
     """
 
     name: str
 
     def sweep(
         self,
-        rects: Sequence[LabeledRect],
+        rects: RectSnapshot,
         alpha: float,
         current_length: float,
         past_length: float,
@@ -147,13 +156,14 @@ class AdaptiveSweepBackend:
 
     def sweep(
         self,
-        rects: Sequence[LabeledRect],
+        rects: RectSnapshot,
         alpha: float,
         current_length: float,
         past_length: float,
     ) -> SweepResult:
-        return self.select(len(rects)).sweep(
-            rects, alpha, current_length, past_length
+        columns = as_columns(rects)
+        return self.select(len(columns)).sweep(
+            columns, alpha, current_length, past_length
         )
 
 
@@ -215,8 +225,10 @@ __all__ = [
     "AdaptiveSweepBackend",
     "LabeledRect",
     "PythonSweepBackend",
+    "RectColumns",
     "SweepBackend",
     "SweepResult",
+    "as_columns",
     "available_backends",
     "clip_rects",
     "get_backend",

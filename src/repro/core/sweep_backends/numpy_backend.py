@@ -1,5 +1,9 @@
 """Vectorized SL-CSPOT kernel: an event-blocked sweep over NumPy slab arrays.
 
+The input is a :class:`~repro.core.sweep_backends.types.RectColumns`, read in
+place through ``np.frombuffer`` (a cell's search costs no per-rectangle
+set-up; a rectangle sequence is converted to columns once, on entry).
+
 Two facts remove the per-rectangle Python loop of a scalar sweep.
 
 **The burst score is a maximum of two linear forms.**  For every slab,
@@ -39,12 +43,8 @@ direct sum over the rectangles covering the reported point: a
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import attrgetter
-from typing import Sequence
-
 from repro.core.burst import burst_score
-from repro.core.sweep_backends.types import LabeledRect, SweepResult
+from repro.core.sweep_backends.types import RectSnapshot, SweepResult, as_columns
 from repro.geometry.primitives import Point
 
 import numpy as np
@@ -54,8 +54,6 @@ import numpy as np
 #: snapshots, 48…96 are within 5% of each other.  Not a tuning knob.
 BLOCK_EVENTS = 64
 
-_FIELDS = attrgetter("min_x", "min_y", "max_x", "max_y", "weight", "in_current")
-
 
 class NumpySweepBackend:
     """Array-backed backend (requires the optional ``numpy`` dependency)."""
@@ -64,17 +62,21 @@ class NumpySweepBackend:
 
     def sweep(
         self,
-        rects: Sequence[LabeledRect],
+        rects: RectSnapshot,
         alpha: float,
         current_length: float,
         past_length: float,
     ) -> SweepResult:
-        n = len(rects)
-        columns = np.fromiter(
-            chain.from_iterable(map(_FIELDS, rects)), dtype=np.float64, count=6 * n
-        ).reshape(n, 6).T
-        min_x, min_y, max_x, max_y, weight = columns[:5]
-        in_current = columns[5] != 0.0
+        # Views, not copies: the columns must not be resized while they live
+        # (they are this call's locals; nothing below mutates its input).
+        columns = as_columns(rects)
+        n = len(columns)
+        min_x = np.frombuffer(columns.min_x)
+        min_y = np.frombuffer(columns.min_y)
+        max_x = np.frombuffer(columns.max_x)
+        max_y = np.frombuffer(columns.max_y)
+        weight = np.frombuffer(columns.weight)
+        in_current = np.frombuffer(columns.in_current, dtype=np.int8) != 0
         delta = np.where(in_current, weight / current_length, weight / past_length)
 
         # X slabs: degenerate slabs at the distinct vertical-edge coordinates,

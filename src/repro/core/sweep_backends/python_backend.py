@@ -29,9 +29,7 @@ the seed kernel, so reported best scores are bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.sweep_backends.types import LabeledRect, SweepResult
+from repro.core.sweep_backends.types import RectSnapshot, SweepResult, as_columns
 from repro.geometry.primitives import Point
 
 
@@ -58,18 +56,19 @@ class PythonSweepBackend:
 
     def sweep(
         self,
-        rects: Sequence[LabeledRect],
+        rects: RectSnapshot,
         alpha: float,
         current_length: float,
         past_length: float,
     ) -> SweepResult:
-        rect_list = list(rects)
+        columns = as_columns(rects)
+        min_x, max_x = columns.min_x, columns.max_x
+        min_y, max_y = columns.min_y, columns.max_y
+        weight, in_current = columns.weight, columns.in_current
 
         # X slabs: degenerate slabs at every distinct vertical-edge coordinate
         # plus open slabs between consecutive coordinates.
-        xs = sorted(
-            {r.min_x for r in rect_list} | {r.max_x for r in rect_list}
-        )
+        xs = sorted(set(min_x).union(max_x))
         # slab j (0-based): even j -> degenerate slab at xs[j // 2];
         #                   odd  j -> open slab (xs[j // 2], xs[j // 2 + 1]).
         slab_count = 2 * len(xs) - 1
@@ -81,19 +80,15 @@ class PythonSweepBackend:
         x_position = {x: index for index, x in enumerate(xs)}
 
         slab_ranges = [
-            (2 * x_position[rect.min_x], 2 * x_position[rect.max_x])
-            for rect in rect_list
+            (2 * x_position[lo], 2 * x_position[hi]) for lo, hi in zip(min_x, max_x)
         ]
 
-        ys = sorted(
-            {r.min_y for r in rect_list} | {r.max_y for r in rect_list}
-        )
-        ys_desc = list(reversed(ys))
+        ys_desc = sorted(set(min_y).union(max_y), reverse=True)
         tops: dict[float, list[int]] = {}
         bottoms: dict[float, list[int]] = {}
-        for index, rect in enumerate(rect_list):
-            tops.setdefault(rect.max_y, []).append(index)
-            bottoms.setdefault(rect.min_y, []).append(index)
+        for index, (bottom, top) in enumerate(zip(min_y, max_y)):
+            tops.setdefault(top, []).append(index)
+            bottoms.setdefault(bottom, []).append(index)
 
         fc = [0.0] * slab_count
         fp = [0.0] * slab_count
@@ -122,15 +117,14 @@ class PythonSweepBackend:
         def apply(indices: list[int], sign: float) -> list[tuple[int, int]]:
             touched = []
             for index in indices:
-                rect = rect_list[index]
                 lo, hi = slab_ranges[index]
                 touched.append((lo, hi))
-                if rect.in_current:
-                    delta = sign * rect.weight / current_length
+                if in_current[index]:
+                    delta = sign * weight[index] / current_length
                     for j in range(lo, hi + 1):
                         fc[j] += delta
                 else:
-                    delta = sign * rect.weight / past_length
+                    delta = sign * weight[index] / past_length
                     for j in range(lo, hi + 1):
                         fp[j] += delta
             return touched
@@ -145,7 +139,7 @@ class PythonSweepBackend:
                 if not first_eval_done:
                     evaluate_range(0, slab_count - 1, y)
                     first_eval_done = True
-                elif any(rect_list[index].in_current for index in added):
+                elif any(in_current[index] for index in added):
                     # (Adding only past rectangles lowers scores: every
                     # touched slab was already evaluated at least as high.)
                     for lo, hi in _merge_ranges(touched):
@@ -156,7 +150,7 @@ class PythonSweepBackend:
                 # Open slab strictly below this y coordinate: removing a past
                 # rectangle can raise the score, so removals re-evaluate too —
                 # unless only current rectangles left, which lowers scores.
-                if not all(rect_list[index].in_current for index in removed):
+                if not all(in_current[index] for index in removed):
                     mid = (y + ys_desc[position + 1]) / 2.0
                     for lo, hi in _merge_ranges(touched):
                         evaluate_range(lo, hi, mid)
@@ -169,5 +163,5 @@ class PythonSweepBackend:
             score=best_score,
             fc=best_fc,
             fp=best_fp,
-            rectangles_swept=len(rect_list),
+            rectangles_swept=len(columns),
         )

@@ -50,18 +50,24 @@ y direction.  This keeps the worst case at ``O(n²)`` while returning the
 true optimum for closed rectangles.
 
 The same routine powers the stand-alone snapshot search, the per-cell search
-of Cell-CSPOT (whose cells keep their rectangles already clipped, so no
-``bounds`` pass is needed), the ``bounds``-clipped per-cell searches of kCCS
-and the neighbourhood searches of the adapted aG2 baseline.
+of Cell-CSPOT (whose cells keep their rectangles already clipped and as the
+columns the kernels read, so neither a ``bounds`` pass nor a conversion is
+needed), the ``bounds``-clipped per-cell searches of kCCS and the
+neighbourhood searches of the adapted aG2 baseline.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable
 
-from repro.core.sweep_backends import SweepBackend, clip_rects, resolve_backend
-from repro.core.sweep_backends.types import LabeledRect, SweepResult
+from repro.core.sweep_backends import SweepBackend, resolve_backend
+from repro.core.sweep_backends.types import (
+    LabeledRect,
+    RectSnapshot,
+    SweepResult,
+    as_columns,
+    clip_rects,
+)
 from repro.geometry.primitives import Rect
 from repro.obs.tracer import current as _current_tracer
 
@@ -69,7 +75,7 @@ __all__ = ["LabeledRect", "SweepResult", "sweep_bursty_point"]
 
 
 def sweep_bursty_point(
-    rects: Iterable[LabeledRect],
+    rects: RectSnapshot,
     alpha: float,
     current_length: float,
     past_length: float,
@@ -81,7 +87,10 @@ def sweep_bursty_point(
     Parameters
     ----------
     rects:
-        The rectangle objects alive in either sliding window.
+        The rectangle objects alive in either sliding window: a
+        :class:`~repro.core.sweep_backends.types.RectColumns` (what a cell
+        keeps) or any iterable of :class:`LabeledRect`-shaped records, which
+        is converted to columns once, here.
     alpha:
         Burst-score balance parameter.
     current_length, past_length:
@@ -100,23 +109,21 @@ def sweep_bursty_point(
         The best point with its score and window scores, or ``None`` if no
         rectangle intersects ``bounds``.
     """
-    rect_list = list(rects)
-    if bounds is not None:
-        rect_list = clip_rects(rect_list, bounds)
-    if not rect_list:
+    columns = as_columns(rects) if bounds is None else clip_rects(rects, bounds)
+    if not columns:
         return None
     engine = resolve_backend(backend)
     tracer = _current_tracer()
     if tracer is None or not tracer.enabled:
-        return engine.sweep(rect_list, alpha, current_length, past_length)
+        return engine.sweep(columns, alpha, current_length, past_length)
     # Name the kernel that actually runs: the adaptive facade exposes its
     # per-snapshot dispatch decision so the span says python/numpy, not auto.
     select = getattr(engine, "select", None)
-    kernel = select(len(rect_list)).name if select is not None else engine.name
+    kernel = select(len(columns)).name if select is not None else engine.name
     started = perf_counter()
-    result = engine.sweep(rect_list, alpha, current_length, past_length)
+    result = engine.sweep(columns, alpha, current_length, past_length)
     tracer.record(
         f"sweep.{kernel}", started, perf_counter(),
-        meta={"rects": len(rect_list)},
+        meta={"rects": len(columns)},
     )
     return result

@@ -114,23 +114,7 @@ class CellCSPOTTopK(BurstyRegionDetector):
     # Event processing
     # ------------------------------------------------------------------
     def process(self, event: WindowEvent) -> None:
-        self.stats.events_processed += 1
-        obj = event.obj
-        if not self.query.accepts(obj.x, obj.y):
-            self.stats.events_skipped += 1
-            return
-        rect = obj.to_rectangle(self.query.rect_width, self.query.rect_height)
-
-        for key in self.cell_index.cells_overlapping(
-            rect.x, rect.y, rect.x + rect.width, rect.y + rect.height
-        ):
-            cell = self._update_cell(key, rect, event.kind)
-            if cell is not None:
-                self._bound_heap.push(key, cell.static_bound)
-
-        # The greedy top-k recomputation is deferred to the next result read
-        # (amortization: a batch of events pays for one recomputation).
-        self._dirty = True
+        self.apply_events((event,))
 
     def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
         """Apply a whole event batch with one bulk bound-heap refresh.
@@ -144,9 +128,7 @@ class CellCSPOTTopK(BurstyRegionDetector):
         processed_before = self.stats.events_processed
         skipped_before = self.stats.events_skipped
         cells = self.cells
-        dirty = self._apply_batch_records(
-            batch, cells, self._overlapping_cells, self._update_cell
-        )
+        dirty = self._apply_batch_records(batch)
         self._bound_heap.push_all(
             (key, cells[key].static_bound) for key in dirty if key in cells
         )

@@ -14,24 +14,35 @@ from repro.core.burst import burst_score
 from repro.core.cell_cspot import CellCSPOT
 from repro.core.query import SurgeQuery
 from repro.core.sweepline import LabeledRect, sweep_bursty_point
+from repro.geometry.primitives import Rect
 from repro.streams.windows import SlidingWindowPair
 
 
-def cell_true_maximum(detector, cell):
-    """The true maximum burst score inside a cell, recomputed from scratch."""
-    labeled = [
+def unclipped_rows(detector, seen, cell):
+    """The cell's rows as the unclipped rectangle objects they were clipped from.
+
+    ``seen`` maps object id to the spatial object that was fed; the window
+    label is read from the cell's columns, everything else is re-derived.
+    """
+    query = detector.query
+    assert len(cell.ids) == len(cell.rects) == len(set(cell.ids))
+    return [
         LabeledRect(
-            record.rect.x,
-            record.rect.y,
-            record.rect.x + record.rect.width,
-            record.rect.y + record.rect.height,
-            record.rect.weight,
-            record.in_current,
+            seen[object_id].x,
+            seen[object_id].y,
+            seen[object_id].x + query.rect_width,
+            seen[object_id].y + query.rect_height,
+            seen[object_id].weight,
+            row.in_current,
         )
-        for record in cell.records.values()
+        for object_id, row in zip(cell.ids, cell.rects)
     ]
+
+
+def cell_true_maximum(detector, seen, cell):
+    """The true maximum burst score inside a cell, recomputed from scratch."""
     outcome = sweep_bursty_point(
-        labeled,
+        unclipped_rows(detector, seen, cell),
         alpha=detector.query.alpha,
         current_length=detector.query.current_length,
         past_length=detector.query.past_length,
@@ -48,19 +59,21 @@ def detector_and_windows():
 
 class TestPerCellInvariants:
     def _run_checking(self, detector, windows, objects, check):
+        seen = {}
         for index, obj in enumerate(objects):
+            seen[obj.object_id] = obj
             for event in windows.observe(obj):
                 detector.process(event)
             if index % 4 == 0:
                 for key, cell in detector.cells.items():
-                    check(detector, key, cell)
+                    check(detector, key, cell, seen)
 
     def test_static_bound_dominates_cell_maximum(self, detector_and_windows):
         """Lemma 2: Us(c) is an upper bound on every point's score in c."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
-            true_max = cell_true_maximum(det, cell)
+        def check(det, key, cell, seen):
+            true_max = cell_true_maximum(det, seen, cell)
             assert cell.static_bound >= true_max - 1e-6 * max(1.0, true_max), key
 
         self._run_checking(detector, windows, make_objects(60, seed=51, extent=5.0), check)
@@ -69,8 +82,8 @@ class TestPerCellInvariants:
         """Lemma 3: Ud(c), maintained through Equation 3, stays an upper bound."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
-            true_max = cell_true_maximum(det, cell)
+        def check(det, key, cell, seen):
+            true_max = cell_true_maximum(det, seen, cell)
             assert cell.dynamic_bound >= true_max - 1e-6 * max(1.0, true_max), key
 
         self._run_checking(detector, windows, make_objects(60, seed=52, extent=5.0), check)
@@ -79,10 +92,10 @@ class TestPerCellInvariants:
         """Lemma 4: a candidate kept valid across events equals the cell max."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
+        def check(det, key, cell, seen):
             if not cell.has_valid_candidate():
                 return
-            true_max = cell_true_maximum(det, cell)
+            true_max = cell_true_maximum(det, seen, cell)
             assert cell.candidate.score == pytest.approx(true_max, rel=1e-6, abs=1e-9), key
 
         self._run_checking(detector, windows, make_objects(70, seed=53, extent=5.0), check)
@@ -91,7 +104,7 @@ class TestPerCellInvariants:
         """The invariant the early-termination argument relies on."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
+        def check(det, key, cell, seen):
             if not cell.has_valid_candidate():
                 return
             assert cell.dynamic_bound == pytest.approx(
@@ -104,20 +117,18 @@ class TestPerCellInvariants:
         """A valid candidate's stored (fc, fp) equal a from-scratch recount."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
+        def check(det, key, cell, seen):
             if not cell.has_valid_candidate():
                 return
             point = cell.candidate.point
-            fc = sum(
-                record.rect.weight
-                for record in cell.records.values()
-                if record.in_current and record.rect.covers(point.x, point.y)
-            ) / det.query.current_length
-            fp = sum(
-                record.rect.weight
-                for record in cell.records.values()
-                if not record.in_current and record.rect.covers(point.x, point.y)
-            ) / det.query.past_length
+            covering = [
+                rect
+                for rect in unclipped_rows(det, seen, cell)
+                if rect.min_x <= point.x <= rect.max_x
+                and rect.min_y <= point.y <= rect.max_y
+            ]
+            fc = sum(r.weight for r in covering if r.in_current) / det.query.current_length
+            fp = sum(r.weight for r in covering if not r.in_current) / det.query.past_length
             assert cell.candidate.fc == pytest.approx(fc, rel=1e-6, abs=1e-9)
             assert cell.candidate.fp == pytest.approx(fp, rel=1e-6, abs=1e-9)
             assert cell.candidate.score == pytest.approx(
@@ -130,22 +141,40 @@ class TestPerCellInvariants:
         """Every stored rectangle genuinely overlaps its cell, and vice versa."""
         detector, windows = detector_and_windows
 
-        def check(det, key, cell):
-            for record in cell.records.values():
-                assert record.rect.rect.intersects(cell.bounds)
+        def check(det, key, cell, seen):
+            bounds = cell.bounds
+            for rect, row in zip(unclipped_rows(det, seen, cell), cell.rects):
+                assert Rect(rect.min_x, rect.min_y, rect.max_x, rect.max_y).intersects(bounds)
+                # ... and the row is that rectangle clipped to the cell.
+                assert (row.min_x, row.min_y) == (
+                    max(rect.min_x, bounds.min_x), max(rect.min_y, bounds.min_y)
+                )
+                assert (row.max_x, row.max_y) == (
+                    min(rect.max_x, bounds.max_x), min(rect.max_y, bounds.max_y)
+                )
+                assert row.weight == rect.weight
+            # Rows are in arrival order with the past window's first (FIFO).
+            assert cell.ids == sorted(cell.ids)
+            labels = [row.in_current for row in cell.rects]
+            assert labels == sorted(labels) and cell.grown == labels.count(False)
 
         self._run_checking(detector, windows, make_objects(60, seed=56, extent=5.0), check)
 
     def test_global_result_is_max_over_cells(self, detector_and_windows):
         """The reported score equals the maximum true cell score."""
         detector, windows = detector_and_windows
+        seen = {}
         for index, obj in enumerate(make_objects(60, seed=57, extent=5.0)):
+            seen[obj.object_id] = obj
             for event in windows.observe(obj):
                 detector.process(event)
             if index % 5:
                 continue
             true_best = max(
-                (cell_true_maximum(detector, cell) for cell in detector.cells.values()),
+                (
+                    cell_true_maximum(detector, seen, cell)
+                    for cell in detector.cells.values()
+                ),
                 default=0.0,
             )
             assert detector.current_score() == pytest.approx(true_best, rel=1e-6, abs=1e-9)
