@@ -94,8 +94,11 @@ def test_fig9_naive_topk_much_slower_than_kccs(benchmark, record):
     The naive strategy re-solves the k chained CSPOT problems from scratch
     with full-space sweeps on every event (no cells, no bounds, no memoised
     candidates); we compare it against kCCS on a small US-profile stream.
-    The naive cost is measured on a sample of the events (it is uniform per
-    event, so the sample mean is representative).
+    kCCS recomputes lazily, so its timed region reads ``top_k()`` once per
+    object (the continuous-query contract ``evaluation/runner.py`` applies);
+    without the read it would time record updates only.  The naive cost is
+    measured on a sample of the events (it is uniform per event, so the
+    sample mean is representative).
     """
     import time
 
@@ -148,6 +151,7 @@ def test_fig9_naive_topk_much_slower_than_kccs(benchmark, record):
             started = time.perf_counter()
             for event in events:
                 kccs.process(event)
+            kccs.top_k()
             kccs_time += time.perf_counter() - started
 
             if index % 5 == 0:

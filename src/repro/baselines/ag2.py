@@ -110,7 +110,7 @@ class AG2Detector(BurstyRegionDetector):
         """
         searches_before = self.stats.cells_searched
         cells = self.cells
-        dirty = self._apply_batch_records(batch)
+        dirty = self._apply_records(batch)
         self._bound_heap.push_all(
             (key, cells[key].static_bound) for key in dirty if key in cells
         )
@@ -118,9 +118,36 @@ class AG2Detector(BurstyRegionDetector):
         if self.stats.cells_searched > searches_before:
             self.stats.events_triggering_search += 1
 
-    def _overlapping_cells(self, rect: RectangleObject) -> list[CellIndex]:
-        """aG2 uses its coarse grid, not a query-sized cell index."""
-        return list(self.grid.cells_overlapping(rect.rect))
+    def _apply_records(
+        self, batch: "EventBatch | Iterable[WindowEvent]"
+    ) -> set[CellIndex]:
+        """Apply every event of ``batch``, in its lifecycle-safe order, to the
+        overlap graphs it touches; returns the cells whose bound changed.
+
+        ``None`` from :meth:`_update_cell` means "the event emptied and removed
+        the cell" or "the event was a no-op" (a transition of an object this
+        detector never saw); only the former cancels dirtiness accumulated
+        earlier in the batch, so the cell dict decides.
+        """
+        stats = self.stats
+        query = self.query
+        cells = self.cells
+        cells_overlapping = self.grid.cells_overlapping
+        update_cell = self._update_cell
+        dirty: set[CellIndex] = set()
+        for event in batch:
+            stats.events_processed += 1
+            obj = event.obj
+            if not query.accepts(obj.x, obj.y):
+                stats.events_skipped += 1
+                continue
+            rect = obj.to_rectangle(query.rect_width, query.rect_height)
+            for key in cells_overlapping(rect.rect):
+                if update_cell(key, rect, event.kind) is not None:
+                    dirty.add(key)
+                elif key not in cells:
+                    dirty.discard(key)
+        return dirty
 
     def _update_cell(
         self, key: CellIndex, rect: RectangleObject, kind: EventKind

@@ -151,56 +151,6 @@ class BurstyRegionDetector(abc.ABC):
         for event in batch:
             self.process(event)
 
-    def _apply_batch_records(self, batch: "EventBatch | Iterable[WindowEvent]") -> set:
-        """Record-update loop of ``kccs`` and ``ag2`` (own record types).
-
-        Applies every event's per-cell record update (in the batch's
-        lifecycle-safe order) and returns the set of *dirty* cell keys whose
-        heap priority the caller must refresh.  ``self.cells`` is the
-        detector's live-cell dict, ``self._overlapping_cells(rect)`` lists
-        the cell keys a rectangle object touches, and
-        ``self._update_cell(key, rect, kind)`` applies one update, returning
-        the surviving cell or ``None``.
-
-        ``None`` from ``_update_cell`` means either "the event emptied and
-        removed the cell" or "the event was a no-op" (e.g. a GROWN/EXPIRED
-        transition for an object this detector never saw); only the former
-        may cancel dirtiness accumulated earlier in the batch, so the cell
-        dict decides.
-        """
-        stats = self.stats
-        accepts = self.query.accepts
-        rect_width = self.query.rect_width
-        rect_height = self.query.rect_height
-        cells = self.cells
-        overlapping = self._overlapping_cells
-        update_cell = self._update_cell
-        dirty: set = set()
-        for event in batch:
-            stats.events_processed += 1
-            obj = event.obj
-            if not accepts(obj.x, obj.y):
-                stats.events_skipped += 1
-                continue
-            rect = obj.to_rectangle(rect_width, rect_height)
-            for key in overlapping(rect):
-                if update_cell(key, rect, event.kind) is not None:
-                    dirty.add(key)
-                elif key not in cells:
-                    dirty.discard(key)
-        return dirty
-
-    def _overlapping_cells(self, rect):
-        """Cell keys a rectangle object touches (cell-index-based detectors).
-
-        Default implementation for detectors carrying a
-        :class:`~repro.core.cell_index.UniformGridIndex` as ``cell_index``;
-        coarse-grid detectors (aG2) override it.
-        """
-        return self.cell_index.cells_overlapping(
-            rect.x, rect.y, rect.x + rect.width, rect.y + rect.height
-        )
-
     # ------------------------------------------------------------------
     # Result interface
     # ------------------------------------------------------------------

@@ -15,16 +15,17 @@ Each grid cell (of exactly the query-rectangle size, Definition 6) tracks
 The combined upper bound is ``U(c) = min(Us, Ud)`` (Definition 8); the
 detector ranks cells by it in a lazy max-heap.
 
-:class:`CellSweepDetector` is what the three detectors built on these cells
-(``ccs``, ``bccs``, ``base``) share: the live-cell dict, the loop that
-applies a batch of window events to the cells' rows, and the per-cell sweep.
+:class:`CellSweepDetector` is what the four detectors built on these cells
+(``ccs``, ``bccs``, ``base``, ``kccs``) share: the live-cell dict, the loop
+that applies a batch of window events to the cells' rows, and the per-cell
+sweep.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.core.base import BurstyRegionDetector, RegionResult
 from repro.core.burst import burst_score
@@ -52,20 +53,6 @@ class CandidatePoint:
     valid: bool = True
 
 
-@dataclass(slots=True)
-class CellRecord:
-    """Unpickle shim: one rectangle of a cell in a checkpoint that predates the
-    columns (see :meth:`CellState.__setstate__`); nothing else uses it."""
-
-    rect: RectangleObject
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-    weight: float
-    in_current: bool = True
-
-
 @dataclass
 class CellState:
     """Mutable state of one grid cell of the Cell-CSPOT detector.
@@ -90,21 +77,6 @@ class CellState:
     grown: int = 0
     #: Rows whose clipped extent is empty by a rounding error.
     degenerate: int = 0
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        records = self.__dict__.pop("records", None)
-        if records is None:
-            return
-        # A checkpoint written before the rectangles became columns:
-        # ``records`` maps object id -> CellRecord, in arrival order.
-        self.ids = list(records)
-        self.rects = RectColumns(records.values())
-        self.grown = 0
-        self._skip_grown()
-        self.degenerate = sum(
-            rect.min_x > rect.max_x or rect.min_y > rect.max_y for rect in self.rects
-        )
 
     # ------------------------------------------------------------------
     # Rectangle bookkeeping
@@ -264,21 +236,30 @@ class CellState:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def labeled_rects(self) -> RectColumns:
+    def labeled_rects(self, excluded: Collection[int] = ()) -> RectColumns:
         """The cell's rectangles, clipped and labelled, ready to be swept.
 
-        The cell's own columns (to read, not to keep or change) — or, while
-        it holds a rectangle that touches its grid line by address but misses
-        it by an ulp in coordinates, a copy without those rows: they cover no
-        point of the cell.
+        The cell's own columns (to read, not to keep or change) — or a copy
+        without the rows of the object ids in ``excluded`` (a top-k level)
+        and, while the cell holds a rectangle that touches its grid line by
+        address but misses it by an ulp in coordinates, without those rows:
+        they cover no point of the cell.
         """
-        if not self.degenerate:
+        if not excluded and not self.degenerate:
             return self.rects
-        return RectColumns(
-            rect
-            for rect in self.rects
-            if rect.min_x <= rect.max_x and rect.min_y <= rect.max_y
+        rects = self.rects
+        rows = zip(
+            rects.min_x, rects.min_y, rects.max_x, rects.max_y,
+            rects.weight, rects.in_current,
         )
+        if excluded:
+            rows = (
+                row for object_id, row in zip(self.ids, rows)
+                if object_id not in excluded
+            )
+        if self.degenerate:
+            rows = (row for row in rows if row[0] <= row[2] and row[1] <= row[3])
+        return RectColumns(rows=rows)
 
     @property
     def upper_bound(self) -> float:

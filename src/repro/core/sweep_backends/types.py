@@ -72,6 +72,15 @@ class RectColumns:
 
     def __init__(self, rects: Iterable[LabeledRect] = (), rows=None) -> None:
         """``rows`` replaces ``rects`` by ready 6-tuples in column order."""
+        if rows is None and not rects:
+            # The columns of a new cell: nothing to flatten and slice.
+            self.min_x = array("d")
+            self.min_y = array("d")
+            self.max_x = array("d")
+            self.max_y = array("d")
+            self.weight = array("d")
+            self.in_current = array("b")
+            return
         rows = map(_FIELDS, rects) if rows is None else rows
         flat = array("d", chain.from_iterable(rows))
         self.min_x, self.min_y, self.max_x, self.max_y, self.weight = (

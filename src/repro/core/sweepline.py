@@ -49,11 +49,11 @@ coordinates in addition to the open slabs between them, in both the x and the
 y direction.  This keeps the worst case at ``O(n²)`` while returning the
 true optimum for closed rectangles.
 
-The same routine powers the stand-alone snapshot search, the per-cell search
-of Cell-CSPOT (whose cells keep their rectangles already clipped and as the
-columns the kernels read, so neither a ``bounds`` pass nor a conversion is
-needed), the ``bounds``-clipped per-cell searches of kCCS and the
-neighbourhood searches of the adapted aG2 baseline.
+The same routine powers the stand-alone snapshot search, the per-cell
+searches of Cell-CSPOT and kCCS (whose cells keep their rectangles already
+clipped and as the columns the kernels read, so neither a ``bounds`` pass nor
+a conversion is needed) and the ``bounds``-clipped neighbourhood searches of
+the adapted aG2 baseline.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def sweep_bursty_point(
         ``|Wc|`` and ``|Wp|`` used to normalise weights.
     bounds:
         Optional clipping rectangle; when given, only points inside it are
-        considered (this is how Cell-CSPOT restricts the search to a cell).
+        considered (this is how aG2 restricts a search to part of a cell).
     backend:
         Sweep kernel to use: a :class:`~repro.core.sweep_backends.SweepBackend`
         instance, a backend name (``"auto"``, ``"python"``, ``"numpy"``), or

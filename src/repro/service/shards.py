@@ -45,8 +45,7 @@ adopt a group's history).  Checkpoints pickle the whole shard in one
 snapshot, so group-owned windows and unit-owned monitors are stored exactly
 once (pickle memoisation) and restored with the sharing intact; a restore
 re-derives the plan from the restored pipelines (re-aliasing provably
-identical state), so a snapshot whose pipelines were stored unaliased — one
-written by an earlier commit's unshared plan — restores the same way.
+identical state).
 
 Two in-process executors drive the shards (a third, ``remote``, lives in
 :mod:`repro.distributed`):
@@ -91,11 +90,7 @@ class QueryPipeline:
 
     ``epoch`` is the owning shard's ingestion counter at registration time —
     the shared plan only groups pipelines with equal epochs, because only
-    they have seen the same message history.  ``None`` means the epoch is
-    *unknown* (the pipeline was unpickled from a snapshot written before
-    epochs existed): such a pipeline never shares — a defaulted epoch
-    could wrongly group a mid-stream registration with stream-start
-    queries and alias history it never saw.  ``last_result`` caches the
+    they have seen the same message history.  ``last_result`` caches the
     most recent settled result so chunks that route nothing to this query
     (``chunks_skipped`` counts them) can answer without re-settling the
     detector.
@@ -112,7 +107,7 @@ class QueryPipeline:
         "last_result",
     )
 
-    def __init__(self, spec: QuerySpec, epoch: int | None = 0) -> None:
+    def __init__(self, spec: QuerySpec, epoch: int = 0) -> None:
         self.spec = spec
         self.monitor = spec.build_monitor()
         self.objects_routed = 0
@@ -121,21 +116,6 @@ class QueryPipeline:
         self.busy_seconds = 0.0
         self.epoch = epoch
         self.last_result = self.monitor.result()
-
-    def __setstate__(self, state) -> None:
-        _, slots = state
-        for key, value in slots.items():
-            setattr(self, key, value)
-        if not hasattr(self, "epoch"):
-            # Snapshot written before the shared-plan fields existed: the
-            # registration epoch is unrecorded, so it is *unknown* — not 0.
-            # None keeps this pipeline out of every sharing group (it may
-            # have registered mid-stream, and grouping it with stream-start
-            # queries would alias window history it never saw).  The cached
-            # result is re-read from the (settled) detector.
-            self.epoch = None
-            self.chunks_skipped = 0
-            self.last_result = self.monitor.result()
 
     def apply_batch(self, batch, chunk_index: int, n_routed: int, shared_seconds: float) -> QueryUpdate:
         """Apply a group-ingested event batch to this pipeline's detector.
@@ -416,10 +396,7 @@ class ShardState:
         for members in clusters.values():
             if len(members) < 2:
                 continue
-            anchored = [p for p in members if p.epoch is not None]
-            if not anchored:
-                continue
-            representative = min(anchored, key=lambda p: p.epoch)
+            representative = min(members, key=lambda p: p.epoch)
             rep_windows = representative.monitor.windows
             # Unit keys already present at the representative's epoch: a
             # pure-algorithm unit may join them; an impure one must not
@@ -435,9 +412,9 @@ class ShardState:
                 if pipeline.epoch == representative.epoch:
                     continue
                 unit_key = _detector_unit_key(pipeline.spec)
-                if unit_key is None or pipeline.epoch is None:
-                    # Unshareable options or unknown history: never aliased
-                    # with anyone, so it moves (or stays) alone.
+                if unit_key is None:
+                    # Unshareable options: never aliased with anyone, so it
+                    # moves (or stays) alone.
                     bucket = ("own", id(pipeline))
                 else:
                     bucket = ("unit", pipeline.epoch, unit_key)
@@ -482,17 +459,11 @@ class ShardState:
         window_groups: dict[tuple, list[QueryPipeline]] = {}
         for pipeline in self.pipelines.values():
             windows = pipeline.monitor.windows
-            # An unknown (legacy-snapshot) epoch gets a key unique to this
-            # pipeline: it still gets a group — the chunk/advance paths run
-            # through groups — but never a groupmate.
-            epoch = pipeline.epoch if pipeline.epoch is not None else (
-                "unknown-epoch", id(pipeline),
-            )
             key = (
                 pipeline.spec.keyword,
                 windows.window_length,
                 windows.past_window_length,
-                epoch,
+                pipeline.epoch,
             )
             window_groups.setdefault(key, []).append(pipeline)
         groups: list[WindowGroup] = []
@@ -678,16 +649,15 @@ class ShardState:
         """Replace this shard's pipelines with the snapshot at ``path``.
 
         The snapshot's sharing structure is not adopted as stored: the plan
-        is re-derived from the restored pipelines, so a snapshot written by
-        an earlier commit's unshared plan (nothing aliased) restores with
-        bit-identical behaviour.
+        is a pure function of the pipelines and is re-derived from the
+        restored ones.
         """
         from repro.state.recovery import SHARD_SNAPSHOT_KIND
         from repro.state.snapshot import read_snapshot
 
         _, state = read_snapshot(path, expected_kind=SHARD_SNAPSHOT_KIND)
         self.pipelines = state.pipelines
-        self._epoch = getattr(state, "_epoch", 0)
+        self._epoch = state._epoch
         self._rebuild_plan()
         return list(self.pipelines)
 

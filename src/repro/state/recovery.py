@@ -44,7 +44,7 @@ from repro.state.snapshot import SnapshotError, _atomic_write_bytes, check_schem
 logger = logging.getLogger(__name__)
 
 #: The manifest format version this build reads and writes.
-MANIFEST_SCHEMA = "service-manifest/v1"
+MANIFEST_SCHEMA = "service-manifest/v2"
 MANIFEST_NAME = "MANIFEST.json"
 #: Backup of the manifest the last checkpoint replaced.  Restore falls back
 #: to it when the current manifest names a shard file whose write was
@@ -167,7 +167,7 @@ class ServiceManifest:
     def from_dict(record: Mapping[str, Any], path: str | Path) -> "ServiceManifest":
         check_schema(record.get("schema"), MANIFEST_SCHEMA, path, "service manifest")
         try:
-            manifest = ServiceManifest(
+            return ServiceManifest(
                 generation=int(record["generation"]),
                 chunk_offset=int(record["chunk_offset"]),
                 chunk_index=int(record["chunk_index"]),
@@ -208,18 +208,6 @@ class ServiceManifest:
                 f"{path}: corrupt service manifest (missing or malformed "
                 f"field: {exc})"
             ) from exc
-        # Manifests written by earlier commits may carry a ``shared_plan``
-        # key (ignored: there is one plan, and shard restore re-derives it)
-        # or ``executor: "thread"`` (that backend is gone; shard snapshots
-        # restore under any backend, so the other in-process one takes over).
-        if manifest.executor == "thread":
-            logger.warning(
-                "%s records the removed 'thread' executor; restoring as 'serial'",
-                path,
-                extra={"event": "manifest_executor_replaced"},
-            )
-            manifest.executor = "serial"
-        return manifest
 
 
 def manifest_path(directory: str | Path) -> Path:

@@ -8,26 +8,30 @@ counter) or of one service shard (every query pipeline it hosts, plus the
 routing counters), together with enough header metadata to decide *whether*
 the payload can be read at all before touching it.
 
-File format (``snapshot/v1``)
+File format (``snapshot/v2``)
 -----------------------------
 ::
 
     REPRO-SNAPSHOT\\n                 16-byte ASCII magic line
-    {"schema": "snapshot/v1", ...}\\n one JSON header line (UTF-8)
+    {"schema": "snapshot/v2", ...}\\n one JSON header line (UTF-8)
     <pickle bytes>                    the payload
 
 The header carries ``schema`` (the codec version), ``kind`` (what the
 payload is: ``"monitor"``, ``"service-shard"``, ...), a free-form
-``meta`` mapping (chunk offsets, stream time, generation numbers), and —
-since the robustness pass — a ``crc32`` / ``payload_bytes`` pair over the
-pickle bytes.  The header is parsed and validated *before* the payload is
-unpickled, so a snapshot written by a newer codec fails with a clear
+``meta`` mapping (chunk offsets, stream time, generation numbers), and a
+``crc32`` / ``payload_bytes`` pair over the pickle bytes.  The header is
+parsed and validated *before* the payload is unpickled, so a snapshot
+written by another codec version fails with a clear
 :class:`SnapshotSchemaError` instead of a confusing unpickling crash, and
 a truncated or bit-rotted payload fails the checksum with a clear
 :class:`SnapshotError` instead of unpickling garbage (unpickling corrupt
-bytes can execute arbitrary reduce hooks — the checksum runs first).
-Files written before the checksum existed carry no ``crc32`` and still
-load.
+bytes can execute arbitrary reduce hooks — the checksum runs first, and a
+header without one is refused).
+
+The version names the pickled layout of the state classes as well as the
+file framing: ``snapshot/v1`` files hold detector, pipeline and buffer
+layouts this build no longer reads, so they are refused by version rather
+than patched up while unpickling.
 
 Writes are atomic: the file is assembled under a temporary name in the same
 directory, flushed and fsynced, then moved into place with :func:`os.replace`
@@ -54,7 +58,7 @@ from typing import Any, Mapping
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\n"
 
 #: The codec version this build reads and writes.
-SNAPSHOT_SCHEMA = "snapshot/v1"
+SNAPSHOT_SCHEMA = "snapshot/v2"
 
 
 class SnapshotError(RuntimeError):
@@ -100,7 +104,7 @@ def write_snapshot(
     payload: Any,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Serialise ``payload`` to ``path`` as a ``snapshot/v1`` file.
+    """Serialise ``payload`` to ``path`` as a ``snapshot/v2`` file.
 
     Returns the header that was written.  The write is atomic; on any
     failure the previous file at ``path`` (if one existed) is untouched.
@@ -113,9 +117,7 @@ def write_snapshot(
         "schema": SNAPSHOT_SCHEMA,
         "kind": kind,
         "meta": dict(meta) if meta else {},
-        # Integrity check of the payload, verified before unpickling on
-        # read.  Same schema version: readers without the field ignore it,
-        # files without the field skip verification.
+        # Integrity check of the payload, verified before unpickling on read.
         "crc32": zlib.crc32(payload_bytes),
         "payload_bytes": len(payload_bytes),
     }
@@ -170,24 +172,28 @@ def read_snapshot(
         handle.read(len(SNAPSHOT_MAGIC))
         handle.readline()
         payload_bytes = handle.read()
+    # Verified *before* unpickling: corrupt pickle bytes can execute
+    # arbitrary reduce hooks, so garbage must never reach the codec.
     expected_crc = header.get("crc32")
-    if expected_crc is not None:
-        # Verified *before* unpickling: corrupt pickle bytes can execute
-        # arbitrary reduce hooks, so garbage must never reach the codec.
-        expected_size = header.get("payload_bytes")
-        if expected_size is not None and len(payload_bytes) != expected_size:
-            raise SnapshotError(
-                f"{path}: corrupt snapshot payload: {len(payload_bytes)} bytes "
-                f"on disk, header records {expected_size} (truncated or "
-                f"overwritten file)"
-            )
-        found_crc = zlib.crc32(payload_bytes)
-        if found_crc != expected_crc:
-            raise SnapshotError(
-                f"{path}: corrupt snapshot payload: CRC32 mismatch "
-                f"(found {found_crc:#010x}, header records "
-                f"{expected_crc:#010x}) — the file was truncated or bit-rotted"
-            )
+    expected_size = header.get("payload_bytes")
+    if not isinstance(expected_crc, int) or not isinstance(expected_size, int):
+        raise SnapshotError(
+            f"{path}: corrupt snapshot header: no crc32 / payload_bytes to "
+            f"verify the payload against"
+        )
+    if len(payload_bytes) != expected_size:
+        raise SnapshotError(
+            f"{path}: corrupt snapshot payload: {len(payload_bytes)} bytes "
+            f"on disk, header records {expected_size} (truncated or "
+            f"overwritten file)"
+        )
+    found_crc = zlib.crc32(payload_bytes)
+    if found_crc != expected_crc:
+        raise SnapshotError(
+            f"{path}: corrupt snapshot payload: CRC32 mismatch "
+            f"(found {found_crc:#010x}, header records "
+            f"{expected_crc:#010x}) — the file was truncated or bit-rotted"
+        )
     try:
         payload = pickle.loads(payload_bytes)
     except Exception as exc:

@@ -236,14 +236,6 @@ class WatermarkReorderBuffer:
         self.duplicates_seen = 0
         self.force_released = 0
 
-    def __setstate__(self, state: dict) -> None:
-        # Buffers pickled before the overload tier lack the floor/counter.
-        self.__dict__.update(state)
-        if "_floor" not in state:
-            self._floor = float("-inf")
-        if "force_released" not in state:
-            self.force_released = 0
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------

@@ -9,86 +9,59 @@ paper's *rectangle levels*).
 
 Implementation notes
 --------------------
-The paper shares work across the k CSPOT problems with per-level upper bounds
-and candidate points.  This implementation keeps the same two sharing ideas
-in a slightly more conservative form that favours clear correctness:
+The k problems run over the cells Cell-CSPOT uses:
+:class:`~repro.core.cells.CellSweepDetector` owns them — one
+:class:`~repro.core.cells.CellState` per non-empty cell, its rectangles
+clipped once at arrival and kept as the columns the sweep kernels read — and
+keeps them in step with the window events.  This class adds what is top-k:
 
-* the cell grid and its rectangle lists are shared by all levels, and the
-  *full* static bound of a cell (over all rectangles, Lemma 2) is used to
-  prune the search of every level — excluding rectangles can only lower the
-  current-window mass of a point, so the bound stays valid for every level;
-* per ``(cell, level)`` the result of the last sweep is memoised together
-  with the cell version and the exact set of excluded rectangles it was
-  computed under; the memo is reused whenever neither has changed, which is
-  the common case when the top-k points are stable across events.
+* every level ranks the cells by their *full* static bound (over all
+  rectangles, Lemma 2) and stops at the first cell whose bound cannot beat
+  the incumbent.  Excluding rectangles can only lower the current-window
+  mass of a point, so the bound is valid for every level — but it is not
+  Algorithm 4's per-level dynamic bound, which would prune levels ≥ 1
+  harder; that remains open (ROADMAP item 6);
+* level 0, and any level at which none of a cell's rectangles is excluded,
+  sweeps the cell's own columns; otherwise the excluded rows are filtered
+  out by object id first (:meth:`CellState.labeled_rects`);
+* a level's point is excluded from the cell it was swept out of: there it
+  lies inside the bounds its rows were clipped to, so the rectangles it was
+  scored on are exactly the rows covering it, and no later level can report
+  it again;
+* per ``(cell, level)`` the last sweep's result is memoised with the set of
+  the cell's rectangles it excluded.  An event that changes a cell drops its
+  memos, so a memo that exists is current and is reused whenever the
+  exclusions match — the common case while the top-k points are stable.
 
-Additionally, the k chained CSPOT problems are **amortized across events**:
-processing an event only updates cell state and marks the result list dirty,
-and the greedy top-k recomputation runs lazily when ``result()`` /
-``top_k()`` is read.  Batch ingestion (``SurgeMonitor.push_many`` or
-``process_all`` followed by one read) therefore pays for a single
-recomputation per batch instead of one per window event.
+The k chained problems are **amortized across events**: processing events
+only updates cell state and marks the result list dirty, and the greedy
+recomputation runs lazily when ``result()`` / ``top_k()`` is read.  Batch
+ingestion (``SurgeMonitor.push_many`` or ``process_all`` followed by one
+read) therefore pays for a single recomputation per batch instead of one per
+window event.
 
 The reported regions are exact with respect to Definition 9 (the test suite
-checks them against a greedy brute force); the pruning is merely less tight
-than the paper's most aggressive bookkeeping, which only affects constants.
+checks them against a greedy brute force).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import product
 
-from repro.core.base import BurstyRegionDetector, RegionResult
-from repro.core.cell_index import UniformGridIndex
-from repro.core.cells import CandidatePoint
+from repro.core.base import RegionResult
+from repro.core.cells import CandidatePoint, CellSweepDetector
 from repro.core.query import SurgeQuery
-from repro.core.sweep_backends import SweepBackend, resolve_backend
-from repro.core.sweepline import LabeledRect, sweep_bursty_point
+from repro.core.sweep_backends import SweepBackend
+from repro.core.sweepline import sweep_bursty_point
 from repro.geometry.grids import CellIndex, GridSpec
 from repro.geometry.heaps import LazyMaxHeap
-from repro.geometry.primitives import Rect
-from repro.streams.objects import EventBatch, EventKind, RectangleObject, WindowEvent
+from repro.geometry.primitives import Point
 
 #: Slack protecting the bound-vs-incumbent pruning from floating-point drift.
 _BOUND_TOLERANCE = 1e-9
 
 
-@dataclass
-class _TopKRecord:
-    """A rectangle object stored in a cell (shared by all k levels)."""
-
-    rect: RectangleObject
-    in_current: bool
-
-
-@dataclass
-class _LevelMemo:
-    """Memoised sweep result for one (cell, level) pair."""
-
-    version: int
-    excluded: frozenset[int]
-    candidate: CandidatePoint | None
-
-
-@dataclass
-class _TopKCell:
-    """Per-cell state shared by the k chained CSPOT problems."""
-
-    bounds: Rect
-    records: dict[int, _TopKRecord] = field(default_factory=dict)
-    static_bound: float = 0.0
-    #: Monotone counter bumped whenever the rectangle set or a label changes.
-    version: int = 0
-    #: level index -> memoised sweep result.
-    memos: dict[int, _LevelMemo] = field(default_factory=dict)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.records
-
-
-class CellCSPOTTopK(BurstyRegionDetector):
+class CellCSPOTTopK(CellSweepDetector):
     """Exact continuous top-k detector (paper's ``kCCS``)."""
 
     name = "kccs"
@@ -100,80 +73,46 @@ class CellCSPOTTopK(BurstyRegionDetector):
         grid: GridSpec | None = None,
         backend: str | SweepBackend | None = None,
     ) -> None:
-        super().__init__(query)
-        self.grid = grid if grid is not None else query.base_grid()
-        self.cell_index = UniformGridIndex(self.grid)
-        self.sweep_backend = resolve_backend(backend)
-        self.cells: dict[CellIndex, _TopKCell] = {}
+        super().__init__(query, grid, backend)
+        #: Cells ranked by their static upper bound.
         self._bound_heap: LazyMaxHeap[CellIndex] = LazyMaxHeap()
-        self._results: list[RegionResult] = []
-        #: Whether cell state changed since ``_results`` was last computed.
-        self._dirty = False
+        #: cell -> level -> (the cell's excluded ids, best point) of the last
+        #: sweep; a cell's entry is dropped whenever its rows change.
+        self._memos: dict[
+            CellIndex, dict[int, tuple[frozenset[int], CandidatePoint | None]]
+        ] = {}
+        #: The top-k list, or ``None`` when cells changed since it was computed.
+        self._results: list[RegionResult] | None = None
 
     # ------------------------------------------------------------------
     # Event processing
     # ------------------------------------------------------------------
-    def process(self, event: WindowEvent) -> None:
-        self.apply_events((event,))
+    def _settle(self, dirty: set[CellIndex]) -> None:
+        """Re-rank the dirty cells and drop what was memoised about them.
 
-    def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
-        """Apply a whole event batch with one bulk bound-heap refresh.
-
-        The greedy recomputation is already lazy (it runs on the next result
-        read), so batching here only has to make the state updates cheap:
-        per-cell records are updated in the batch's lifecycle-safe order and
-        every dirty cell's static bound enters the heap once via
-        :meth:`LazyMaxHeap.push_all` instead of once per event.
+        No cell is searched here: the greedy recomputation is lazy (it runs
+        on the next result read), so a batch costs one ``push_all`` of the
+        dirty cells' static bounds.
         """
-        processed_before = self.stats.events_processed
-        skipped_before = self.stats.events_skipped
+        if not dirty:
+            return
         cells = self.cells
-        dirty = self._apply_batch_records(batch)
-        self._bound_heap.push_all(
-            (key, cells[key].static_bound) for key in dirty if key in cells
-        )
-        accepted = (self.stats.events_processed - processed_before) - (
-            self.stats.events_skipped - skipped_before
-        )
-        if accepted > 0:
-            self._dirty = True
+        memos = self._memos
+        for key in dirty:
+            memos.pop(key, None)
+        self._bound_heap.push_all((key, cells[key].static_bound) for key in dirty)
+        self._results = None
 
-    def _update_cell(
-        self, key: CellIndex, rect: RectangleObject, kind: EventKind
-    ) -> _TopKCell | None:
-        """Update one cell's records; returns the surviving (dirty) cell."""
-        cell = self.cells.get(key)
-        if kind is EventKind.NEW:
-            if cell is None:
-                cell = _TopKCell(bounds=self.grid.cell_rect(key))
-                self.cells[key] = cell
-            cell.records[rect.object_id] = _TopKRecord(rect=rect, in_current=True)
-            cell.static_bound += rect.weight / self.query.current_length
-        elif kind is EventKind.GROWN:
-            if cell is None:
-                return None
-            record = cell.records.get(rect.object_id)
-            if record is None:
-                return None
-            record.in_current = False
-            cell.static_bound -= rect.weight / self.query.current_length
-        else:  # EXPIRED
-            if cell is None:
-                return None
-            if cell.records.pop(rect.object_id, None) is None:
-                return None
-            if cell.is_empty:
-                del self.cells[key]
-                self._bound_heap.remove(key)
-                return None
-        cell.version += 1
-        return cell
+    def _forget_cell(self, key: CellIndex) -> None:
+        self._bound_heap.remove(key)
+        self._memos.pop(key, None)
+        self._results = None
 
     # ------------------------------------------------------------------
     # Greedy top-k computation (the k chained CSPOT problems)
     # ------------------------------------------------------------------
-    def _ensure_results(self) -> None:
-        """Recompute the memoised top-k list if events arrived since last read.
+    def _current_top_k(self) -> list[RegionResult]:
+        """The top-k list, recomputed if cells changed since the last read.
 
         Note on stats: with lazy recomputation, ``events_triggering_search``
         counts *result reads* that performed at least one cell search, so
@@ -181,34 +120,30 @@ class CellCSPOTTopK(BurstyRegionDetector):
         comparable to the eager detectors' per-event ratio (Table II only
         reports that metric for ccs/bccs, which are unaffected).
         """
-        if not self._dirty:
-            return
-        searches_before = self.stats.cells_searched
-        self._results = self._compute_top_k()
-        self._dirty = False
-        if self.stats.cells_searched > searches_before:
-            self.stats.events_triggering_search += 1
+        if self._results is None:
+            searches_before = self.stats.cells_searched
+            self._results = self._compute_top_k()
+            if self.stats.cells_searched > searches_before:
+                self.stats.events_triggering_search += 1
+        return self._results
 
     def _compute_top_k(self) -> list[RegionResult]:
         excluded: set[int] = set()
         results: list[RegionResult] = []
         for level in range(self.query.k):
-            best = self._best_point_excluding(level, excluded)
+            key, best = self._best_point_excluding(level, excluded)
             if best is None or (best.fc <= 0.0 and best.fp <= 0.0):
                 break
-            results.append(
-                RegionResult.from_point(
-                    best.point, best.score, self.query, fc=best.fc, fp=best.fp
-                )
-            )
-            excluded |= self._rectangles_covering(best.point)
+            results.append(self._region(best))
+            excluded |= self._rectangles_covering(key, best.point)
         return results
 
     def _best_point_excluding(
         self, level: int, excluded: set[int]
-    ) -> CandidatePoint | None:
-        """The bursty point over rectangles not in ``excluded`` (level-i CSPOT)."""
+    ) -> tuple[CellIndex | None, CandidatePoint | None]:
+        """The level-i bursty point (``excluded`` left out) and the cell it is in."""
         best: CandidatePoint | None = None
+        best_key: CellIndex | None = None
         popped: list[tuple[CellIndex, float]] = []
         while True:
             top = self._bound_heap.peek()
@@ -219,102 +154,92 @@ class CellCSPOTTopK(BurstyRegionDetector):
                 break
             self._bound_heap.pop()
             popped.append((key, bound))
-            cell = self.cells.get(key)
-            if cell is None:
-                continue
-            candidate = self._cell_candidate(key, cell, level, excluded)
+            candidate = self._cell_candidate(key, level, excluded)
             if candidate is not None and (best is None or candidate.score > best.score):
                 best = candidate
+                best_key = key
         for key, bound in popped:
-            if key in self.cells:
-                self._bound_heap.push(key, bound)
-        return best
+            self._bound_heap.push(key, bound)
+        return best_key, best
 
     def _cell_candidate(
-        self, key: CellIndex, cell: _TopKCell, level: int, excluded: set[int]
+        self, key: CellIndex, level: int, excluded: set[int]
     ) -> CandidatePoint | None:
         """Best point of one cell for one level, reusing the memo when possible."""
-        local_excluded = frozenset(excluded & cell.records.keys())
-        memo = cell.memos.get(level)
-        if (
-            memo is not None
-            and memo.version == cell.version
-            and memo.excluded == local_excluded
-        ):
-            return memo.candidate
+        cell = self.cells[key]
+        local_excluded = frozenset(excluded.intersection(cell.ids) if excluded else ())
+        memos = self._memos.setdefault(key, {})
+        memo = memos.get(level)
+        if memo is not None and memo[0] == local_excluded:
+            return memo[1]
 
-        self.stats.cells_searched += 1
-        labeled = [
-            LabeledRect(
-                record.rect.x,
-                record.rect.y,
-                record.rect.x + record.rect.width,
-                record.rect.y + record.rect.height,
-                record.rect.weight,
-                record.in_current,
-            )
-            for object_id, record in cell.records.items()
-            if object_id not in local_excluded
-        ]
-        candidate: CandidatePoint | None = None
-        if labeled:
-            outcome = sweep_bursty_point(
-                labeled,
-                alpha=self.query.alpha,
-                current_length=self.query.current_length,
-                past_length=self.query.past_length,
-                bounds=cell.bounds,
-                backend=self.sweep_backend,
-            )
-            if outcome is not None:
-                self.stats.rectangles_swept += outcome.rectangles_swept
-                candidate = CandidatePoint(
-                    point=outcome.point,
-                    score=outcome.score,
-                    fc=outcome.fc,
-                    fp=outcome.fp,
-                    valid=True,
-                )
-        cell.memos[level] = _LevelMemo(
-            version=cell.version, excluded=local_excluded, candidate=candidate
+        query = self.query
+        stats = self.stats
+        stats.cells_searched += 1
+        outcome = sweep_bursty_point(
+            cell.labeled_rects(local_excluded),
+            alpha=query.alpha,
+            current_length=query.current_length,
+            past_length=query.past_length,
+            backend=self.sweep_backend,
         )
+        candidate: CandidatePoint | None = None
+        if outcome is not None:
+            stats.rectangles_swept += outcome.rectangles_swept
+            candidate = CandidatePoint(
+                outcome.point, outcome.score, outcome.fc, outcome.fp
+            )
+        memos[level] = (local_excluded, candidate)
         return candidate
 
-    def _rectangles_covering(self, point) -> set[int]:
-        """Ids of all live rectangle objects covering ``point``."""
-        key = self.grid.cell_of(point.x, point.y)
+    def _rectangles_covering(self, key: CellIndex, point: Point) -> set[int]:
+        """Ids of the live rectangles covering ``point``, swept out of cell ``key``.
+
+        The point is a corner of rows clipped to that cell, so it lies in the
+        cell's closed bounds, where a clipped row covers exactly the points
+        its rectangle does: scanning the cell finds every rectangle the
+        point was scored on, whatever cell the point's coordinates address
+        (``floor(v / w)`` and ``i * w`` can disagree by an ulp).  A rectangle
+        that only touches the cell covers the point when it lies on that
+        edge of the cell, so the neighbours across the edges the point is on
+        are scanned too.
+        """
+        x = point.x
+        y = point.y
+        ix, iy = key
+        bounds = self.cells[key].bounds
+        columns = [ix]
+        if x == bounds.min_x:
+            columns.append(ix - 1)
+        if x == bounds.max_x:
+            columns.append(ix + 1)
+        rows = [iy]
+        if y == bounds.min_y:
+            rows.append(iy - 1)
+        if y == bounds.max_y:
+            rows.append(iy + 1)
         covering: set[int] = set()
-        # Any rectangle covering the point overlaps every cell containing it,
-        # so scanning the cell addressed by the point is sufficient; we also
-        # scan neighbouring cells when the point lies exactly on a grid line.
-        candidates = {key}
-        cell_rect = self.grid.cell_rect(key)
-        on_left_edge = point.x == cell_rect.min_x
-        on_bottom_edge = point.y == cell_rect.min_y
-        if on_left_edge:
-            candidates.add((key[0] - 1, key[1]))
-        if on_bottom_edge:
-            candidates.add((key[0], key[1] - 1))
-        if on_left_edge and on_bottom_edge:
-            candidates.add((key[0] - 1, key[1] - 1))
-        for cell_key in candidates:
+        for cell_key in product(columns, rows):
             cell = self.cells.get(cell_key)
             if cell is None:
                 continue
-            for object_id, record in cell.records.items():
-                if record.rect.covers(point.x, point.y):
-                    covering.add(object_id)
+            rects = cell.rects
+            covering.update(
+                object_id
+                for object_id, min_x, min_y, max_x, max_y in zip(
+                    cell.ids, rects.min_x, rects.min_y, rects.max_x, rects.max_y
+                )
+                if min_x <= x <= max_x and min_y <= y <= max_y
+            )
         return covering
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
     def result(self) -> RegionResult | None:
-        self._ensure_results()
-        return self._results[0] if self._results else None
+        results = self._current_top_k()
+        return results[0] if results else None
 
     def top_k(self, k: int | None = None) -> list[RegionResult]:
-        self._ensure_results()
-        if k is None or k >= len(self._results):
-            return list(self._results)
-        return self._results[:k]
+        return self._current_top_k()[:k]
+

@@ -1,13 +1,8 @@
 """Unit tests for the per-cell state of Cell-CSPOT (columns, bounds, Lemma 4)."""
 
-import base64
-import pickle
-
 import pytest
 
-from tests.helpers import make_objects
-from repro.core.cells import CandidatePoint, CellRecord, CellState
-from repro.core.monitor import SurgeMonitor
+from repro.core.cells import CandidatePoint, CellState
 from repro.core.query import SurgeQuery
 from repro.core.sweep_backends import RectColumns
 from repro.core.sweepline import LabeledRect, sweep_bursty_point
@@ -161,6 +156,19 @@ class TestColumns:
         assert cell.mark_grown(short, 1.0) and cell.expire(1, 3.5)
         assert cell.degenerate == 0 and cell.labeled_rects() is cell.rects
 
+    def test_excluded_ids_are_left_out_with_and_without_a_masked_row(self, cell):
+        cell.add_new(rect_obj(0.2, 0.2, object_id=2), current_length=1.0)
+        cell.add_new(rect_obj(0.4, 0.1, weight=3.0, object_id=3), current_length=1.0)
+        kept = [LabeledRect(0.4, 0.1, 1.0, 1.0, 3.0, True)]
+        assert cell.labeled_rects(frozenset()) is cell.rects
+        assert list(cell.labeled_rects({2})) == kept
+        short = rect_obj(-1.5, 0.2, width=1.4999999, weight=7.0, object_id=1)
+        cell.add_new(short, current_length=1.0)
+        assert cell.degenerate == 1
+        assert list(cell.labeled_rects({2})) == kept
+        assert len(cell.labeled_rects({2, 3})) == 0
+        assert len(cell.rects) == 3
+
     def test_rows_sweep_like_the_unclipped_rectangles(self, cell):
         unclipped = []
         for object_id, (x, y) in enumerate([(0.5, -0.25), (-0.4, 0.3), (0.2, 0.6)]):
@@ -296,92 +304,3 @@ class TestDynamicScoreSyncInvariant:
         cell.lower_candidate(0.0, 0.0, 1.0, 1.0)
         # Covering grown event invalidates; the invariant only applies while valid.
         assert not cell.candidate.valid
-
-
-#: ``pickle.dumps`` of a ``CellState`` at the parent commit of the columnar
-#: layout (protocol 4, base85): bounds [0, 1]², ids 7 (past), 8, 9 (current),
-#: a valid candidate and ``Us = Ud = 1.75``.
-PARENT_COMMIT_CELL = (
-    "fCQCa0{{R30001t5OQU3a&InUZ*pZWV`Xe?bCiq;LuG7iQ*>c;Wt5YYDS?!Ilqie_VsCYBWO"
-    "I~^8FFQCa&InYWp8a|baHtvaB^vFX>@6JWpk8_1X5*Vbd-~nDS?z-lqg34000000000-0000"
-    "000000M?dfY0000007pOY00000003oTj0bXMV{dX~bCi9QC`$)u0E`MlWo&FxWn*u0WR#PXD"
-    "S?zueUvDS1af6#bd-!0a%FIGZ!U9ma%Ev{b1rXUYGq?|bCiq^Qe|UwVQyz^Wlv&iWn*-dlaw"
-    "ielwFi4M?c^I0000007t*j00000002in@Bjb+0000-Kkxtm00000M*si-0000007pOw00000"
-    "002t|Wnzp4ZE0>_c$7y!-~a#s0001t1#M|=UwM>A0000000000j0J6BcwcywM?dfY000000E"
-    "`7~VR&D8lt(}400000004{zcV%g3XmpfEKnMT;00000j0$OPUt@K0a%FCGl!<kQlwwN=Xbvf"
-    "Xlumt=C}<IA6e)p}U6d$CzuB3YnVFfIM?cduGcz+YGe<x000000002in@Bjb+0000-Kkxtm0"
-    "0000M?e4o00000080pEVrUmf0000000000Xc$L7(=#(OGcz-28Am_kGcz+YGc#x!M?dfY000"
-    "000B9RWKmY&$00000XdH-jhLmDU31|)}fs{^tlqhHsXcQ@dlwFi4M?cA#nVFfHnnyq5Gcz+Y"
-    "Gc!j&@Bjb+0000-Kkxtm00000M?e4o0000007pO+00000002t~WnyR-M?cA#nVFfHnrIkDKj"
-    "SkqGcz+YXc<R8@Bjb+0001J8b?3y00000003wkM?e$+000000B9VDb%vB;b&L#ibYXO9V_#x"
-    "#b#7#oM?d@k000000E`V}d2V5CX=7hvZ*^{Dlt(}O00000004{$V_|M&X=Gt^Wt3<Dj1EI#Z"
-    "e(d>VRU6sZ)t9Hl#`Sxfs}oeD2xSgZ)t9HlxPNw1yFBkZgiBBlqrFfU6d$CKjSkqGcz+YM?d"
-    "CfW@ct)W@TcG1#@F>a%Gf9Kl}gy00000i~?q3lt(}O00000004{vW^j~80000000000j0JXK"
-    "Y-wbah;?FhVlD"
-)
-
-
-class TestCheckpointCompatibility:
-    """Checkpoints written with a ``records`` dict of ``CellRecord`` still load."""
-
-    def test_parent_commit_pickle_loads_as_columns(self):
-        cell = pickle.loads(base64.b85decode(PARENT_COMMIT_CELL))
-        assert "records" not in vars(cell)
-        assert rows(cell) == [
-            (7, LabeledRect(0.5, 0.0, 1.0, 0.75, 3.0, False)),
-            (8, LabeledRect(0.0, 0.3, 0.6, 1.0, 2.0, True)),
-            (9, LabeledRect(0.2, 0.6, 1.0, 1.0, 5.0, True)),
-        ]
-        assert (cell.grown, cell.degenerate) == (1, 0)
-        assert cell.bounds == Rect(0.0, 0.0, 1.0, 1.0)
-        assert cell.static_bound == cell.dynamic_bound == 1.75
-        assert cell.candidate == CandidatePoint(Point(0.6, 0.7), 1.75, 1.75, 0.0)
-        # The restored cell is live: FIFO positions, then a fresh round trip.
-        assert cell.expire(7, 0.0) and cell.grow(8, 0.5) and cell.grown == 1
-        assert rows(pickle.loads(pickle.dumps(cell))) == rows(cell)
-
-    @staticmethod
-    def _as_parent_layout(cell: CellState) -> CellState:
-        """``cell`` with the state dict the parent commit pickled."""
-        legacy = CellState.__new__(CellState)
-        vars(legacy).update(
-            bounds=cell.bounds,
-            records={
-                object_id: CellRecord(
-                    # The unclipped original; nothing reads it back.
-                    rect_obj(r.min_x, r.min_y, weight=r.weight, object_id=object_id),
-                    r.min_x, r.min_y, r.max_x, r.max_y, r.weight, r.in_current,
-                )
-                for object_id, r in rows(cell)
-            },
-            static_bound=cell.static_bound,
-            dynamic_bound=cell.dynamic_bound,
-            candidate=cell.candidate,
-        )
-        return legacy
-
-    @pytest.mark.parametrize("algorithm", ["ccs", "bccs", "base"])
-    def test_old_layout_state_restores_and_replays_bit_identically(self, algorithm):
-        query = SurgeQuery(rect_width=1.0, rect_height=1.0, window_length=15.0, alpha=0.6)
-        objects = make_objects(160, seed=71, extent=4.0)
-        chunks = [objects[i : i + 8] for i in range(0, len(objects), 8)]
-
-        uninterrupted = SurgeMonitor(query, algorithm=algorithm)
-        expected = [uninterrupted.push_many(chunk) for chunk in chunks]
-
-        first = SurgeMonitor(query, algorithm=algorithm)
-        results = [first.push_many(chunk) for chunk in chunks[:10]]
-        cells = first.detector.cells
-        assert any(cell.grown for cell in cells.values())  # both windows populated
-        for key in cells:
-            cells[key] = self._as_parent_layout(cells[key])
-        restored = pickle.loads(pickle.dumps(first))
-        for key, cell in restored.detector.cells.items():
-            assert "records" not in vars(cell) and isinstance(cell.rects, RectColumns)
-        results += [restored.push_many(chunk) for chunk in chunks[10:]]
-
-        assert results == expected
-        assert restored.detector.stats == uninterrupted.detector.stats
-        assert {k: rows(c) for k, c in restored.detector.cells.items()} == {
-            k: rows(c) for k, c in uninterrupted.detector.cells.items()
-        }

@@ -18,8 +18,10 @@ identical to never having crashed** —
   independent-monitor oracle (``tests/helpers.replay_oracle``), so every
   crash cycle is simultaneously a proof that the shared-work plan's
   group-owned windows / unit-owned monitors survive the snapshot;
-* a manifest written by an earlier commit — carrying a ``shared_plan`` key
-  or the removed ``thread`` executor — still restores;
+* a checkpoint written by an earlier commit (``snapshot/v1`` shard and
+  monitor files, a ``service-manifest/v1`` manifest) is refused by version
+  with a typed :class:`~repro.state.SnapshotSchemaError`, before any
+  payload is unpickled;
 * the ``repro serve --checkpoint-dir / --resume`` CLI implements exactly
   that protocol end to end, including refusing a resume at a different
   ``--chunk-size`` and refusing to clobber an existing checkpoint.
@@ -41,7 +43,14 @@ from repro.core.monitor import DETECTOR_NAMES, SurgeMonitor
 from repro.core.query import SurgeQuery
 from repro.service import QuerySpec, SurgeService
 from repro.state import CheckpointPolicy, SnapshotError, SnapshotSchemaError
-from repro.state.recovery import manifest_path, read_manifest, wal_path
+from repro.state.recovery import (
+    MANIFEST_SCHEMA,
+    manifest_path,
+    previous_manifest_path,
+    read_manifest,
+    wal_path,
+)
+from repro.state.snapshot import SNAPSHOT_MAGIC, SNAPSHOT_SCHEMA
 from repro.state.wal import ChunkWal
 from repro.streams.objects import SpatialObject
 from repro.streams.sources import iter_chunks
@@ -160,7 +169,7 @@ class TestMonitorSaveLoad:
         path = tmp_path / "monitor.snap"
         monitor.save(path)
         raw = path.read_bytes()
-        path.write_bytes(raw.replace(b"snapshot/v1", b"snapshot/v7", 1))
+        path.write_bytes(raw.replace(SNAPSHOT_SCHEMA.encode(), b"snapshot/v7", 1))
         with pytest.raises(SnapshotSchemaError, match="snapshot/v7"):
             SurgeMonitor.load(path)
 
@@ -274,36 +283,6 @@ def test_restore_can_switch_executor(tmp_path, stream, reference):
         )
 
 
-def test_manifest_from_an_earlier_commit_still_restores(
-    tmp_path, stream, reference, caplog
-):
-    """A ``shared_plan`` key is ignored and ``executor: "thread"`` resumes as
-    ``serial`` (with a warning): those checkpoint directories exist today.
-    """
-    _, ref_finals, ref_top_k, _ = reference
-    checkpoint_dir = tmp_path / "ckpt"
-    with SurgeService(make_specs(), shards=2) as service:
-        for chunk in iter_chunks(stream[: 4 * CHUNK_SIZE], CHUNK_SIZE):
-            service.push_many(chunk)
-        service.checkpoint(checkpoint_dir)
-    path = manifest_path(checkpoint_dir)
-    record = json.loads(path.read_text())
-    record.update(shared_plan=False, executor="thread")
-    path.write_text(json.dumps(record))
-    with caplog.at_level(logging.WARNING, logger="repro.state.recovery"):
-        restored = SurgeService.restore(checkpoint_dir, attach=False)
-    assert restored.executor_name == "serial"
-    assert any("'thread' executor" in r.getMessage() for r in caplog.records)
-    with restored:
-        for _ in restored.run(stream, CHUNK_SIZE, start_offset=restored.chunk_offset):
-            pass
-        assert result_keys(restored.results()) == ref_finals
-        assert {
-            qid: tuple(result_key(r) for r in results)
-            for qid, results in restored.top_k().items()
-        } == ref_top_k
-
-
 def test_registry_mutations_survive_restore(tmp_path, stream):
     """add/remove before the checkpoint keep their shard assignment after."""
     specs = make_specs()[:4]
@@ -371,7 +350,55 @@ class TestRestoreValidation:
         with pytest.raises(SnapshotSchemaError) as excinfo:
             SurgeService.restore(tmp_path)
         assert "service-manifest/v42" in str(excinfo.value)
-        assert "service-manifest/v1" in str(excinfo.value)
+        assert MANIFEST_SCHEMA in str(excinfo.value)
+
+    @staticmethod
+    def write_v1_snapshot(path, kind):
+        """A ``snapshot/v1`` file as earlier commits wrote them: no checksum,
+        and a payload that must never be reached."""
+        header = {"schema": "snapshot/v1", "kind": kind, "meta": {}}
+        path.write_bytes(
+            SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + b"not a pickle"
+        )
+
+    @staticmethod
+    def assert_names_both(excinfo, found, expected):
+        assert type(excinfo.value) is SnapshotSchemaError
+        assert found in str(excinfo.value) and expected in str(excinfo.value)
+
+    def test_v1_monitor_file_is_refused(self, tmp_path):
+        path = tmp_path / "monitor.snap"
+        self.write_v1_snapshot(path, "monitor")
+        with pytest.raises(SnapshotSchemaError) as excinfo:
+            SurgeMonitor.load(path)
+        self.assert_names_both(excinfo, "snapshot/v1", SNAPSHOT_SCHEMA)
+
+    def test_v1_shard_file_is_refused(self, tmp_path, stream):
+        with SurgeService(make_specs()[:2], shards=2, checkpoint_dir=tmp_path) as s:
+            s.push_many(stream[:50])
+            s.checkpoint()
+        self.write_v1_snapshot(next(tmp_path.glob("shard-01*.ckpt")), "service-shard")
+        with pytest.raises(SnapshotSchemaError) as excinfo:
+            SurgeService.restore(tmp_path)
+        self.assert_names_both(excinfo, "snapshot/v1", SNAPSHOT_SCHEMA)
+
+    def test_v1_manifest_is_refused_after_the_fallback_fails_too(
+        self, tmp_path, stream
+    ):
+        with SurgeService(make_specs()[:2], checkpoint_dir=tmp_path) as service:
+            for chunk in iter_chunks(stream[: 2 * CHUNK_SIZE], CHUNK_SIZE):
+                service.push_many(chunk)
+                service.checkpoint()
+        paths = (manifest_path(tmp_path), previous_manifest_path(tmp_path))
+        for path in paths:
+            record = json.loads(path.read_text())
+            assert record["schema"] == MANIFEST_SCHEMA
+            record["schema"] = "service-manifest/v1"
+            path.write_text(json.dumps(record))
+        with pytest.raises(SnapshotSchemaError) as excinfo:
+            SurgeService.restore(tmp_path)
+        self.assert_names_both(excinfo, "service-manifest/v1", MANIFEST_SCHEMA)
+        assert str(paths[0]) in str(excinfo.value)
 
     def test_missing_shard_file(self, tmp_path, stream):
         with SurgeService(make_specs()[:2], shards=2, checkpoint_dir=tmp_path) as s:

@@ -69,6 +69,12 @@ class TestConversion:
     def test_empty_and_pickle(self):
         columns = RectColumns()
         assert len(columns) == 0 and not columns and list(columns) == []
+        # With and without the early return for a sized empty snapshot: the
+        # same six columns, each its own array.
+        for empty in (columns, RectColumns([]), RectColumns(iter(())), RectColumns(rows=())):
+            arrays = [getattr(empty, name) for name in RectColumns.__slots__]
+            assert [a.typecode for a in arrays] == list("dddddb") and not any(arrays)
+            assert len({id(a) for a in arrays}) == 6
         columns = RectColumns(random_rects(random.Random(3), 4))
         assert list(pickle.loads(pickle.dumps(columns))) == list(columns)
 

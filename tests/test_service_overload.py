@@ -335,16 +335,6 @@ class TestInflightBudget:
         straggler = replace(make_clean(6, seed=79)[0], object_id=999)
         assert clone.push(straggler) == []  # the floor was pickled too
 
-    def test_old_pickles_default_the_floor(self):
-        buffer = WatermarkReorderBuffer(max_lateness=10.0)
-        state = dict(buffer.__dict__)
-        del state["_floor"]
-        del state["force_released"]
-        revived = WatermarkReorderBuffer.__new__(WatermarkReorderBuffer)
-        revived.__setstate__(state)
-        assert revived._floor == float("-inf")
-        assert revived.force_released == 0
-
 
 # ---------------------------------------------------------------------------
 # Degraded mode: watermarks, hysteresis, policies

@@ -240,48 +240,6 @@ class TestPlanStructure:
             shard.pipelines["late2"].monitor is shard.pipelines["late"].monitor
         )
 
-    def test_unknown_epoch_pipelines_never_share(self):
-        """Pipelines whose registration epoch is unknown must not alias.
-
-        A pre-epoch (legacy) snapshot cannot distinguish a stream-start
-        query from a mid-stream registration, so defaulting its epoch and
-        grouping it would alias window history the late query never saw.
-        """
-        stream = make_keyword_stream(50)
-        shard = ShardState([make_spec("old", "concert")])
-        shard.handle(("chunk", stream[:30], 0))
-        shard.add(make_spec("late", "concert"))
-        # Simulate the legacy round-trip: epochs were never recorded.
-        for pipeline in shard.pipelines.values():
-            pipeline.epoch = None
-        shard._rebuild_plan()
-        old, late = shard.pipelines["old"], shard.pipelines["late"]
-        assert late.monitor is not old.monitor
-        assert late.monitor.windows is not old.monitor.windows
-        assert len(late.monitor.windows) == 0
-        # Both still process chunks (every pipeline sits in some group).
-        updates = shard.handle(("chunk", stream[30:], 1))
-        assert {u.query_id for u in updates} == {"old", "late"}
-
-    def test_setstate_marks_missing_epoch_unknown(self):
-        from repro.service.shards import QueryPipeline
-
-        pipeline = QueryPipeline(make_spec("q", "concert"), epoch=7)
-        _, slots = pipeline.__reduce_ex__(2)[2]
-        legacy = {
-            key: value
-            for key, value in slots.items()
-            if key not in ("epoch", "chunks_skipped", "last_result")
-        }
-        resurrected = QueryPipeline.__new__(QueryPipeline)
-        resurrected.__setstate__((None, legacy))
-        assert resurrected.epoch is None
-        assert resurrected.chunks_skipped == 0
-        # A recorded epoch round-trips untouched.
-        intact = QueryPipeline.__new__(QueryPipeline)
-        intact.__setstate__((None, dict(slots)))
-        assert intact.epoch == 7
-
     def test_remove_unit_leader_keeps_followers_running(self):
         specs = [make_spec(q, "concert") for q in ("a", "b", "c")]
         stream = make_keyword_stream(60)

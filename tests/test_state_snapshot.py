@@ -2,7 +2,7 @@
 
 Covers the three layers beneath the service integration:
 
-* the ``snapshot/v1`` codec — round-trip fidelity, atomicity guarantees
+* the ``snapshot/v2`` codec — round-trip fidelity, atomicity guarantees
   (no temp-file debris, old file intact on failed writes), and the clear
   failure modes: bad magic, corrupt header, truncated payload, wrong kind,
   and — the contractually required one — an *unknown schema version*, which
@@ -158,20 +158,18 @@ class TestPayloadChecksum:
         with pytest.raises(SnapshotError, match="CRC32 mismatch"):
             read_snapshot(a)
 
-    def test_legacy_file_without_checksum_still_loads(self, tmp_path):
-        """Files written before the checksum existed carry no crc32 field."""
-        path = tmp_path / "legacy.snap"
-        header = {"schema": SNAPSHOT_SCHEMA, "kind": "monitor", "meta": {}}
-        payload = {"deque": [1.5, 2.5]}
-        path.write_bytes(
-            SNAPSHOT_MAGIC
-            + json.dumps(header).encode()
-            + b"\n"
-            + pickle.dumps(payload)
-        )
-        got_header, got_payload = read_snapshot(path)
-        assert got_header.get("crc32") is None
-        assert got_payload == payload
+    def test_file_without_checksum_is_refused(self, tmp_path):
+        """No tier trusts bytes it cannot verify: the payload is not unpickled."""
+        path = tmp_path / "unchecked.snap"
+        written = write_snapshot(path, "monitor", {"deque": [1.5, 2.5]})
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        for missing in ("crc32", "payload_bytes"):
+            header = {key: written[key] for key in written if key != missing}
+            path.write_bytes(
+                SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + payload
+            )
+            with pytest.raises(SnapshotError, match="no crc32 / payload_bytes"):
+                read_snapshot(path)
 
 
 class TestChunkWal:

@@ -92,6 +92,111 @@ class TestKCCS:
                 detector.process(event)
         assert detector.stats.cells_searched <= searched_first_pass + 25
 
+    def test_masked_row_and_excluded_ids_compose(self):
+        """Level >= 1 in a cell holding an ulp-degenerate row: the excluded ids
+        are filtered out and the degenerate row stays masked."""
+        query = SurgeQuery(
+            rect_width=0.1, rect_height=0.1, window_length=20.0, alpha=0.5, k=3
+        )
+        # x + 0.1 == 6.8 is addressed to cell 68 (floor(6.8 / 0.1) == 68) but
+        # ends an ulp short of its left edge 68 * 0.1 == 6.800000000000001.
+        straggler = obj(6.7, 0.22, 0.0, 4.0, 1)
+        first = [obj(6.805, 0.205, 0.1, 5.0, 2), obj(6.806, 0.206, 0.2, 5.0, 3)]
+        second = [obj(6.805, 0.1025, 0.3, 3.0, 4), obj(6.806, 0.1026, 0.4, 3.0, 5)]
+        detector = CellCSPOTTopK(query)
+        windows = SlidingWindowPair(query.window_length)
+        for spatial in [straggler, *first, *second]:
+            for event in windows.observe(spatial):
+                detector.process(event)
+        got = detector.top_k()
+        expected = greedy_top_k_snapshot(windows.state(), query)
+        assert [r.score for r in got] == pytest.approx([r.score for r in expected])
+        assert [r.score for r in got] == pytest.approx([0.5, 0.3, 0.2])
+        shared = (68, 2)
+        assert detector.cells[shared].degenerate == 1
+        assert sorted(detector.cells[shared].ids) == [1, 2, 3, 4, 5]
+        # Level 1 swept the shared cell without the first cluster, level 2
+        # without both; the straggler was never excluded there and never swept.
+        assert detector._memos[shared][1][0] == {2, 3}
+        assert detector._memos[shared][2] == (frozenset({2, 3, 4, 5}), None)
+
+    @pytest.mark.parametrize(
+        "left, right, point",
+        [
+            ((1.0, 0.25), (2.0, 0.5), None),  # rectangles share the edge x = 2
+            ((1.0, 0.0), (2.0, 1.0), (2.0, 1.0)),  # ... or the corner (2, 1)
+        ],
+    )
+    def test_point_on_a_grid_line_excludes_rows_of_neighbour_cells(
+        self, topk_query, left, right, point
+    ):
+        """A bursty point on a grid line is covered by rows clipped to
+        zero-width slivers of the cells on either side of the line."""
+        objects = [
+            obj(10.0, 10.0, 0.0, 10.0, 1),
+            obj(*left, 0.1, 4.0, 2),
+            obj(*right, 0.2, 4.0, 3),
+            obj(20.0, 20.0, 0.3, 3.0, 4),
+        ]
+        detector = CellCSPOTTopK(topk_query)
+        windows = SlidingWindowPair(topk_query.window_length)
+        for spatial in objects:
+            for event in windows.observe(spatial):
+                detector.process(event)
+        got = detector.top_k()
+        expected = greedy_top_k_snapshot(windows.state(), topk_query)
+        assert [r.score for r in got] == pytest.approx([r.score for r in expected])
+        # Level 1 is the touching pair, found on the line; with both excluded
+        # level 2 is the light object, not half of the pair again.
+        assert [r.score for r in got] == pytest.approx([0.5, 0.4, 0.15])
+        assert got[1].point.x == 2.0
+        if point is not None:
+            assert (got[1].point.x, got[1].point.y) == point
+
+    @pytest.mark.parametrize("backend", ["python", "auto"])
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            # y + 0.1 == 6.8: the top edge of cell row 67 (6.7 + 0.1), but
+            # floor(6.8 / 0.1) == 68 and 68 * 0.1 == 6.800000000000001, so
+            # the level-0 point is addressed to a cell that does not hold it.
+            (6.35, 6.7),
+            (6.7, 6.35),  # the same line met along x (points keep left edges)
+            (6.7, 6.7),
+            (1.234, 6.75),
+            (7.75, 7.75),
+            (1.234, 6.700000000000001),
+        ],
+    )
+    def test_single_object_next_to_an_ulp_shifted_grid_line_is_one_region(
+        self, backend, x, y
+    ):
+        query = SurgeQuery(
+            rect_width=0.1, rect_height=0.1, window_length=20.0, alpha=0.5, k=3
+        )
+        detector = CellCSPOTTopK(query, backend=backend)
+        windows = SlidingWindowPair(query.window_length)
+        for event in windows.observe(obj(x, y, 0.0, 1.0, 1)):
+            detector.process(event)
+        got = detector.top_k()
+        expected = greedy_top_k_snapshot(windows.state(), query)
+        assert len(expected) == 1
+        assert [r.score for r in got] == pytest.approx([r.score for r in expected])
+
+    def test_lattice_of_single_objects_never_repeats_a_region(self):
+        """Every level excludes the rectangles its own point was scored on,
+        wherever the point's coordinates put it relative to the grid lines."""
+        for size in (0.1, 0.3, 0.7):
+            query = SurgeQuery(
+                rect_width=size, rect_height=size, window_length=20.0, alpha=0.5, k=3
+            )
+            for step in range(120):
+                half = step * size / 2
+                for x, y in ((1.234, half), (half, 1.234), (half, half)):
+                    detector = CellCSPOTTopK(query, backend="python")
+                    feed(detector, [obj(x, y, 0.0, 1.0, 1)], query.window_length)
+                    assert len(detector.top_k()) == 1, (size, x, y)
+
     def test_expiration_shrinks_result_list(self, topk_query):
         detector = CellCSPOTTopK(topk_query)
         windows = SlidingWindowPair(topk_query.window_length)
