@@ -16,9 +16,12 @@ to be the cell maximum (the *lazy update* strategy of Section IV-C).
 
 The correctness of the early termination relies on an invariant maintained
 here: whenever a cell's candidate is valid, its dynamic bound equals the
-candidate's score (the Equation 3 adjustments and the Lemma 4 adjustments
-move in lock-step), so the top of the bound heap having a valid candidate
-implies no other cell can contain a better point.
+candidate's score.  ``Ud`` is the largest of the cell's sub-cell bounds
+(:mod:`repro.core.cells`); every NEW and EXPIRED event since the search covers
+a valid candidate, so the candidate's sub-cell has received each Equation 3
+gain in lock-step with the Lemma 4 adjustments and no sub-cell has received
+more.  The top of the bound heap having a valid candidate therefore implies
+no other cell can contain a better point.
 """
 
 from __future__ import annotations

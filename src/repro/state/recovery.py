@@ -44,7 +44,7 @@ from repro.state.snapshot import SnapshotError, _atomic_write_bytes, check_schem
 logger = logging.getLogger(__name__)
 
 #: The manifest format version this build reads and writes.
-MANIFEST_SCHEMA = "service-manifest/v2"
+MANIFEST_SCHEMA = "service-manifest/v3"
 MANIFEST_NAME = "MANIFEST.json"
 #: Backup of the manifest the last checkpoint replaced.  Restore falls back
 #: to it when the current manifest names a shard file whose write was

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core.sweepline import sweep_bursty_point
 from repro.datasets.keywords import keyword_predicate
 from repro.streams.objects import SpatialObject
 from repro.streams.sources import iter_chunks
@@ -60,6 +61,15 @@ def feed_many(detectors, objects, window_length, past_window_length=None):
             for detector in detectors:
                 detector.process(event)
     return windows
+
+
+def cell_maximum(cell, alpha, current_length, past_length) -> float:
+    """The exact best burst score inside a cell, swept from scratch on the
+    python kernel (0 when no row covers a point of it)."""
+    outcome = sweep_bursty_point(
+        cell.labeled_rects(), alpha, current_length, past_length, backend="python"
+    )
+    return 0.0 if outcome is None else outcome.score
 
 
 def scores_close(a: float, b: float, rtol: float = SCORE_RTOL) -> bool:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cells import CandidatePoint, CellState
+from repro.core.cells import SUB_CELLS, CandidatePoint, CellState
 from repro.core.query import SurgeQuery
 from repro.core.sweep_backends import RectColumns
 from repro.core.sweepline import LabeledRect, sweep_bursty_point
@@ -82,6 +82,70 @@ class TestBoundMaintenance:
         assert cell.upper_bound == 5.0
 
 
+class TestSubCellBounds:
+    """Equation 3 per sub-cell: a row raises exactly the entries its clip reaches.
+
+    The unit cell is cut into 4 x 4 sub-cells of side 0.25, entry ``4 * r + c``
+    for sub-row ``r`` (y) and sub-column ``c`` (x).
+    """
+
+    @staticmethod
+    def raised(cell, searched=1.0):
+        """Row-major indices of the entries above the searched value."""
+        assert SUB_CELLS == 4 and len(cell.sub_bounds) == 16
+        return [i for i, bound in enumerate(cell.sub_bounds) if bound != searched]
+
+    def test_unsearched_cell_keeps_no_entries(self, cell):
+        cell.add_new(rect_obj(0.5, 0.5, object_id=1), current_length=1.0)
+        assert cell.sub_bounds == [] and cell.dynamic_bound == float("inf")
+        assert cell.expire(1, 0.5) and cell.sub_bounds == []
+
+    def test_row_spanning_the_cell_raises_every_entry(self, cell):
+        cell.dynamic_bound = 1.0
+        cell.add_new(rect_obj(0.0, 0.0, weight=3.0, object_id=1), current_length=2.0)
+        assert cell.sub_bounds == [2.5] * 16
+
+    def test_row_touching_only_the_top_edge_lands_in_the_last_sub_row(self, cell):
+        cell.dynamic_bound = 1.0
+        cell.add_new(rect_obj(0.3, 1.0, object_id=1), current_length=1.0)
+        assert self.raised(cell) == [13, 14, 15]
+
+    def test_row_touching_only_the_right_edge_lands_in_the_last_sub_column(self, cell):
+        cell.dynamic_bound = 1.0
+        cell.add_new(rect_obj(1.0, -0.9, object_id=1), current_length=1.0)
+        assert self.raised(cell) == [3]
+
+    def test_edges_on_sub_cell_lines_need_no_special_case(self, cell):
+        # [0.25, 0.5] x [0, 0.25]: the closed edges reach the sub-cells that
+        # start on them, so points on those lines are bounded wherever they
+        # are counted.
+        cell.dynamic_bound = 1.0
+        cell.add_new(
+            rect_obj(0.25, -0.75, width=0.25, object_id=1), current_length=1.0
+        )
+        assert self.raised(cell) == [1, 2, 5, 6]
+
+    def test_disjoint_rows_raise_the_bound_by_the_heavier_not_the_sum(self, cell):
+        cell.dynamic_bound = 1.0
+        cell.add_new(rect_obj(-0.6, 0.0, weight=2.0, object_id=1), current_length=1.0)
+        cell.add_new(rect_obj(0.6, 0.0, weight=3.0, object_id=2), current_length=1.0)
+        assert cell.dynamic_bound == 4.0  # one scalar Ud would read 1 + 2 + 3
+        cell.static_bound = 3.5
+        assert cell.upper_bound == 3.5
+
+    def test_row_arriving_and_expiring_between_searches_contributes_both_gains(self, cell):
+        cell.dynamic_bound = 1.0
+        rect = rect_obj(0.8, 0.8, weight=4.0, object_id=1)
+        cell.add_new(rect, current_length=2.0)  # + 4 / 2
+        assert cell.mark_grown(rect, current_length=2.0)
+        assert cell.expire(1, 0.5 * 4.0 / 8.0)  # + alpha * 4 / 8
+        assert self.raised(cell) == [15]
+        assert cell.dynamic_bound == cell.sub_bounds[15] == 3.25
+        # A search starts over from the exact maximum.
+        cell.dynamic_bound = 0.0
+        assert cell.sub_bounds == [0.0] * 16
+
+
 class TestColumns:
     def test_row_is_clipped_to_the_cell_once(self, cell):
         cell.add_new(rect_obj(0.5, -0.25, weight=3.0, object_id=1), current_length=2.0)
@@ -144,10 +208,14 @@ class TestColumns:
     def test_rectangle_missing_the_cell_by_rounding_is_not_swept(self, cell):
         # Addressed to the cell by floor arithmetic, but ends an ulp short of
         # its left edge: it stays a row (it still counts, grows and expires)
-        # and covers no point of the cell.
+        # and covers no point of the cell — so it raises Us (which ``grow``
+        # takes back) but no sub-cell's Ud, arriving or expiring.
+        cell.dynamic_bound = 2.0  # as if the cell had been searched
         short = rect_obj(-1.5, 0.2, width=1.4999999, weight=7.0, object_id=1)
         cell.add_new(short, current_length=1.0)
+        assert cell.sub_bounds == [2.0] * SUB_CELLS**2 and cell.dynamic_bound == 2.0
         cell.add_new(rect_obj(0.2, 0.2, object_id=2), current_length=1.0)
+        searched = list(cell.sub_bounds)
         assert len(cell) == 2 and cell.degenerate == 1
         assert cell.static_bound == pytest.approx(8.0)
         swept = cell.labeled_rects()
@@ -155,6 +223,7 @@ class TestColumns:
         assert list(swept) == [LabeledRect(0.2, 0.2, 1.0, 1.0, 1.0, True)]
         assert cell.mark_grown(short, 1.0) and cell.expire(1, 3.5)
         assert cell.degenerate == 0 and cell.labeled_rects() is cell.rects
+        assert cell.sub_bounds == searched and cell.dynamic_bound == 3.0
 
     def test_excluded_ids_are_left_out_with_and_without_a_masked_row(self, cell):
         cell.add_new(rect_obj(0.2, 0.2, object_id=2), current_length=1.0)

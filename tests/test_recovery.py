@@ -18,10 +18,10 @@ identical to never having crashed** —
   independent-monitor oracle (``tests/helpers.replay_oracle``), so every
   crash cycle is simultaneously a proof that the shared-work plan's
   group-owned windows / unit-owned monitors survive the snapshot;
-* a checkpoint written by an earlier commit (``snapshot/v1`` shard and
-  monitor files, a ``service-manifest/v1`` manifest) is refused by version
-  with a typed :class:`~repro.state.SnapshotSchemaError`, before any
-  payload is unpickled;
+* a checkpoint written by an earlier commit (``snapshot/v1`` / ``v2`` shard
+  and monitor files, a ``service-manifest/v1`` / ``v2`` manifest) is refused
+  by version with a typed :class:`~repro.state.SnapshotSchemaError`, before
+  any payload is unpickled;
 * the ``repro serve --checkpoint-dir / --resume`` CLI implements exactly
   that protocol end to end, including refusing a resume at a different
   ``--chunk-size`` and refusing to clobber an existing checkpoint.
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import zlib
 from pathlib import Path
 
 import pytest
@@ -353,38 +354,62 @@ class TestRestoreValidation:
         assert MANIFEST_SCHEMA in str(excinfo.value)
 
     @staticmethod
-    def write_v1_snapshot(path, kind):
-        """A ``snapshot/v1`` file as earlier commits wrote them: no checksum,
+    def write_old_snapshot(path, kind, schema):
+        """A snapshot file as earlier commits wrote them — ``v1`` without a
+        checksum, ``v2`` with a valid one, so only its version can refuse it —
         and a payload that must never be reached."""
-        header = {"schema": "snapshot/v1", "kind": kind, "meta": {}}
-        path.write_bytes(
-            SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + b"not a pickle"
-        )
+        payload = b"not a pickle"
+        header = {"schema": schema, "kind": kind, "meta": {}}
+        if schema != "snapshot/v1":
+            header.update(crc32=zlib.crc32(payload), payload_bytes=len(payload))
+        path.write_bytes(SNAPSHOT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
 
     @staticmethod
     def assert_names_both(excinfo, found, expected):
         assert type(excinfo.value) is SnapshotSchemaError
         assert found in str(excinfo.value) and expected in str(excinfo.value)
 
-    def test_v1_monitor_file_is_refused(self, tmp_path):
+    def refuse_monitor_file(self, tmp_path, schema):
         path = tmp_path / "monitor.snap"
-        self.write_v1_snapshot(path, "monitor")
+        self.write_old_snapshot(path, "monitor", schema)
         with pytest.raises(SnapshotSchemaError) as excinfo:
             SurgeMonitor.load(path)
-        self.assert_names_both(excinfo, "snapshot/v1", SNAPSHOT_SCHEMA)
+        self.assert_names_both(excinfo, schema, SNAPSHOT_SCHEMA)
 
-    def test_v1_shard_file_is_refused(self, tmp_path, stream):
+    def test_v1_monitor_file_is_refused(self, tmp_path):
+        self.refuse_monitor_file(tmp_path, "snapshot/v1")
+
+    def test_v2_monitor_file_is_refused(self, tmp_path):
+        self.refuse_monitor_file(tmp_path, "snapshot/v2")
+
+    def refuse_shard_file(self, tmp_path, stream, schema):
         with SurgeService(make_specs()[:2], shards=2, checkpoint_dir=tmp_path) as s:
             s.push_many(stream[:50])
             s.checkpoint()
-        self.write_v1_snapshot(next(tmp_path.glob("shard-01*.ckpt")), "service-shard")
+        self.write_old_snapshot(
+            next(tmp_path.glob("shard-01*.ckpt")), "service-shard", schema
+        )
         with pytest.raises(SnapshotSchemaError) as excinfo:
             SurgeService.restore(tmp_path)
-        self.assert_names_both(excinfo, "snapshot/v1", SNAPSHOT_SCHEMA)
+        self.assert_names_both(excinfo, schema, SNAPSHOT_SCHEMA)
+
+    def test_v1_shard_file_is_refused(self, tmp_path, stream):
+        self.refuse_shard_file(tmp_path, stream, "snapshot/v1")
+
+    def test_v2_shard_file_is_refused(self, tmp_path, stream):
+        self.refuse_shard_file(tmp_path, stream, "snapshot/v2")
 
     def test_v1_manifest_is_refused_after_the_fallback_fails_too(
         self, tmp_path, stream
     ):
+        self.refuse_manifest(tmp_path, stream, "service-manifest/v1")
+
+    def test_v2_manifest_is_refused_after_the_fallback_fails_too(
+        self, tmp_path, stream
+    ):
+        self.refuse_manifest(tmp_path, stream, "service-manifest/v2")
+
+    def refuse_manifest(self, tmp_path, stream, schema):
         with SurgeService(make_specs()[:2], checkpoint_dir=tmp_path) as service:
             for chunk in iter_chunks(stream[: 2 * CHUNK_SIZE], CHUNK_SIZE):
                 service.push_many(chunk)
@@ -393,11 +418,11 @@ class TestRestoreValidation:
         for path in paths:
             record = json.loads(path.read_text())
             assert record["schema"] == MANIFEST_SCHEMA
-            record["schema"] = "service-manifest/v1"
+            record["schema"] = schema
             path.write_text(json.dumps(record))
         with pytest.raises(SnapshotSchemaError) as excinfo:
             SurgeService.restore(tmp_path)
-        self.assert_names_both(excinfo, "service-manifest/v1", MANIFEST_SCHEMA)
+        self.assert_names_both(excinfo, schema, MANIFEST_SCHEMA)
         assert str(paths[0]) in str(excinfo.value)
 
     def test_missing_shard_file(self, tmp_path, stream):
