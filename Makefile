@@ -4,7 +4,7 @@
 #                      pure stdlib fallback works)
 #   make paper         the paper-figure timing harness under benchmarks/
 #                      (slow; rewrites benchmarks/results/*.txt; its Table II
-#                      taxi assertion is still red — ROADMAP item 1)
+#                      taxi and uk assertions are still red — ROADMAP item 1)
 #   make bench         all eight benchmarks below
 #   make bench-sweep   sweep-kernel microbenchmark -> BENCH_sweep.json
 #   make bench-ingest  end-to-end ingestion throughput -> BENCH_ingest.json

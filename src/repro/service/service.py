@@ -12,6 +12,11 @@ every registered :class:`~repro.service.spec.QuerySpec`:
   event batch, and fully identical specs share the detector itself —
   bit-identical to independent monitors, just without the redundant work
   (see :mod:`repro.service.shards`);
+* **one ingest path** — every record reaches the shards through the
+  ingest tier (:class:`~repro.streams.ingest.IngestTier`: screen → reorder
+  → cut → backpressure), whichever of :meth:`~SurgeService.run` or
+  :meth:`~SurgeService.feed` delivered it; strict mode is the same path,
+  refusing what a tolerant configuration would absorb;
 * **shared chunking** — the stream is cut into chunks once; every chunk is
   broadcast to each shard exactly once, and inside the shard each query's
   detector applies its filtered slice through the batched event path;
@@ -38,7 +43,6 @@ Example::
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from pathlib import Path
@@ -70,13 +74,9 @@ from repro.state.recovery import (
 )
 from repro.state.snapshot import SnapshotError, read_snapshot, write_snapshot
 from repro.state.wal import ChunkWal, WalCheckpoint
+from repro.streams.ingest import IngestTier
 from repro.streams.objects import SpatialObject
-from repro.streams.sources import iter_chunks
-from repro.streams.watermark import (
-    IngestStats,
-    WatermarkReorderBuffer,
-    classify_bad_record,
-)
+from repro.streams.watermark import IngestStats
 from repro.streams.windows import OutOfOrderError
 
 logger = logging.getLogger(__name__)
@@ -118,22 +118,20 @@ class SurgeService:
         service writes (e.g. the CLI records its ``--chunk-size`` so a
         resume can refuse a mismatching re-chunking).
     max_lateness:
-        Disorder tolerance of :meth:`run`, in stream seconds.  ``0``
-        (default) is **strict mode**: out-of-order input fails fast with
-        :class:`~repro.streams.windows.OutOfOrderError`, exactly the
-        historical behaviour.  Positive: arrivals are re-sorted through a
-        :class:`~repro.streams.watermark.WatermarkReorderBuffer` ahead of
-        the chunker, stragglers displaced further than the bound are
-        counted and dropped, and any stream whose disorder stays within the
-        bound produces results bit-identical to the pre-sorted stream.
+        Disorder tolerance of the ingest tier, in stream seconds.  ``0``
+        (default) checks order instead of restoring it: out-of-order input
+        fails fast with :class:`~repro.streams.windows.OutOfOrderError`.
+        Positive: arrivals are re-sorted behind a watermark ahead of the
+        chunker, stragglers displaced further than the bound are counted
+        and dropped, and any stream whose disorder stays within the bound
+        produces results bit-identical to the pre-sorted stream.
     on_bad_record:
         Optional callback ``(record, reason) -> None`` invoked for every
-        malformed record quarantined by :meth:`run` (NaN timestamps,
+        malformed record the ingest tier quarantines (NaN timestamps,
         non-finite coordinates, non-``SpatialObject`` values, broken
-        keyword payloads — see
-        :func:`~repro.streams.watermark.classify_bad_record`).  Setting it
-        (or ``quarantine_dir``, or a positive ``max_lateness``) enables the
-        quarantine screen; otherwise malformed records fail fast as before.
+        keyword payloads).  Setting it (or ``quarantine_dir``, or a
+        positive ``max_lateness``) makes the screen absorb; otherwise
+        (**strict mode**) a malformed record raises :class:`ValueError`.
     quarantine_dir:
         Optional directory; quarantined records are appended to
         ``quarantine.jsonl`` there (one JSON line each: reason + record),
@@ -146,12 +144,11 @@ class SurgeService:
         (:attr:`~repro.streams.watermark.IngestStats.spill_errors`) with a
         one-time warning, and the service continues.
     max_inflight_chunks:
-        Optional bound (in chunks) on the raw arrivals buffered between the
-        disorder-tolerant ingestion tier and the shard executors (reorder
-        heap plus pending chunk).  When the budget would be exceeded, the
-        oldest held-back arrivals are force-released early
-        (:meth:`~repro.streams.watermark.WatermarkReorderBuffer.
-        force_release`) and dispatched: memory stays provably bounded at
+        Optional bound (in chunks) on the raw arrivals the ingest tier
+        holds back ahead of the shard executors (reorder heap plus partial
+        chunk).  When the budget would be exceeded, the oldest held-back
+        arrivals are force-released early and dispatched: memory stays
+        provably bounded at
         ``max_inflight_chunks × chunk_size`` objects whatever the stream
         does, trading a slice of the reorder horizon under pressure
         (force-released objects are counted; a straggler landing behind the
@@ -260,34 +257,19 @@ class SurgeService:
         self._chunk_offset = 0
         self._stats = ServiceStats()
         self._closed = False
-        # Disorder-tolerant ingestion tier (see run()): active when any of
-        # the three knobs is set, otherwise run() is the historical strict
-        # chunker with zero new work on the hot path.
-        max_lateness = float(max_lateness)
-        if max_lateness < 0:
-            raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")
-        self.max_lateness = max_lateness
-        self.on_bad_record = on_bad_record
-        self.quarantine_dir = Path(quarantine_dir) if quarantine_dir is not None else None
-        self._reorder: WatermarkReorderBuffer | None = (
-            WatermarkReorderBuffer(max_lateness) if max_lateness > 0 else None
+        # The ingest tier (see feed()): every record reaches push_many
+        # through it — screened, ordered, cut into chunks, held to a budget.
+        self._ingest = IngestTier(
+            max_lateness,
+            on_bad_record=on_bad_record,
+            quarantine_dir=quarantine_dir,
+            max_inflight_chunks=max_inflight_chunks,
+            tracer=tracer,
         )
-        #: Released by the reorder buffer (or screened, in lateness-0
-        #: tolerant mode) but not yet dispatched as a full chunk.
-        self._pending: list[SpatialObject] = []
-        #: Raw records consumed from the input stream by tolerant run()s —
-        #: the tolerant tier's replay offset (resume skips raw records, not
-        #: chunks: a chunk boundary no longer maps 1:1 to the raw stream).
-        self._raw_consumed = 0
-        self._quarantined = 0
-        self._spill_errors = 0
-        self._spill_warned = False
-        # Overload tier (see the class docstring): backpressure budget,
-        # degraded-mode state machine, compaction cadence.
-        if max_inflight_chunks is not None and max_inflight_chunks < 1:
-            raise ValueError(
-                f"max_inflight_chunks must be >= 1, got {max_inflight_chunks}"
-            )
+        self.max_lateness = self._ingest.max_lateness
+        self.quarantine_dir = self._ingest.quarantine_dir
+        # Overload tier (see the class docstring): degraded-mode state
+        # machine, compaction cadence.
         if compact_every_chunks is not None and compact_every_chunks < 1:
             raise ValueError(
                 f"compact_every_chunks must be >= 1, got {compact_every_chunks}"
@@ -296,11 +278,6 @@ class SurgeService:
         self.overload_config = overload
         self.compact_every_chunks = compact_every_chunks
         self._overload = OverloadStats()
-        self._peak_buffered = 0
-        #: Chunk size of the active run() (the unit the queue depth is
-        #: measured in); manual push_many callers can rely on the bus-side
-        #: depth only.
-        self._run_chunk_size: int | None = None
         self._shed_cache: frozenset[str] | None = None
         #: Listener configuration recorded by the network tier (see
         #: :mod:`repro.server`): persisted in the manifest so a ``--resume``
@@ -388,18 +365,13 @@ class SurgeService:
         """Observed queue depth in chunks — the overload watermark's input.
 
         The larger of two backlogs: raw arrivals buffered ahead of the
-        shards (reorder heap + pending chunk, over the active run's chunk
-        size — a pure function of the stream, so replayed runs see the
-        same depths), and the deepest bounded bus subscription (updates,
-        over the live query count: one chunk produces one update per
-        query).
+        shards (reorder heap + pending list, over the chunk size being cut
+        — a pure function of the stream, so replayed runs see the same
+        depths; bare push_many callers buffer nothing there), and the
+        deepest bounded bus subscription (updates, over the live query
+        count: one chunk produces one update per query).
         """
-        depth = 0.0
-        if self._run_chunk_size:
-            buffered = len(self._pending)
-            if self._reorder is not None:
-                buffered += len(self._reorder)
-            depth = buffered / self._run_chunk_size
+        depth = len(self._ingest) / self._ingest.chunk_size
         if self._order:
             bus_depth = self.bus.max_queue_depth() / len(self._order)
             if bus_depth > depth:
@@ -566,8 +538,9 @@ class SurgeService:
             self._overload.updates_shed += len(shed)
         if objs:
             # Empty chunks are no-ops for every monitor and are never
-            # produced by iter_chunks, so they must not advance the replay
-            # offset — counting one would make a resume skip a real chunk.
+            # produced by the ingest tier (or iter_chunks), so they must not
+            # advance the replay offset — counting one would make a resume
+            # skip a real chunk.
             offset = self._chunk_offset
             self._chunk_offset = offset + 1
             if (
@@ -700,13 +673,9 @@ class SurgeService:
         """Capture a slow chunk: its span tree plus the live queue depths."""
         tracer = self._tracer
         assert tracer is not None
-        depths: dict[str, Any] = {
-            "pending_objects": len(self._pending),
-            "bus_max_queue_depth": self.bus.max_queue_depth(),
-            "queue_depth_chunks": self.queue_depth_chunks(),
-        }
-        if self._reorder is not None:
-            depths["reorder"] = self._reorder.depths()
+        depths = self._ingest.depths()
+        depths["bus_max_queue_depth"] = self.bus.max_queue_depth()
+        depths["queue_depth_chunks"] = self.queue_depth_chunks()
         spans = [span for span in tracer.recorder.spans() if span[1] >= started]
         count = tracer.recorder.record_slow_chunk(
             {
@@ -733,72 +702,62 @@ class SurgeService:
 
     def run(
         self,
-        stream: Iterable[SpatialObject],
+        stream: Iterable[Any],
         chunk_size: int = 512,
         start_offset: int = 0,
     ) -> Iterator[list[QueryUpdate]]:
         """Chunk a whole stream through the service, yielding per-chunk updates.
 
+        :meth:`feed` over the stream, then :meth:`flush_pending` — one
+        ingest path, so the chunks the shards see are exactly those of the
+        pre-sorted, well-formed stream in every mode.
+
         ``start_offset`` skips that many leading chunks — the resume idiom:
         a service restored from a checkpoint replays the same stream with
         ``start_offset=service.chunk_offset`` (and the *same* ``chunk_size``
         as the original run, or the skipped prefix would not line up), so
-        every chunk lands in the service state exactly once.
-
-        With the disorder-tolerant tier enabled (``max_lateness``,
-        ``on_bad_record`` or ``quarantine_dir`` set) the stream is screened
-        and re-sorted *ahead of* the chunker: malformed records are
-        quarantined, bounded disorder is absorbed by the reorder buffer, and
-        the ordered output is re-cut into ``chunk_size`` chunks — so the
-        chunks the shards see are exactly those of the pre-sorted stream,
-        which is what makes the results bit-identical to it (chunk
-        boundaries are score-visible at the 1e-15 level, so re-sorting
-        *within* chunks would not be enough).  Resume then replays *raw
-        records*, not chunks: pass ``start_offset=service.chunk_offset``
-        exactly as in strict mode, and the tier skips the
-        already-consumed raw prefix itself.
+        every chunk lands in the service state exactly once.  ``stream`` is
+        always the whole stream from its start; the ingest tier works out
+        the prefix it has already consumed
+        (:meth:`~repro.streams.ingest.IngestTier.unconsumed`): whole chunks
+        in strict mode, raw records once records may be quarantined, dropped
+        or held back across a chunk boundary.
         """
-        self._run_chunk_size = chunk_size
-        if not self._tolerant:
-            for chunk in iter_chunks(stream, chunk_size, start_offset=start_offset):
-                yield self.push_many(chunk)
-            return
-        yield from self._run_tolerant(stream, chunk_size, start_offset)
-
-    @property
-    def _tolerant(self) -> bool:
-        return (
-            self._reorder is not None
-            or self.on_bad_record is not None
-            or self.quarantine_dir is not None
+        rest = self._ingest.unconsumed(
+            stream, chunk_size, start_offset, self._chunk_offset
         )
+        yield from self.feed(rest, chunk_size)
+        yield from self.flush_pending(chunk_size)
 
     def feed(
         self, records: Iterable[Any], chunk_size: int = 512
     ) -> Iterator[list[QueryUpdate]]:
         """Push-style incremental ingestion — the network tier's entry point.
 
-        Unlike :meth:`run`, which consumes a whole stream, ``feed`` accepts
-        arrivals in arbitrary batches and dispatches whatever *full* chunks
-        they complete, holding the remainder (and, in tolerant mode, the
-        reorder buffer's contents) for the next batch.  Interleaving
-        ``feed`` calls with :meth:`flush_pending` at the very end is
-        bit-identical to one :meth:`run` over the concatenated batches:
-        chunk boundaries depend only on the arrival sequence, never on how
-        it was split across calls.
+        Accepts arrivals in arbitrary batches and dispatches whatever *full*
+        chunks they complete, holding the remainder (and the reorder
+        buffer's contents) for the next batch.  Interleaving ``feed`` calls
+        with :meth:`flush_pending` at the very end is bit-identical to one
+        :meth:`run` over the concatenated batches: chunk boundaries depend
+        only on the arrival sequence, never on how it was split across
+        calls.
 
-        In tolerant mode (``max_lateness`` / ``on_bad_record`` /
-        ``quarantine_dir``) records are screened and re-sorted exactly as in
-        :meth:`run`.  In strict mode a malformed record raises
-        :class:`ValueError` and an out-of-order one raises
-        :class:`~repro.streams.windows.OutOfOrderError` — fail-fast, so a
-        network caller gets a typed refusal instead of silent corruption.
+        Every record goes through the ingest tier
+        (:class:`~repro.streams.ingest.IngestTier`): screened, put in
+        timestamp order, cut into chunks.  What a tolerant configuration
+        absorbs, strict mode refuses — a malformed record raises
+        :class:`ValueError`, an out-of-order one
+        :class:`~repro.streams.windows.OutOfOrderError` — before anything of
+        the offending chunk reaches a window.
         """
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self._run_chunk_size = chunk_size
+        tier = self._ingest
+        tier.set_chunk_size(chunk_size)
+        # Chunks a restored tier already holds go first, as they did in the
+        # run the checkpoint interrupted.
+        yield from self._dispatch_ready()
         for record in records:
-            yield from self._ingest_record(record, chunk_size)
+            if tier.push(record, self._time):
+                yield from self._dispatch_ready()
 
     def flush_pending(
         self, chunk_size: int | None = None
@@ -810,195 +769,16 @@ class SurgeService:
         possibly short — exactly what chunking the pre-sorted stream would
         have produced.  Safe to call when nothing is pending (no-op).
         """
-        if chunk_size is None:
-            chunk_size = self._run_chunk_size or 512
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if self._reorder is not None:
-            self._pending.extend(self._reorder.flush())
-        while self._pending:
-            chunk = self._pending[:chunk_size]
-            del self._pending[:chunk_size]
+        if chunk_size is not None:
+            self._ingest.set_chunk_size(chunk_size)
+        yield from self._dispatch_ready(final=True)
+
+    def _dispatch_ready(self, final: bool = False) -> Iterator[list[QueryUpdate]]:
+        # One chunk at a time: a checkpoint firing inside push_many finds
+        # the dispatched chunk off the tier (it is counted in chunk_offset)
+        # and every later one still inside it.
+        while (chunk := self._ingest.pop_chunk(final)) is not None:
             yield self.push_many(chunk)
-
-    def _run_tolerant(
-        self,
-        stream: Iterable[SpatialObject],
-        chunk_size: int,
-        start_offset: int,
-    ) -> Iterator[list[QueryUpdate]]:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if start_offset != self._chunk_offset:
-            raise ValueError(
-                f"tolerant-mode resume replays raw records, not chunks: pass "
-                f"start_offset=service.chunk_offset "
-                f"(={self._chunk_offset}), got {start_offset}"
-            )
-        iterator = iter(stream)
-        # Skip the raw records already consumed before the checkpoint this
-        # service was restored from; their surviving effects (applied
-        # chunks, held-back buffer contents, pending list, counters) were
-        # all restored with the service state.
-        skipped = 0
-        while skipped < self._raw_consumed:
-            try:
-                next(iterator)
-            except StopIteration:
-                raise ValueError(
-                    f"resume stream is shorter than the checkpoint's "
-                    f"raw-record offset: consumed {self._raw_consumed} "
-                    f"records before the crash, replay provided {skipped} "
-                    f"(different stream?)"
-                ) from None
-            skipped += 1
-        for record in iterator:
-            yield from self._ingest_record(record, chunk_size)
-        # End of stream: everything still held back is released (in order)
-        # and dispatched, last chunk possibly short — exactly what chunking
-        # the pre-sorted stream would have produced.
-        yield from self.flush_pending(chunk_size)
-
-    def _ingest_record(
-        self, record: Any, chunk_size: int
-    ) -> Iterator[list[QueryUpdate]]:
-        self._raw_consumed += 1
-        reason = classify_bad_record(record)
-        if reason is not None:
-            if not self._tolerant:
-                # feed() in strict mode: fail fast with the classifier's
-                # reason instead of quarantining silently — the historical
-                # strict contract, surfaced as a typed refusal.
-                raise ValueError(
-                    f"malformed record in strict mode ({reason}); enable "
-                    f"the quarantine screen (max_lateness, on_bad_record "
-                    f"or quarantine_dir) to absorb bad records"
-                )
-            self._quarantine(record, reason)
-            return
-        if self._reorder is not None:
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:
-                reorder_started = time.perf_counter()
-                released = self._reorder.push(record)
-                tracer.record(
-                    "ingest.reorder",
-                    reorder_started,
-                    time.perf_counter(),
-                    lane="ingest",
-                )
-                self._pending.extend(released)
-            else:
-                self._pending.extend(self._reorder.push(record))
-        else:
-            # Lateness 0 with only the quarantine screen active: ordering
-            # stays strict, and the violation surfaces here (fail-fast)
-            # rather than at the next chunk boundary.
-            last = self._pending[-1].timestamp if self._pending else self._time
-            if record.timestamp < last:
-                raise OutOfOrderError(
-                    f"out-of-order arrival: object id={record.object_id} has "
-                    f"timestamp t={record.timestamp}, which is earlier than "
-                    f"the last-accepted stream time t={last} (strict mode: "
-                    f"set max_lateness > 0 to absorb bounded disorder)",
-                    object_id=record.object_id,
-                    timestamp=record.timestamp,
-                    last_time=last,
-                )
-            self._pending.append(record)
-        # Dispatch in full chunks only; the remainder stays pending so the
-        # chunk boundaries match the pre-sorted stream's.  A checkpoint
-        # firing inside push_many sees consistent state: the dispatched
-        # chunk is already off the pending list and _raw_consumed counts
-        # every record consumed so far.
-        while len(self._pending) >= chunk_size:
-            chunk = self._pending[:chunk_size]
-            del self._pending[:chunk_size]
-            yield self.push_many(chunk)
-        if self.max_inflight_chunks is not None and self._reorder is not None:
-            # Backpressure valve: the reorder heap is the only place raw
-            # arrivals can pile up without bound (a flash crowd inside one
-            # lateness window).  Over budget, the oldest held-back arrivals
-            # are released early — still in sorted order — and dispatched,
-            # so the buffered total never exceeds the budget after any
-            # record (the transient above it is the one record just pushed).
-            budget = self.max_inflight_chunks * chunk_size
-            while (
-                len(self._pending) + len(self._reorder) > budget
-                and len(self._reorder) > 0
-            ):
-                # Release enough to cover the excess AND complete a full
-                # chunk — a release that leaves pending short of a chunk
-                # dispatches nothing and the total would stay over budget.
-                excess = len(self._pending) + len(self._reorder) - budget
-                short = chunk_size - (len(self._pending) % chunk_size)
-                self._pending.extend(
-                    self._reorder.force_release(max(excess, short))
-                )
-                while len(self._pending) >= chunk_size:
-                    chunk = self._pending[:chunk_size]
-                    del self._pending[:chunk_size]
-                    yield self.push_many(chunk)
-        buffered = len(self._pending) + (
-            len(self._reorder) if self._reorder is not None else 0
-        )
-        if buffered > self._peak_buffered:
-            self._peak_buffered = buffered
-
-    def _quarantine(self, record: Any, reason: str) -> None:
-        tracer = self._tracer
-        traced = tracer is not None and tracer.enabled
-        quarantine_started = time.perf_counter() if traced else 0.0
-        self._quarantined += 1
-        if self.quarantine_dir is not None:
-            if isinstance(record, SpatialObject):
-                payload: Any = {
-                    "x": record.x,
-                    "y": record.y,
-                    "timestamp": record.timestamp,
-                    "weight": record.weight,
-                    "object_id": record.object_id,
-                    "attributes": dict(record.attributes),
-                }
-            else:
-                payload = repr(record)
-            line = json.dumps(
-                {"reason": reason, "record": payload}, default=repr, sort_keys=True
-            )
-            try:
-                self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-                with open(
-                    self.quarantine_dir / "quarantine.jsonl", "a", encoding="utf-8"
-                ) as handle:
-                    handle.write(line + "\n")
-            except OSError as exc:
-                # The spill is observability, not state: an unwritable or
-                # full directory must not kill ingestion mid-chunk.  The
-                # failure is counted and warned about exactly once.
-                self._spill_errors += 1
-                if not self._spill_warned:
-                    self._spill_warned = True
-                    logger.warning(
-                        "quarantine spill to %s failed (%s); quarantined "
-                        "records are still counted and skipped, but will not "
-                        "be written out (warning once)",
-                        self.quarantine_dir,
-                        exc,
-                        extra={
-                            "quarantine_dir": str(self.quarantine_dir),
-                            "spill_errors": self._spill_errors,
-                        },
-                    )
-        if self.on_bad_record is not None:
-            self.on_bad_record(record, reason)
-        if traced:
-            tracer.record(
-                "ingest.quarantine",
-                quarantine_started,
-                time.perf_counter(),
-                lane="ingest",
-                meta={"reason": reason},
-            )
 
     # ------------------------------------------------------------------
     # Results and stats
@@ -1060,19 +840,11 @@ class SurgeService:
         return self._tracer.recorder.stage_stats()
 
     def ingest_stats(self) -> IngestStats:
-        """The disorder-tolerant tier's counters (all zero in strict mode,
-        except ``subscriber_errors``, which the bus isolates unconditionally)."""
-        stats = IngestStats(
-            quarantined=self._quarantined,
-            subscriber_errors=self.bus.subscriber_errors,
-            spill_errors=self._spill_errors,
-            peak_buffered=self._peak_buffered,
-        )
-        if self._reorder is not None:
-            stats.reordered = self._reorder.reordered
-            stats.late_dropped = self._reorder.late_dropped
-            stats.duplicates_seen = self._reorder.duplicates_seen
-            stats.force_released = self._reorder.force_released
+        """The ingest tier's live counters, plus ``subscriber_errors``, which
+        the bus isolates and counts (in strict mode only it and
+        ``peak_buffered`` ever move)."""
+        stats = self._ingest.stats
+        stats.subscriber_errors = self.bus.subscriber_errors
         return stats
 
     # ------------------------------------------------------------------
@@ -1095,8 +867,8 @@ class SurgeService:
 
     @property
     def raw_consumed(self) -> int:
-        """Raw records consumed by ``feed``/tolerant ``run`` (replay offset)."""
-        return self._raw_consumed
+        """Raw records consumed by ``feed`` / ``run`` (replay offset)."""
+        return self._ingest.raw_consumed
 
     @property
     def checkpoint_dir(self) -> Path | None:
@@ -1235,32 +1007,21 @@ class SurgeService:
             ]
         )
         ingest_record: dict[str, Any] | None = None
-        if self._tolerant or self._pending or self._raw_consumed:
-            # The second and third conditions cover strict-mode feed():
-            # a partial pending chunk and the raw-record offset are state
-            # too, even without the reorder buffer.
+        tier = self._ingest
+        if not tier.strict or tier.raw_consumed:
             # The ingest tier's held-back events are part of checkpoint
             # state: without them a resume would replay the raw stream into
             # an empty buffer and double- or under-deliver around the
-            # watermark.  Written before the manifest (same crash-safety
-            # ordering as the shard files).
+            # watermark.  A strict tier no record went through (a service
+            # driven by bare push_many) holds nothing.  Written before the
+            # manifest (same crash-safety ordering as the shard files).
             ingest_file = ingest_snapshot_name(generation)
             write_snapshot(
-                target / ingest_file,
-                INGEST_SNAPSHOT_KIND,
-                {
-                    "reorder": self._reorder,
-                    "pending": list(self._pending),
-                },
-                meta=dict(shard_meta, raw_consumed=self._raw_consumed),
+                target / ingest_file, INGEST_SNAPSHOT_KIND, tier, meta=shard_meta
             )
+            # Only what must be known before unpickling the tier.
             ingest_record = {
-                "max_lateness": self.max_lateness,
-                "raw_consumed": self._raw_consumed,
-                "quarantined": self._quarantined,
-                "subscriber_errors": self.bus.subscriber_errors,
-                "spill_errors": self._spill_errors,
-                "peak_buffered": self._peak_buffered,
+                "max_lateness": tier.max_lateness,
                 "snapshot_file": ingest_file,
             }
         obs_record: dict[str, Any] | None = None
@@ -1314,6 +1075,7 @@ class SurgeService:
                 "chunks_pushed": self._stats.chunks_pushed,
                 "object_query_pairs": self._stats.object_query_pairs,
                 "wall_seconds": self._stats.wall_seconds,
+                "subscriber_errors": self.bus.subscriber_errors,
                 "per_query": self.bus.export_stats(),
             },
             shard_files=shard_files,
@@ -1380,14 +1142,12 @@ class SurgeService:
         further WAL appends and automatic checkpoints under
         ``checkpoint_policy`` (default: the recorded policy).
 
-        A checkpoint taken with the disorder-tolerant tier enabled restores
-        the tier too: ``max_lateness`` comes from the manifest (it shapes
-        the replayed chunking, so it cannot be changed mid-stream), the
-        reorder buffer's held-back events and the raw-record replay offset
-        come from the ingest snapshot, and the quarantine counters carry
-        over.  ``on_bad_record`` / ``quarantine_dir`` re-attach the
-        non-picklable spill targets (callbacks and paths are configuration,
-        not state).
+        The ingest tier is restored whole from its snapshot — held-back
+        events, pending list, raw-record replay offset, counters and mode
+        (``max_lateness`` and strictness shape the replayed chunking, so
+        they cannot be changed mid-stream).  ``on_bad_record`` /
+        ``quarantine_dir`` re-attach the non-picklable spill targets
+        (callbacks and paths are configuration, not state).
 
         ``tracer`` re-attaches the observability tier (a tracer, like a
         callback, is configuration): when the checkpoint carries a flight
@@ -1471,7 +1231,6 @@ class SurgeService:
                 )
         specs = [QuerySpec.from_dict(record) for record in manifest.specs]
 
-        ingest_record = manifest.ingest
         overload_record = manifest.overload
         overload_config = None
         max_inflight_chunks = None
@@ -1491,11 +1250,7 @@ class SurgeService:
             shards=manifest.n_shards,
             executor=executor if executor is not None else manifest.executor,
             executor_options=executor_options,
-            max_lateness=(
-                float(ingest_record.get("max_lateness", 0.0))
-                if ingest_record is not None
-                else 0.0
-            ),
+            max_lateness=float((manifest.ingest or {}).get("max_lateness", 0.0)),
             on_bad_record=on_bad_record,
             quarantine_dir=quarantine_dir,
             max_inflight_chunks=max_inflight_chunks,
@@ -1510,7 +1265,6 @@ class SurgeService:
                 manifest,
                 shard_paths,
                 specs,
-                ingest_record,
                 overload_record,
                 checkpoint_policy=checkpoint_policy,
                 attach=attach,
@@ -1532,7 +1286,6 @@ class SurgeService:
         manifest: ServiceManifest,
         shard_paths: list[Path],
         specs: list[QuerySpec],
-        ingest_record: dict[str, Any] | None,
         overload_record: dict[str, Any] | None,
         *,
         checkpoint_policy: CheckpointPolicy | None,
@@ -1579,28 +1332,17 @@ class SurgeService:
             wall_seconds=float(stats.get("wall_seconds", 0.0)),
         )
         service.bus.load_stats(stats.get("per_query", {}))
-        if ingest_record is not None:
-            service._raw_consumed = int(ingest_record.get("raw_consumed", 0))
-            service._quarantined = int(ingest_record.get("quarantined", 0))
-            service._spill_errors = int(ingest_record.get("spill_errors", 0))
-            service._peak_buffered = int(ingest_record.get("peak_buffered", 0))
-            service.bus.subscriber_errors = int(
-                ingest_record.get("subscriber_errors", 0)
-            )
-            snapshot_file = ingest_record.get("snapshot_file")
-            if snapshot_file is not None:
-                ingest_path = directory / snapshot_file
-                if not ingest_path.exists():
-                    raise SnapshotError(
-                        f"{manifest_path(directory)} names a missing ingest "
-                        f"snapshot {ingest_path.name} (incomplete checkpoint "
-                        f"directory?)"
-                    )
-                _, ingest_state = read_snapshot(
-                    ingest_path, expected_kind=INGEST_SNAPSHOT_KIND
+        service.bus.subscriber_errors = int(stats.get("subscriber_errors", 0))
+        if manifest.ingest is not None:
+            ingest_path = directory / manifest.ingest["snapshot_file"]
+            if not ingest_path.exists():
+                raise SnapshotError(
+                    f"{manifest_path(directory)} names a missing ingest "
+                    f"snapshot {ingest_path.name} (incomplete checkpoint "
+                    f"directory?)"
                 )
-                service._reorder = ingest_state["reorder"]
-                service._pending = list(ingest_state["pending"])
+            _, tier = read_snapshot(ingest_path, expected_kind=INGEST_SNAPSHOT_KIND)
+            service._ingest = tier.reattach(service._ingest)
         if manifest.server is not None:
             service.server_info = dict(manifest.server)
 

@@ -99,10 +99,7 @@ class QueryPipeline:
     __slots__ = (
         "spec",
         "monitor",
-        "objects_routed",
-        "chunks_processed",
         "chunks_skipped",
-        "busy_seconds",
         "epoch",
         "last_result",
     )
@@ -110,10 +107,7 @@ class QueryPipeline:
     def __init__(self, spec: QuerySpec, epoch: int = 0) -> None:
         self.spec = spec
         self.monitor = spec.build_monitor()
-        self.objects_routed = 0
-        self.chunks_processed = 0
         self.chunks_skipped = 0
-        self.busy_seconds = 0.0
         self.epoch = epoch
         self.last_result = self.monitor.result()
 
@@ -123,17 +117,14 @@ class QueryPipeline:
         The non-empty-route path: the owning :class:`WindowGroup` already
         ran ``observe_batch`` on the shared window pair; this pipeline only
         pays the detector half.  ``shared_seconds`` is this pipeline's slice
-        of the shard-wide routing/windowing work, folded into
-        ``busy_seconds`` so the counter keeps meaning "time this query's
-        presence cost the shard".
+        of the shard-wide routing/windowing work, folded into the update's
+        ``busy_seconds`` so it keeps meaning "time this query's presence
+        cost the shard".
         """
         started = time.perf_counter()
         result = self.monitor.apply_batch(batch)
         self.last_result = result
         busy = time.perf_counter() - started + shared_seconds
-        self.objects_routed += n_routed
-        self.chunks_processed += 1
-        self.busy_seconds += busy
         return QueryUpdate(
             query_id=self.spec.query_id,
             chunk_index=chunk_index,
@@ -150,9 +141,6 @@ class QueryPipeline:
         follower's answer *is* the leader's answer.
         """
         self.last_result = result
-        self.objects_routed += n_routed
-        self.chunks_processed += 1
-        self.busy_seconds += shared_seconds
         return QueryUpdate(
             query_id=self.spec.query_id,
             chunk_index=chunk_index,
@@ -177,8 +165,6 @@ class QueryPipeline:
         result = self.last_result
         self.chunks_skipped += 1
         busy = time.perf_counter() - started + shared_seconds
-        self.chunks_processed += 1
-        self.busy_seconds += busy
         return QueryUpdate(
             query_id=self.spec.query_id,
             chunk_index=chunk_index,
@@ -201,7 +187,6 @@ class QueryPipeline:
         else:
             result = self.last_result
         busy = time.perf_counter() - started
-        self.busy_seconds += busy
         return QueryUpdate(
             query_id=self.spec.query_id,
             chunk_index=chunk_index,
@@ -304,8 +289,6 @@ class ShardState:
         ``[(query_id, RegionResult | None), ...]`` without ingesting.
     ``("top_k", k)``
         ``[(query_id, [RegionResult, ...]), ...]`` without ingesting.
-    ``("stats",)``
-        ``[(query_id, objects_routed, chunks_processed, busy_seconds), ...]``.
     ``("checkpoint", path, meta)``
         Atomically snapshot the whole shard (every pipeline's monitor and
         counters) to ``path`` — *inside* the shard, so under the process
@@ -707,16 +690,6 @@ class ShardState:
         if kind == "top_k":
             return [
                 (query_id, pipeline.monitor.top_k(message[1]))
-                for query_id, pipeline in self.pipelines.items()
-            ]
-        if kind == "stats":
-            return [
-                (
-                    query_id,
-                    pipeline.objects_routed,
-                    pipeline.chunks_processed,
-                    pipeline.busy_seconds,
-                )
                 for query_id, pipeline in self.pipelines.items()
             ]
         if kind == "checkpoint":

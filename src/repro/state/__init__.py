@@ -2,7 +2,7 @@
 
 This package turns the continuous monitors into restartable services:
 
-* :mod:`repro.state.snapshot` — the ``snapshot/v3`` codec: schema-tagged,
+* :mod:`repro.state.snapshot` — the ``snapshot/v4`` codec: schema-tagged,
   atomically-written files holding the complete live state of a
   :class:`~repro.core.monitor.SurgeMonitor` or one service shard;
 * :mod:`repro.state.wal` — the chunk-offset write-ahead log giving

@@ -7,7 +7,7 @@ A service checkpoint directory looks like::
       wal.log                 chunk-offset write-ahead log (repro.state.wal)
       shard-00.g000003.ckpt   one snapshot file per shard, per generation
       shard-01.g000003.ckpt   (repro.state.snapshot, kind "service-shard")
-      ingest.g000003.ckpt     disorder-tolerant tier state, when enabled
+      ingest.g000003.ckpt     the ingest tier, once it holds any state
       obs.g000003.ckpt        tracing flight recorder, when a tracer is on
 
 Checkpoint protocol (crash-safe by ordering):
@@ -44,7 +44,7 @@ from repro.state.snapshot import SnapshotError, _atomic_write_bytes, check_schem
 logger = logging.getLogger(__name__)
 
 #: The manifest format version this build reads and writes.
-MANIFEST_SCHEMA = "service-manifest/v3"
+MANIFEST_SCHEMA = "service-manifest/v4"
 MANIFEST_NAME = "MANIFEST.json"
 #: Backup of the manifest the last checkpoint replaced.  Restore falls back
 #: to it when the current manifest names a shard file whose write was
@@ -56,9 +56,9 @@ WAL_NAME = "wal.log"
 #: ``kind`` of the per-shard snapshot files in a checkpoint directory.
 SHARD_SNAPSHOT_KIND = "service-shard"
 
-#: ``kind`` of the ingest-tier snapshot (reorder buffer + released-but-
-#: undispatched objects) written alongside the shard files when the service
-#: runs the disorder-tolerant ingestion tier.
+#: ``kind`` of the ingest-tier snapshot (the pickled tier: reorder buffer,
+#: pending list, replay offset, counters) written alongside the shard files
+#: once a record went through the tier or it is configured to absorb.
 INGEST_SNAPSHOT_KIND = "service-ingest"
 
 #: ``kind`` of the observability snapshot (the tracing tier's flight
@@ -111,12 +111,12 @@ class ServiceManifest:
     #: Free-form caller metadata (e.g. the CLI records its ``--chunk-size``
     #: here so a resume can refuse a mismatching re-chunking).
     extra: dict = field(default_factory=dict)
-    #: Disorder-tolerant ingestion tier state (``None`` = strict mode, and
-    #: in every pre-robustness manifest): ``max_lateness``, the raw-record
-    #: replay offset ``raw_consumed``, the quarantine/subscriber counters,
-    #: and the name of the generation's ingest snapshot file (reorder
-    #: buffer + released-but-undispatched objects).  Optional field, same
-    #: schema version — old manifests load with the tier off.
+    #: Ingest tier state (``None`` = a strict tier no record went through):
+    #: what must be known before unpickling it — ``max_lateness`` (the CLI
+    #: checks it against ``--max-lateness`` on resume) and the name of the
+    #: generation's ingest snapshot file, which holds the pickled
+    #: :class:`~repro.streams.ingest.IngestTier` (reorder buffer, pending
+    #: list, replay offset, counters).
     ingest: dict | None = None
     #: Overload tier state (``None`` = tier unconfigured, and in every
     #: pre-overload manifest): the :class:`~repro.service.overload.

@@ -8,12 +8,12 @@ counter) or of one service shard (every query pipeline it hosts, plus the
 routing counters), together with enough header metadata to decide *whether*
 the payload can be read at all before touching it.
 
-File format (``snapshot/v3``)
+File format (``snapshot/v4``)
 -----------------------------
 ::
 
     REPRO-SNAPSHOT\\n                 16-byte ASCII magic line
-    {"schema": "snapshot/v3", ...}\\n one JSON header line (UTF-8)
+    {"schema": "snapshot/v4", ...}\\n one JSON header line (UTF-8)
     <pickle bytes>                    the payload
 
 The header carries ``schema`` (the codec version), ``kind`` (what the
@@ -29,8 +29,8 @@ bytes can execute arbitrary reduce hooks — the checksum runs first, and a
 header without one is refused).
 
 The version names the pickled layout of the state classes as well as the
-file framing: ``snapshot/v1`` and ``v2`` files hold detector, pipeline,
-buffer and cell layouts this build no longer reads, so they are refused by
+file framing: ``snapshot/v1`` to ``v3`` files hold detector, pipeline,
+ingest-tier and cell layouts this build no longer reads, so they are refused by
 version rather than patched up while unpickling.
 
 Writes are atomic: the file is assembled under a temporary name in the same
@@ -58,7 +58,7 @@ from typing import Any, Mapping
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\n"
 
 #: The codec version this build reads and writes.
-SNAPSHOT_SCHEMA = "snapshot/v3"
+SNAPSHOT_SCHEMA = "snapshot/v4"
 
 
 class SnapshotError(RuntimeError):
@@ -104,7 +104,7 @@ def write_snapshot(
     payload: Any,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Serialise ``payload`` to ``path`` as a ``snapshot/v3`` file.
+    """Serialise ``payload`` to ``path`` as a ``snapshot/v4`` file.
 
     Returns the header that was written.  The write is atomic; on any
     failure the previous file at ``path`` (if one existed) is untouched.

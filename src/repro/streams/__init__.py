@@ -33,6 +33,7 @@ from repro.streams.watermark import (
     WatermarkReorderBuffer,
     classify_bad_record,
 )
+from repro.streams.ingest import IngestTier
 from repro.streams.faults import FaultInjector, FaultProfile
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "stretch_to_rate",
     "stretch_to_duration",
     "IngestStats",
+    "IngestTier",
     "WatermarkReorderBuffer",
     "classify_bad_record",
     "FaultInjector",

@@ -32,15 +32,14 @@ reproduction's bit-identity bar:
   Hypothesis property across detectors, plans and executors.
 
 The buffer is plain picklable Python state (a heap plus counters), which is
-what lets :class:`~repro.service.SurgeService` include its held-back events
-in checkpoint snapshots: SIGKILL-and-resume under disorder replays the raw
-stream from the recorded offset into the restored buffer and stays
-exactly-once (``scripts/chaos_smoke.py``).
+what lets :class:`~repro.streams.ingest.IngestTier` — its one user — carry
+the held-back events in checkpoint snapshots: SIGKILL-and-resume under
+disorder replays the raw stream from the recorded offset into the restored
+buffer and stays exactly-once (``scripts/chaos_smoke.py``).
 
-:class:`IngestStats` is the observable surface of the whole disorder-
-tolerant tier (reordering, drops, duplicates, quarantined poison records,
-subscriber faults), exported through
-:class:`~repro.service.bus.ServiceStats`.
+:class:`IngestStats` is the observable surface of the whole ingest tier
+(reordering, drops, duplicates, quarantined poison records, subscriber
+faults), exported through :class:`~repro.service.bus.ServiceStats`.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.streams.objects import SpatialObject
@@ -107,30 +106,8 @@ class IngestStats:
     peak_buffered: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        """JSON form stored in service checkpoint manifests."""
-        return {
-            "reordered": self.reordered,
-            "late_dropped": self.late_dropped,
-            "duplicates_seen": self.duplicates_seen,
-            "quarantined": self.quarantined,
-            "subscriber_errors": self.subscriber_errors,
-            "force_released": self.force_released,
-            "spill_errors": self.spill_errors,
-            "peak_buffered": self.peak_buffered,
-        }
-
-    @staticmethod
-    def from_dict(record: Mapping[str, Any]) -> "IngestStats":
-        return IngestStats(
-            reordered=int(record.get("reordered", 0)),
-            late_dropped=int(record.get("late_dropped", 0)),
-            duplicates_seen=int(record.get("duplicates_seen", 0)),
-            quarantined=int(record.get("quarantined", 0)),
-            subscriber_errors=int(record.get("subscriber_errors", 0)),
-            force_released=int(record.get("force_released", 0)),
-            spill_errors=int(record.get("spill_errors", 0)),
-            peak_buffered=int(record.get("peak_buffered", 0)),
-        )
+        """JSON form (field order) behind the stats frame and ``/metrics``."""
+        return asdict(self)
 
 
 def classify_bad_record(record: Any) -> str | None:
@@ -192,6 +169,9 @@ class WatermarkReorderBuffer:
         Must be positive — ``max_lateness == 0`` *is* the strict mode, in
         which the caller skips the buffer entirely and out-of-order input
         fails fast with :class:`~repro.streams.windows.OutOfOrderError`.
+    stats:
+        The :class:`IngestStats` the buffer counts into — the owning tier
+        passes its own, so there is one live counter set.
 
     Contract
     --------
@@ -207,7 +187,7 @@ class WatermarkReorderBuffer:
       what makes held-back events checkpointable.
     """
 
-    def __init__(self, max_lateness: float) -> None:
+    def __init__(self, max_lateness: float, stats: IngestStats | None = None) -> None:
         max_lateness = float(max_lateness)
         if not math.isfinite(max_lateness) or max_lateness <= 0:
             raise ValueError(
@@ -231,10 +211,7 @@ class WatermarkReorderBuffer:
         #: would trail an already force-released object, so they are refused
         #: even when the watermark alone would still admit them.
         self._floor = float("-inf")
-        self.reordered = 0
-        self.late_dropped = 0
-        self.duplicates_seen = 0
-        self.force_released = 0
+        self.stats = stats if stats is not None else IngestStats()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -264,17 +241,17 @@ class WatermarkReorderBuffer:
         """
         timestamp = obj.timestamp
         if timestamp < self._max_timestamp:
-            self.reordered += 1
+            self.stats.reordered += 1
             if timestamp < self.watermark or timestamp < self._floor:
                 # Behind the watermark, or behind the order floor a
                 # force-release raised: emitting it would break the order
                 # of the already-released prefix either way.
-                self.late_dropped += 1
+                self.stats.late_dropped += 1
                 return []
         object_id = obj.object_id
         known = self._recent_ids.get(object_id)
         if known is not None:
-            self.duplicates_seen += 1
+            self.stats.duplicates_seen += 1
             if timestamp > known:
                 self._recent_ids[object_id] = timestamp
         else:
@@ -285,13 +262,6 @@ class WatermarkReorderBuffer:
             self._max_timestamp = timestamp
             return self._release(self.watermark)
         return []
-
-    def push_many(self, objects: Iterable[SpatialObject]) -> list[SpatialObject]:
-        """Accept several arrivals; return everything they released, in order."""
-        released: list[SpatialObject] = []
-        for obj in objects:
-            released.extend(self.push(obj))
-        return released
 
     def flush(self) -> list[SpatialObject]:
         """Release every held-back arrival (end of stream), oldest first.
@@ -316,24 +286,19 @@ class WatermarkReorderBuffer:
         A disorder-free stream is unaffected: early release only changes
         outcomes for stragglers that would have landed behind the floor.
         """
-        released: list[SpatialObject] = []
-        heap = self._heap
-        for _ in range(min(int(count), len(heap))):
-            timestamp, object_id, _, obj = heapq.heappop(heap)
-            released.append(obj)
-            known = self._recent_ids.get(object_id)
-            if known is not None and known <= timestamp:
-                del self._recent_ids[object_id]
+        released = self._release(float("inf"), count)
         if released:
-            self.force_released += len(released)
+            self.stats.force_released += len(released)
             if released[-1].timestamp > self._floor:
                 self._floor = released[-1].timestamp
         return released
 
-    def _release(self, frontier: float) -> list[SpatialObject]:
+    def _release(
+        self, frontier: float, limit: float = float("inf")
+    ) -> list[SpatialObject]:
         released: list[SpatialObject] = []
         heap = self._heap
-        while heap and heap[0][0] < frontier:
+        while heap and heap[0][0] < frontier and len(released) < limit:
             timestamp, object_id, _, obj = heapq.heappop(heap)
             released.append(obj)
             # Prune the duplicate horizon: once the watermark passed this
@@ -346,20 +311,6 @@ class WatermarkReorderBuffer:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> list[SpatialObject]:
-        """The held-back arrivals in release order (a sorted copy)."""
-        return [entry[3] for entry in sorted(self._heap)]
-
-    def counters(self) -> dict[str, int]:
-        """The buffer's counters as a plain dict."""
-        return {
-            "reordered": self.reordered,
-            "late_dropped": self.late_dropped,
-            "duplicates_seen": self.duplicates_seen,
-            "force_released": self.force_released,
-        }
-
     def depths(self) -> dict[str, float | int]:
         """Instantaneous hold state, cheap enough for per-chunk sampling.
 

@@ -18,9 +18,9 @@ identical to never having crashed** —
   independent-monitor oracle (``tests/helpers.replay_oracle``), so every
   crash cycle is simultaneously a proof that the shared-work plan's
   group-owned windows / unit-owned monitors survive the snapshot;
-* a checkpoint written by an earlier commit (``snapshot/v1`` / ``v2`` shard
-  and monitor files, a ``service-manifest/v1`` / ``v2`` manifest) is refused
-  by version with a typed :class:`~repro.state.SnapshotSchemaError`, before
+* a checkpoint written by an earlier commit (``snapshot/v1`` … ``v3`` shard,
+  ingest and monitor files, a ``service-manifest/v1`` … ``v3`` manifest) is
+  refused by version with a typed :class:`~repro.state.SnapshotSchemaError`, before
   any payload is unpickled;
 * the ``repro serve --checkpoint-dir / --resume`` CLI implements exactly
   that protocol end to end, including refusing a resume at a different
@@ -356,8 +356,8 @@ class TestRestoreValidation:
     @staticmethod
     def write_old_snapshot(path, kind, schema):
         """A snapshot file as earlier commits wrote them — ``v1`` without a
-        checksum, ``v2`` with a valid one, so only its version can refuse it —
-        and a payload that must never be reached."""
+        checksum, later ones with a valid one, so only the version can refuse
+        them — and a payload that must never be reached."""
         payload = b"not a pickle"
         header = {"schema": schema, "kind": kind, "meta": {}}
         if schema != "snapshot/v1":
@@ -382,6 +382,9 @@ class TestRestoreValidation:
     def test_v2_monitor_file_is_refused(self, tmp_path):
         self.refuse_monitor_file(tmp_path, "snapshot/v2")
 
+    def test_v3_monitor_file_is_refused(self, tmp_path):
+        self.refuse_monitor_file(tmp_path, "snapshot/v3")
+
     def refuse_shard_file(self, tmp_path, stream, schema):
         with SurgeService(make_specs()[:2], shards=2, checkpoint_dir=tmp_path) as s:
             s.push_many(stream[:50])
@@ -399,6 +402,23 @@ class TestRestoreValidation:
     def test_v2_shard_file_is_refused(self, tmp_path, stream):
         self.refuse_shard_file(tmp_path, stream, "snapshot/v2")
 
+    def test_v3_shard_file_is_refused(self, tmp_path, stream):
+        self.refuse_shard_file(tmp_path, stream, "snapshot/v3")
+
+    def test_v3_ingest_file_is_refused(self, tmp_path, stream):
+        """``v3`` ingest snapshots held a dict of buffer and pending list and
+        left the counters in the manifest; ``v4`` holds the tier."""
+        with SurgeService(make_specs()[:2], checkpoint_dir=tmp_path) as service:
+            for _ in service.feed(stream[:50], CHUNK_SIZE):
+                pass
+            service.checkpoint()
+        self.write_old_snapshot(
+            next(tmp_path.glob("ingest.*.ckpt")), "service-ingest", "snapshot/v3"
+        )
+        with pytest.raises(SnapshotSchemaError) as excinfo:
+            SurgeService.restore(tmp_path)
+        self.assert_names_both(excinfo, "snapshot/v3", SNAPSHOT_SCHEMA)
+
     def test_v1_manifest_is_refused_after_the_fallback_fails_too(
         self, tmp_path, stream
     ):
@@ -408,6 +428,11 @@ class TestRestoreValidation:
         self, tmp_path, stream
     ):
         self.refuse_manifest(tmp_path, stream, "service-manifest/v2")
+
+    def test_v3_manifest_is_refused_after_the_fallback_fails_too(
+        self, tmp_path, stream
+    ):
+        self.refuse_manifest(tmp_path, stream, "service-manifest/v3")
 
     def refuse_manifest(self, tmp_path, stream, schema):
         with SurgeService(make_specs()[:2], checkpoint_dir=tmp_path) as service:
@@ -522,9 +547,10 @@ class TestDurabilityPlumbing:
             ) as service:
                 for _ in service.run(stream[: 8 * CHUNK_SIZE], CHUNK_SIZE):
                     pass
-                # Generations 1..4: the g3 checkpoint fails to delete g1,
-                # the g4 checkpoint fails to delete g1 and g2.
-                assert service.checkpoint_prune_errors == 3
+                # Generations 1..4, each a shard file plus the ingest
+                # tier's (run() goes through it): the g3 checkpoint fails
+                # to delete g1, the g4 checkpoint fails to delete g1 and g2.
+                assert service.checkpoint_prune_errors == 6
         events = [
             getattr(record, "event", None)
             for record in caplog.records

@@ -314,13 +314,13 @@ class TestInflightBudget:
             buffer.push(obj)
         released = buffer.force_release(4)
         assert [o.object_id for o in released] == [0, 1, 2, 3]
-        assert buffer.force_released == 4
+        assert buffer.stats.force_released == 4
         # A straggler behind the floor is refused even though the watermark
         # alone would admit it.
         straggler = replace(objects[0], object_id=999)
         assert straggler.timestamp < released[-1].timestamp
         assert buffer.push(straggler) == []
-        assert buffer.late_dropped == 1
+        assert buffer.stats.late_dropped == 1
         # In-order arrivals after the floor are unaffected.
         assert buffer.force_release(0) == []
 
@@ -330,8 +330,7 @@ class TestInflightBudget:
             buffer.push(obj)
         buffer.force_release(2)
         clone = pickle.loads(pickle.dumps(buffer))
-        assert clone.force_released == 2
-        assert clone.counters()["force_released"] == 2
+        assert clone.stats.force_released == 2
         straggler = replace(make_clean(6, seed=79)[0], object_id=999)
         assert clone.push(straggler) == []  # the floor was pickled too
 

@@ -31,6 +31,11 @@ def make_clean(count: int, seed: int = 3) -> list[SpatialObject]:
     return objects
 
 
+def drain(buffer: WatermarkReorderBuffer, arrivals) -> list[SpatialObject]:
+    released = [obj for arrival in arrivals for obj in buffer.push(arrival)]
+    return released + buffer.flush()
+
+
 class TestFaultProfile:
     def test_fraction_bounds_validated(self):
         with pytest.raises(ValueError, match="disorder_fraction"):
@@ -96,10 +101,9 @@ class TestFaultInjector:
         # max_lateness == max_disorder absorbs the disorder losslessly and
         # reproduces the reference exactly.
         buffer = WatermarkReorderBuffer(2.5)
-        released = buffer.push_many(arrivals) + buffer.flush()
-        assert released == injector.reference()
-        assert buffer.late_dropped == 0
-        assert buffer.reordered <= injector.disordered
+        assert drain(buffer, arrivals) == injector.reference()
+        assert buffer.stats.late_dropped == 0
+        assert buffer.stats.reordered <= injector.disordered
 
     def test_duplicates_share_ids_and_match_buffer_counter(self):
         clean = make_clean(150)
@@ -116,10 +120,9 @@ class TestFaultInjector:
         assert len(arrivals) == len(clean) + injector.duplicates
         # Sized per the documented bound: max_disorder + duplicate_delay.
         buffer = WatermarkReorderBuffer(2.0)
-        buffer.push_many(arrivals)
-        buffer.flush()
-        assert buffer.duplicates_seen == injector.duplicates
-        assert buffer.late_dropped == 0
+        drain(buffer, arrivals)
+        assert buffer.stats.duplicates_seen == injector.duplicates
+        assert buffer.stats.late_dropped == 0
 
     def test_poison_records_are_all_screenable(self):
         clean = make_clean(100)

@@ -1,4 +1,5 @@
-"""Unit suite for the watermark reorder buffer and the bad-record screen."""
+"""Unit suite for the watermark reorder buffer and the bad-record screen
+(the tier that owns both: ``tests/test_streams_ingest.py``)."""
 
 from __future__ import annotations
 
@@ -22,10 +23,12 @@ def obj(timestamp: float, object_id: int = 0, **kwargs) -> SpatialObject:
     return SpatialObject(timestamp=timestamp, object_id=object_id, **defaults)
 
 
+def push_all(buffer: WatermarkReorderBuffer, arrivals) -> list[SpatialObject]:
+    return [obj for arrival in arrivals for obj in buffer.push(arrival)]
+
+
 def drain(buffer: WatermarkReorderBuffer, arrivals) -> list[SpatialObject]:
-    released = buffer.push_many(arrivals)
-    released.extend(buffer.flush())
-    return released
+    return push_all(buffer, arrivals) + buffer.flush()
 
 
 class TestWatermarkReorderBuffer:
@@ -38,12 +41,7 @@ class TestWatermarkReorderBuffer:
         arrivals = [obj(float(i), i) for i in range(10)]
         buffer = WatermarkReorderBuffer(2.0)
         assert drain(buffer, arrivals) == arrivals
-        assert buffer.counters() == {
-            "reordered": 0,
-            "late_dropped": 0,
-            "duplicates_seen": 0,
-            "force_released": 0,
-        }
+        assert buffer.stats == IngestStats()
 
     def test_bounded_disorder_emits_exactly_sorted(self):
         rng = random.Random(7)
@@ -58,16 +56,16 @@ class TestWatermarkReorderBuffer:
         assert arrivals != clean  # the scramble actually scrambled
         buffer = WatermarkReorderBuffer(2.0)
         assert drain(buffer, arrivals) == clean
-        assert buffer.reordered > 0
-        assert buffer.late_dropped == 0
+        assert buffer.stats.reordered > 0
+        assert buffer.stats.late_dropped == 0
 
     def test_straggler_behind_watermark_is_counted_and_dropped(self):
         buffer = WatermarkReorderBuffer(2.0)
         released = buffer.push(obj(0.0, 0))
         released += buffer.push(obj(10.0, 1))  # watermark -> 8.0: releases id 0
         assert buffer.push(obj(5.0, 2)) == []
-        assert buffer.late_dropped == 1
-        assert buffer.reordered == 1
+        assert buffer.stats.late_dropped == 1
+        assert buffer.stats.reordered == 1
         # The straggler is gone: only the two survivors ever come out.
         assert [o.object_id for o in released + buffer.flush()] == [0, 1]
 
@@ -76,7 +74,7 @@ class TestWatermarkReorderBuffer:
         buffer.push(obj(10.0, 1))  # watermark 8.0
         # Exactly at the watermark: accepted (not dropped) but not released.
         assert buffer.push(obj(8.0, 2)) == []
-        assert buffer.late_dropped == 0
+        assert buffer.stats.late_dropped == 0
         released = buffer.push(obj(12.0, 3))  # watermark -> 10.0
         assert [o.object_id for o in released] == [2]  # 8.0 < 10.0; 10.0 held
         assert [o.object_id for o in buffer.flush()] == [1, 3]
@@ -95,14 +93,14 @@ class TestWatermarkReorderBuffer:
         again = obj(0.5, 7)
         released = drain(buffer, [first, again])
         assert released == [first, again]
-        assert buffer.duplicates_seen == 1
+        assert buffer.stats.duplicates_seen == 1
 
     def test_duplicate_horizon_is_pruned_on_release(self):
         buffer = WatermarkReorderBuffer(1.0)
         buffer.push(obj(0.0, 7))
         buffer.push(obj(100.0, 1))  # releases id 7, pruning its entry
         buffer.push(obj(100.5, 7))  # same id, far outside the horizon
-        assert buffer.duplicates_seen == 0
+        assert buffer.stats.duplicates_seen == 0
 
     def test_len_and_pending_sorted_view(self):
         buffer = WatermarkReorderBuffer(10.0)
@@ -110,7 +108,9 @@ class TestWatermarkReorderBuffer:
         buffer.push(obj(1.0, 1))
         buffer.push(obj(2.0, 2))
         assert len(buffer) == 3
-        assert [o.object_id for o in buffer.pending] == [1, 2, 3]
+        assert buffer.depths()["oldest_held"] == 1.0
+        assert [o.object_id for o in buffer.flush()] == [1, 2, 3]
+        assert len(buffer) == 0
 
     def test_pickle_round_trip_resumes_identically(self):
         rng = random.Random(11)
@@ -119,14 +119,14 @@ class TestWatermarkReorderBuffer:
         ]
         half = len(arrivals) // 2
         original = WatermarkReorderBuffer(3.0)
-        prefix = original.push_many(arrivals[:half])
+        prefix = push_all(original, arrivals[:half])
         clone = pickle.loads(pickle.dumps(original))
         for buffer in (original, clone):
-            tail = prefix + buffer.push_many(arrivals[half:]) + buffer.flush()
+            tail = prefix + drain(buffer, arrivals[half:])
             assert tail == sorted(
                 arrivals, key=lambda o: (o.timestamp, o.object_id)
             )
-        assert clone.counters() == original.counters()
+        assert clone.stats == original.stats
 
 
 class TestClassifyBadRecord:
@@ -178,7 +178,16 @@ class TestIngestStats:
             quarantined=4,
             subscriber_errors=5,
         )
-        assert IngestStats.from_dict(stats.to_dict()) == stats
-
-    def test_from_dict_tolerates_missing_keys(self):
-        assert IngestStats.from_dict({"reordered": 9}) == IngestStats(reordered=9)
+        assert IngestStats(**stats.to_dict()) == stats
+        # The order is the stats frame's and /metrics' (see
+        # tests/test_metrics_exposition.py for the byte-level pin).
+        assert list(stats.to_dict()) == [
+            "reordered",
+            "late_dropped",
+            "duplicates_seen",
+            "quarantined",
+            "subscriber_errors",
+            "force_released",
+            "spill_errors",
+            "peak_buffered",
+        ]
