@@ -66,6 +66,8 @@
 #   make coverage      unit suite under pytest-cov with the pinned fail-under
 #                      (requires pytest-cov; the CI coverage leg runs this)
 #   make lint          byte-compile every source tree as a fast syntax/import gate
+#   make loc           the four source-size numbers ROADMAP's north star and
+#                      item 4 quote (`wc -l` over *.py; informational, no gate)
 #
 # The numpy sweep backend is optional: `pip install .[fast]` enables it, and
 # everything degrades to the pure-Python kernel without it.
@@ -86,7 +88,7 @@ COVERAGE_MIN ?= 92
 	bench-robustness bench-server bench-obs bench-remote bench-smoke \
 	bench-smoke-fanout smoke \
 	smoke-recovery smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
-	smoke-remote coverage lint
+	smoke-remote coverage lint loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -164,3 +166,11 @@ coverage:
 
 lint:
 	$(PYTHON) -m compileall -q src/repro tests benchmarks examples scripts
+
+loc:
+	@printf '%6d  src/ total\n' $$(find src -name '*.py' | xargs cat | wc -l)
+	@printf '%6d  service/ + distributed/ + server/ + cli.py\n' $$(find \
+		src/repro/service src/repro/distributed src/repro/server -name '*.py' \
+		| xargs cat src/repro/cli.py | wc -l)
+	@printf '%6d  service/service.py\n' $$(wc -l < src/repro/service/service.py)
+	@printf '%6d  cli.py\n' $$(wc -l < src/repro/cli.py)

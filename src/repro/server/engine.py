@@ -315,13 +315,9 @@ class ServerEngine:
             record.update(subscription.counters())
             subscriptions.append(record)
         return {
-            "service": {
-                "objects_pushed": stats.objects_pushed,
-                "chunks_pushed": stats.chunks_pushed,
-                "object_query_pairs": stats.object_query_pairs,
-                "wall_seconds": stats.wall_seconds,
-                "pairs_per_second": stats.pairs_per_second,
-            },
+            "service": dict(
+                stats.totals(), pairs_per_second=stats.pairs_per_second
+            ),
             "queries": {
                 query_id: stats.per_query[query_id].to_dict()
                 for query_id in service.query_ids

@@ -21,7 +21,8 @@ Overload semantics on the wire (the PR 7 tier, surfaced):
 * SIGINT/SIGTERM (or a ``drain`` admin frame) triggers a graceful drain:
   stop accepting connections, settle every already-accepted command,
   take the final checkpoint (durability attached) or flush (not), notify
-  subscribers with a ``draining`` control frame, close, exit 0.
+  subscribers with a ``draining`` control frame (one that does not take it
+  within :data:`DRAIN_NOTIFY_TIMEOUT` is closed), close, exit 0.
 
 Subscribed connections get a dedicated *pump thread*: it blocks on the
 bounded :class:`~repro.service.bus.Subscription` and is woken by the
@@ -74,6 +75,11 @@ BACKPRESSURE_ADVICE = (
     "slow down, drain subscribers, and retry after a backoff"
 )
 DRAINING_ADVICE = "server is draining; reconnect to the resumed instance"
+#: Longest a graceful drain waits for one subscriber to take the ``draining``
+#: control frame.  A peer that stopped reading parks its pump inside
+#: :meth:`_Connection.write` holding the write lock; past this bound the
+#: drain closes that connection and proceeds to the final checkpoint.
+DRAIN_NOTIFY_TIMEOUT = 5.0
 
 
 class EndpointInUseError(OSError):
@@ -287,9 +293,9 @@ class SurgeServer:
             if metrics_server is not None:
                 metrics_server.close()
                 await metrics_server.wait_closed()
-            # 2. Tell subscribers we are going away (best effort).
+            # 2. Tell subscribers we are going away (best effort, bounded).
             await self._broadcast(
-                {"type": "control", "event": "draining"}, subscribers_only=True
+                {"type": "control", "event": "draining"}, bound=DRAIN_NOTIFY_TIMEOUT
             )
             # 3. Settle every accepted command, then checkpoint/flush.
             summary = await asyncio.wrap_future(self._engine.request_drain())
@@ -531,22 +537,38 @@ class SurgeServer:
         if loop is None or loop.is_closed():
             return
         try:
-            asyncio.run_coroutine_threadsafe(
-                self._broadcast(event, subscribers_only=True), loop
-            )
+            asyncio.run_coroutine_threadsafe(self._broadcast(event), loop)
         except RuntimeError:  # pragma: no cover - loop shutting down
             pass
 
     async def _broadcast(
-        self, frame: dict[str, Any], *, subscribers_only: bool
+        self, frame: dict[str, Any], *, bound: float | None = None
     ) -> None:
-        for conn in list(self._connections):
-            if subscribers_only and conn.subscription is None:
-                continue
+        """Send ``frame`` to every subscribed connection (best effort).
+
+        With a ``bound`` (the drain path) a peer that does not take the
+        frame in time is closed, so the broadcast always returns.
+        """
+
+        async def notify(conn: _Connection) -> None:
             try:
-                await conn.send(frame, self)
+                await asyncio.wait_for(conn.send(frame, self), bound)
+            except asyncio.TimeoutError:
+                # Not reading: abort rather than close, so the write its
+                # pump is parked in fails now and releases the lock.
+                conn.closed = True
+                conn.writer.transport.abort()
             except Exception:
-                continue
+                pass
+
+        # Concurrently: a stuck peer must not delay a reading one's notice.
+        await asyncio.gather(
+            *(
+                notify(conn)
+                for conn in list(self._connections)
+                if conn.subscription is not None
+            )
+        )
 
     # ------------------------------------------------------------------
     # Stats + metrics

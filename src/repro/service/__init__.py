@@ -15,15 +15,17 @@ Public surface:
   :class:`~repro.service.bus.QueryStats`,
   :class:`~repro.service.bus.ServiceStats` and the subscriber bus, with
   bounded :class:`~repro.service.bus.Subscription` queues;
-* :mod:`~repro.service.overload` — the overload tier's types:
+* :mod:`~repro.service.overload` — the overload tier:
   :class:`~repro.service.overload.OverloadConfig` (watermarks + policy),
-  :class:`~repro.service.overload.OverloadStats` and the typed
-  :class:`~repro.service.overload.OverloadError`.
+  :class:`~repro.service.overload.OverloadStats`, the typed
+  :class:`~repro.service.overload.OverloadError` and the
+  :class:`~repro.service.overload.OverloadGovernor` state machine.
 
 Durability — :meth:`SurgeService.checkpoint` / :meth:`SurgeService.restore`,
 the ``checkpoint_dir`` / ``checkpoint_policy`` constructor options and the
 ``repro serve --checkpoint-dir --resume`` CLI — is provided by
-:mod:`repro.state` (snapshot codec, write-ahead log, policies).
+:mod:`repro.state` (snapshot codec, write-ahead log, policies, and the
+:class:`~repro.state.durability.Durability` object the service owns).
 """
 
 from repro.service.bus import (

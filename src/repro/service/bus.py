@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Callable, Iterable
 
@@ -124,27 +124,13 @@ class QueryStats:
 
     def to_dict(self) -> dict:
         """JSON form stored in service checkpoints (floats round-trip exactly)."""
-        return {
-            "objects_routed": self.objects_routed,
-            "chunks_processed": self.chunks_processed,
-            "busy_seconds": self.busy_seconds,
-            "last_lag_seconds": self.last_lag_seconds,
-            "max_lag_seconds": self.max_lag_seconds,
-            "dropped_results": self.dropped_results,
-            "chunks_shed": self.chunks_shed,
-        }
+        # Not asdict (a deep copy per query per checkpoint) and not vars():
+        # materialising a live instance's __dict__ slows every later observe.
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
-    @staticmethod
-    def from_dict(record: dict) -> "QueryStats":
-        return QueryStats(
-            objects_routed=int(record.get("objects_routed", 0)),
-            chunks_processed=int(record.get("chunks_processed", 0)),
-            busy_seconds=float(record.get("busy_seconds", 0.0)),
-            last_lag_seconds=float(record.get("last_lag_seconds", 0.0)),
-            max_lag_seconds=float(record.get("max_lag_seconds", 0.0)),
-            dropped_results=int(record.get("dropped_results", 0)),
-            chunks_shed=int(record.get("chunks_shed", 0)),
-        )
+    @classmethod
+    def from_dict(cls, record: dict) -> "QueryStats":
+        return cls(**record)
 
 
 @dataclass
@@ -179,6 +165,18 @@ class ServiceStats:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.object_query_pairs / self.wall_seconds
+
+    def totals(self) -> dict:
+        """The service's own cumulative counters, in JSON form.
+
+        Every field but the three views over state other objects own and
+        persist themselves (the bus, the ingest tier, the overload governor).
+        """
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in ("per_query", "ingest", "overload")
+        }
 
 
 class Subscription:

@@ -21,18 +21,24 @@ module's types:
   manifests, and printed in the ``repro serve`` final block, so a resumed
   service reports exactly what an uninterrupted one would.
 
-All types here are plain data with exact JSON round-trips; the state machine
-itself lives in :class:`~repro.service.service.SurgeService`.
+The config and the counters are plain data with exact JSON round-trips;
+:class:`OverloadGovernor` is the state machine over them.  It needs no
+service: :class:`~repro.service.service.SurgeService` hands it the observed
+queue depth and the live specs once per chunk, and reads the shed set back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping
+
+if TYPE_CHECKING:
+    from repro.service.spec import QuerySpec
 
 __all__ = [
     "OverloadError",
     "OverloadConfig",
+    "OverloadGovernor",
     "OverloadStats",
     "OVERLOAD_POLICIES",
 ]
@@ -111,24 +117,11 @@ class OverloadConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON form stored in service checkpoint manifests."""
-        return {
-            "high_watermark_chunks": self.high_watermark_chunks,
-            "low_watermark_chunks": self.low_watermark_chunks,
-            "policy": self.policy,
-            "shed_below_priority": self.shed_below_priority,
-            "checkpoint_stretch": self.checkpoint_stretch,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(record: Mapping[str, Any]) -> "OverloadConfig":
-        shed_below = record.get("shed_below_priority")
-        return OverloadConfig(
-            high_watermark_chunks=float(record.get("high_watermark_chunks", 8.0)),
-            low_watermark_chunks=float(record.get("low_watermark_chunks", 2.0)),
-            policy=str(record.get("policy", "shed")),
-            shed_below_priority=None if shed_below is None else int(shed_below),
-            checkpoint_stretch=int(record.get("checkpoint_stretch", 4)),
-        )
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "OverloadConfig":
+        return cls(**record)
 
 
 @dataclass
@@ -166,28 +159,136 @@ class OverloadStats:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON form stored in service checkpoint manifests."""
-        return {
-            "degraded": self.degraded,
-            "entered_degraded": self.entered_degraded,
-            "exited_degraded": self.exited_degraded,
-            "chunks_shed": self.chunks_shed,
-            "updates_shed": self.updates_shed,
-            "checkpoints_deferred": self.checkpoints_deferred,
-            "compactions": self.compactions,
-            "queries_compacted": self.queries_compacted,
-            "max_depth_chunks": self.max_depth_chunks,
-        }
+        record = asdict(self)
+        del record["shedding"]
+        return record
 
-    @staticmethod
-    def from_dict(record: Mapping[str, Any]) -> "OverloadStats":
-        return OverloadStats(
-            degraded=bool(record.get("degraded", False)),
-            entered_degraded=int(record.get("entered_degraded", 0)),
-            exited_degraded=int(record.get("exited_degraded", 0)),
-            chunks_shed=int(record.get("chunks_shed", 0)),
-            updates_shed=int(record.get("updates_shed", 0)),
-            checkpoints_deferred=int(record.get("checkpoints_deferred", 0)),
-            compactions=int(record.get("compactions", 0)),
-            queries_compacted=int(record.get("queries_compacted", 0)),
-            max_depth_chunks=float(record.get("max_depth_chunks", 0.0)),
-        )
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "OverloadStats":
+        return cls(**record)
+
+
+_NO_SHED: frozenset[str] = frozenset()
+
+
+class OverloadGovernor:
+    """Degraded-mode state machine: hysteresis, shed set, stretched cadence.
+
+    Owns the :class:`OverloadConfig` (``None`` = never degrades; the
+    compaction counters still count), the one live :class:`OverloadStats`
+    and the cached shed set.  Restoring a checkpoint passes the recorded
+    ``stats`` back in: the cumulative counters carry over, and the
+    ``degraded`` flag among them makes the resumed run continue shedding
+    exactly where the victim stopped (the hysteresis re-evaluates from the
+    restored depth on the next chunk).
+    """
+
+    def __init__(
+        self, config: OverloadConfig | None = None, stats: OverloadStats | None = None
+    ) -> None:
+        self.config = config
+        self.stats = stats if stats is not None else OverloadStats()
+        self._shed_cache: frozenset[str] | None = None
+
+    def registry_changed(self) -> None:
+        """A query was added or removed: the shed set must be recomputed."""
+        self._shed_cache = None
+
+    def _sheddable(self, specs: Collection["QuerySpec"]) -> frozenset[str]:
+        """Query ids shed while degraded: whole low-priority route classes.
+
+        Shedding is decided at *route class* granularity — the
+        (keyword, window lengths) key that also defines shared window
+        groups — and a class is shed only when **every** member is below
+        the priority threshold.  A partially-shed class would force a
+        shared window group's clock to advance for some members but not
+        others, splitting provably-identical state; whole classes keep
+        every group fully shed or fully active.
+        """
+        if self._shed_cache is not None:
+            return self._shed_cache
+        if self.config is None or not specs:
+            self._shed_cache = _NO_SHED
+            return _NO_SHED
+        threshold = self.config.shed_below_priority
+        if threshold is None:
+            # Default: shed everything ranked below the best present.  With
+            # uniform priorities nothing is sheddable — degrading to
+            # transition-counting only, never to silently dropped work.
+            threshold = max(spec.priority for spec in specs)
+        classes: dict[tuple, list["QuerySpec"]] = {}
+        for spec in specs:
+            query = spec.query
+            key = (spec.keyword, query.current_length, query.past_length)
+            classes.setdefault(key, []).append(spec)
+        shed: set[str] = set()
+        for members in classes.values():
+            if all(member.priority < threshold for member in members):
+                shed.update(member.query_id for member in members)
+        self._shed_cache = frozenset(shed)
+        return self._shed_cache
+
+    def evaluate(self, depth: float, specs: Collection["QuerySpec"]) -> frozenset[str]:
+        """Run the hysteresis on one observed ``depth``; return the shed set.
+
+        Degraded mode is entered at ``depth >= high_watermark_chunks`` and
+        left at ``depth <= low_watermark_chunks`` — the dead band between
+        them keeps a depth oscillating around one threshold from flapping
+        the mode.  Under the ``error`` policy entry raises
+        :class:`OverloadError` (strict mode fails loudly); ``shed`` returns
+        the sheddable route classes of ``specs``; ``stretch`` only flags the
+        mode (:meth:`defers_checkpoint` consults it).
+        """
+        config = self.config
+        if config is None:
+            return _NO_SHED
+        stats = self.stats
+        if depth > stats.max_depth_chunks:
+            stats.max_depth_chunks = depth
+        if not stats.degraded:
+            if depth >= config.high_watermark_chunks:
+                stats.degraded = True
+                stats.entered_degraded += 1
+                if config.policy == "error":
+                    raise OverloadError(
+                        f"queue depth {depth:.2f} chunks crossed the "
+                        f"high watermark "
+                        f"({config.high_watermark_chunks} chunks) under the "
+                        f"error policy",
+                        depth_chunks=depth,
+                    )
+        elif depth <= config.low_watermark_chunks:
+            stats.degraded = False
+            stats.exited_degraded += 1
+        if stats.degraded and config.policy == "shed":
+            shed = self._sheddable(specs)
+            stats.shedding = sorted(shed)
+            return shed
+        stats.shedding = []
+        return _NO_SHED
+
+    def count_shed(self, updates: int) -> None:
+        """One chunk was dispatched with ``updates`` queries shed."""
+        self.stats.chunks_shed += 1
+        self.stats.updates_shed += updates
+
+    def count_compaction(self, merged: int) -> None:
+        """One compaction pass ran and merged ``merged`` queries."""
+        self.stats.compactions += 1
+        self.stats.queries_compacted += merged
+
+    def defers_checkpoint(self, due_when_stretched: Callable[[int], bool]) -> bool:
+        """Whether the ``stretch`` policy postpones a checkpoint that is due.
+
+        While degraded under ``stretch`` the configured cadence is
+        multiplied by ``checkpoint_stretch``: ``due_when_stretched(factor)``
+        says whether the widened cadence wants the checkpoint too.  One the
+        base cadence wanted and the stretched one defers is counted.
+        """
+        config = self.config
+        if config is None or config.policy != "stretch" or not self.stats.degraded:
+            return False
+        if due_when_stretched(config.checkpoint_stretch):
+            return False
+        self.stats.checkpoints_deferred += 1
+        return True

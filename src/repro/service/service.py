@@ -51,29 +51,27 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.core.base import RegionResult
 from repro.obs.tracer import FlightRecorder, Tracer
 from repro.service.bus import QueryUpdate, ResultBus, ServiceStats
-from repro.service.overload import OverloadConfig, OverloadError, OverloadStats
+from repro.service.overload import OverloadConfig, OverloadGovernor, OverloadStats
 from repro.service.shards import EXECUTOR_NAMES, make_executor
 from repro.service.spec import QuerySpec
+from repro.state.durability import (  # the default is re-exported: the CLI reads it here
+    DEFAULT_CHECKPOINT_EVERY_CHUNKS,
+    Durability,
+)
 from repro.state.policy import CheckpointPolicy
 from repro.state.recovery import (
     INGEST_SNAPSHOT_KIND,
     OBS_SNAPSHOT_KIND,
+    Generation,
     ServiceManifest,
-    encode_stream_time,
-    has_checkpoint,
     ingest_snapshot_name,
-    manifest_path,
-    next_generation,
     obs_snapshot_name,
-    prune_generations,
+    read_generation,
     read_manifest,
     read_previous_manifest,
     shard_snapshot_name,
-    wal_path,
-    write_manifest,
 )
-from repro.state.snapshot import SnapshotError, read_snapshot, write_snapshot
-from repro.state.wal import ChunkWal, WalCheckpoint
+from repro.state.snapshot import SnapshotError, write_snapshot
 from repro.streams.ingest import IngestTier
 from repro.streams.objects import SpatialObject
 from repro.streams.watermark import IngestStats
@@ -81,13 +79,18 @@ from repro.streams.windows import OutOfOrderError
 
 logger = logging.getLogger(__name__)
 
-#: Chunk cadence of the default automatic checkpoint policy (used when a
-#: ``checkpoint_dir`` is given without an explicit policy).
-DEFAULT_CHECKPOINT_EVERY_CHUNKS = 64
-
-
 class SurgeService:
     """Continuous multi-query monitor over one shared spatial stream.
+
+    The service is a facade over the shard executor, the result bus and
+    three owned objects, each usable without it: the **ingest tier**
+    (:class:`~repro.streams.ingest.IngestTier` — screen, reorder, cut,
+    backpressure), the **overload governor**
+    (:class:`~repro.service.overload.OverloadGovernor` — degraded-mode
+    hysteresis, shed set, stretched cadence) and the **durability** object
+    (:class:`~repro.state.durability.Durability` — checkpoint directory,
+    cadence, write-ahead log, generations).  :meth:`checkpoint` stays here as
+    the conductor that knows *what* is snapshotted.
 
     Parameters
     ----------
@@ -111,8 +114,9 @@ class SurgeService:
     checkpoint_policy:
         :class:`~repro.state.CheckpointPolicy` driving automatic checkpoints
         (default when a directory is given: every
-        :data:`DEFAULT_CHECKPOINT_EVERY_CHUNKS` chunks).  Ignored without a
-        ``checkpoint_dir``.
+        :data:`DEFAULT_CHECKPOINT_EVERY_CHUNKS` chunks).  Never consulted
+        without a ``checkpoint_dir``, only recorded in the manifests a
+        one-off :meth:`checkpoint` writes.
     checkpoint_extra:
         Free-form JSON-serialisable metadata stored in every manifest this
         service writes (e.g. the CLI records its ``--chunk-size`` so a
@@ -202,6 +206,7 @@ class SurgeService:
         overload: OverloadConfig | None = None,
         compact_every_chunks: int | None = None,
         tracer: Tracer | None = None,
+        _resumed: Generation | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
@@ -210,19 +215,40 @@ class SurgeService:
                 f"unknown executor {executor!r}; expected one of "
                 f"{', '.join(EXECUTOR_NAMES)}"
             )
+        if compact_every_chunks is not None and compact_every_chunks < 1:
+            raise ValueError(
+                f"compact_every_chunks must be >= 1, got {compact_every_chunks}"
+            )
+        # ``_resumed`` is restore()'s side door: the state a checkpoint
+        # recorded, in place of the fresh-start defaults below.
+        manifest = _resumed.manifest if _resumed is not None else None
         self.executor_name = executor.lower()
         self.executor_options = dict(executor_options) if executor_options else {}
         self.n_shards = shards
-        if self.executor_name == "remote" and checkpoint_dir is None:
-            # Legal but worth flagging: without durable generations the
-            # failover base degrades to "rebuild from specs + replay every
-            # mutating message since the start" — correct, unbounded memory.
-            logger.warning(
-                "remote executor without checkpoint_dir: worker failover "
-                "must replay the full message ledger from the start of the "
-                "stream; attach checkpoint_dir=... to bound recovery",
-                extra={"executor": self.executor_name},
-            )
+        # Overload tier (see the class docstring): degraded-mode state
+        # machine, compaction cadence.
+        self.max_inflight_chunks = max_inflight_chunks
+        self.compact_every_chunks = compact_every_chunks
+        recorded = manifest.overload if manifest is not None else None
+        self._governor = OverloadGovernor(
+            overload,
+            OverloadStats.from_dict(recorded["stats"]) if recorded else None,
+        )
+        # The ingest tier (see feed()): every record reaches push_many
+        # through it — screened, ordered, cut into chunks, held to a budget.
+        # A resumed tier arrives whole; only its configuration is fresh.
+        tier = IngestTier(
+            max_lateness,
+            on_bad_record=on_bad_record,
+            quarantine_dir=quarantine_dir,
+            max_inflight_chunks=max_inflight_chunks,
+            tracer=tracer,
+        )
+        if _resumed is not None and _resumed.ingest is not None:
+            tier = _resumed.ingest.reattach(tier)
+        self._ingest = tier
+        self.max_lateness = tier.max_lateness
+        self.quarantine_dir = tier.quarantine_dir
         # Round-robin assignment keyed to a monotone registration counter:
         # removals never reshuffle surviving queries, so a given sequence of
         # add/remove operations lands every query on the same shard under
@@ -232,12 +258,46 @@ class SurgeService:
         self._specs: dict[str, QuerySpec] = {}
         self._registered = 0
         shard_specs: list[list[QuerySpec]] = [[] for _ in range(shards)]
-        for spec in specs:
-            self._claim(spec)
-            shard_specs[self._shard_of[spec.query_id]].append(spec)
+        if manifest is None:
+            for spec in specs:
+                self._claim(spec)
+                shard_specs[self._shard_of[spec.query_id]].append(spec)
+        else:
+            # Registry bookkeeping comes from the manifest verbatim:
+            # replaying round-robin over the surviving specs would
+            # mis-assign after removals, and the shard snapshot files
+            # (loaded below, into shards built empty) already partition by
+            # the recorded assignment.
+            self._order = list(manifest.order)
+            self._shard_of = dict(manifest.shard_of)
+            self._specs = {spec.query_id: spec for spec in specs}
+            self._registered = manifest.registered
+        # Durability is attached before the executor is built: a directory
+        # that already holds a checkpoint is refused before any worker is
+        # spawned, and the remote tier must know whether it has durable
+        # generations to fail over to.
+        remote = self.executor_name == "remote"
+        self._durability = Durability(
+            checkpoint_dir,
+            checkpoint_policy,
+            checkpoint_extra,
+            remote=remote,
+            resumed=manifest,
+        )
+        if remote and not self._durability.attached:
+            # Legal but worth flagging: without durable generations the
+            # failover base degrades to "rebuild from specs + replay every
+            # mutating message since the start" — correct, unbounded memory.
+            logger.warning(
+                "remote executor without checkpoint_dir: worker failover "
+                "must replay the full message ledger from the start of the "
+                "stream; attach checkpoint_dir=... to bound recovery",
+                extra={"executor": self.executor_name},
+            )
         self._executor = make_executor(
             self.executor_name, shard_specs, **self.executor_options
         )
+        self._closed = False
         self.bus = ResultBus()
         # Observability tier (see repro.obs): shard-side span recording is
         # switched on with one control message; the shards ship their spans
@@ -252,54 +312,48 @@ class SurgeService:
             set_tracer(tracer)
         if tracer is not None and tracer.enabled:
             self._executor.broadcast(("trace", True))
-        self._time = float("-inf")
-        self._chunk_index = 0
-        self._chunk_offset = 0
-        self._stats = ServiceStats()
-        self._closed = False
-        # The ingest tier (see feed()): every record reaches push_many
-        # through it — screened, ordered, cut into chunks, held to a budget.
-        self._ingest = IngestTier(
-            max_lateness,
-            on_bad_record=on_bad_record,
-            quarantine_dir=quarantine_dir,
-            max_inflight_chunks=max_inflight_chunks,
-            tracer=tracer,
-        )
-        self.max_lateness = self._ingest.max_lateness
-        self.quarantine_dir = self._ingest.quarantine_dir
-        # Overload tier (see the class docstring): degraded-mode state
-        # machine, compaction cadence.
-        if compact_every_chunks is not None and compact_every_chunks < 1:
-            raise ValueError(
-                f"compact_every_chunks must be >= 1, got {compact_every_chunks}"
-            )
-        self.max_inflight_chunks = max_inflight_chunks
-        self.overload_config = overload
-        self.compact_every_chunks = compact_every_chunks
-        self._overload = OverloadStats()
-        self._shed_cache: frozenset[str] | None = None
         #: Listener configuration recorded by the network tier (see
         #: :mod:`repro.server`): persisted in the manifest so a ``--resume``
         #: can re-serve the same endpoint without re-specifying it.
         self.server_info: dict[str, Any] | None = None
-        # Durability (all disabled until a checkpoint directory is attached).
-        self._checkpoint_dir: Path | None = None
-        self._checkpoint_policy: CheckpointPolicy = CheckpointPolicy()
-        self.checkpoint_extra: dict[str, Any] = {}
-        self._wal: ChunkWal | None = None
-        self._generation = 0
-        self._last_checkpoint_offset = 0
-        self._last_checkpoint_time = float("-inf")
-        #: Checkpoint prune deletes that failed (see prune_generations):
-        #: counted, never fatal — stale generations only cost disk.
-        self._prune_errors = 0
-        if checkpoint_dir is not None:
-            if checkpoint_policy is None:
-                checkpoint_policy = CheckpointPolicy(
-                    every_chunks=DEFAULT_CHECKPOINT_EVERY_CHUNKS
+        self._time = float("-inf")
+        self._chunk_index = 0
+        self._chunk_offset = 0
+        self._stats = ServiceStats()
+        if _resumed is not None:
+            self._time = manifest.stream_time
+            self._chunk_index = manifest.chunk_index
+            self._chunk_offset = manifest.chunk_offset
+            stats = dict(manifest.stats)
+            self.bus.subscriber_errors = stats.pop("subscriber_errors")
+            self.bus.load_stats(stats.pop("per_query"))
+            self._stats = ServiceStats(**stats)
+            self.server_info = manifest.server
+            try:
+                self._restore_shards(_resumed.shard_paths)
+            except BaseException:
+                # A half-restored service may own real resources (worker
+                # processes, a remote fleet); release them before the
+                # caller sees the failure (or restore() falls back a
+                # generation).
+                self.close()
+                raise
+
+    def _restore_shards(self, shard_paths: list[Path]) -> None:
+        replies = self._executor.scatter(
+            [("restore", str(path)) for path in shard_paths]
+        )
+        for index, restored_ids in enumerate(replies):
+            expected = sorted(
+                query_id
+                for query_id in self._order
+                if self._shard_of[query_id] == index
+            )
+            if sorted(restored_ids) != expected:
+                raise SnapshotError(
+                    f"{shard_paths[index]}: shard snapshot holds queries "
+                    f"{sorted(restored_ids)}, manifest expects {expected}"
                 )
-            self._attach_durability(checkpoint_dir, checkpoint_policy, checkpoint_extra)
 
     def _claim(self, spec: QuerySpec) -> None:
         if spec.query_id in self._shard_of:
@@ -308,7 +362,7 @@ class SurgeService:
         self._order.append(spec.query_id)
         self._specs[spec.query_id] = spec
         self._registered += 1
-        self._shed_cache = None
+        self._governor.registry_changed()
 
     # ------------------------------------------------------------------
     # Query registry
@@ -337,7 +391,7 @@ class SurgeService:
             del self._specs[spec.query_id]
             self._registered -= 1
             raise
-        if self._checkpoint_dir is not None:
+        if self._durability.attached:
             self.checkpoint()
         return spec.query_id
 
@@ -353,13 +407,13 @@ class SurgeService:
         self._order.remove(query_id)
         del self._shard_of[query_id]
         del self._specs[query_id]
-        self._shed_cache = None
+        self._governor.registry_changed()
         self.bus.forget(query_id)
-        if self._checkpoint_dir is not None:
+        if self._durability.attached:
             self.checkpoint()
 
     # ------------------------------------------------------------------
-    # Overload tier: queue depth, hysteresis, shedding
+    # Overload tier read-outs (the state machine is the OverloadGovernor)
     # ------------------------------------------------------------------
     def queue_depth_chunks(self) -> float:
         """Observed queue depth in chunks — the overload watermark's input.
@@ -380,124 +434,17 @@ class SurgeService:
 
     def overload_stats(self) -> OverloadStats:
         """The overload tier's counters (all zero while never overloaded)."""
-        return self._overload
+        return self._governor.stats
 
     @property
     def degraded(self) -> bool:
         """Whether the service is currently in degraded mode."""
-        return self._overload.degraded
+        return self._governor.stats.degraded
 
-    def _sheddable_ids(self) -> frozenset[str]:
-        """Query ids shed while degraded: whole low-priority route classes.
-
-        Shedding is decided at *route class* granularity — the
-        (keyword, window lengths) key that also defines shared window
-        groups — and a class is shed only when **every** member is below
-        the priority threshold.  A partially-shed class would force a
-        shared window group's clock to advance for some members but not
-        others, splitting provably-identical state; whole classes keep
-        every group fully shed or fully active.
-        """
-        if self._shed_cache is not None:
-            return self._shed_cache
-        config = self.overload_config
-        if config is None or not self._specs:
-            self._shed_cache = frozenset()
-            return self._shed_cache
-        threshold = config.shed_below_priority
-        if threshold is None:
-            # Default: shed everything ranked below the best present.  With
-            # uniform priorities nothing is sheddable — degrading to
-            # transition-counting only, never to silently dropped work.
-            threshold = max(spec.priority for spec in self._specs.values())
-        classes: dict[tuple, list[QuerySpec]] = {}
-        for spec in self._specs.values():
-            query = spec.query
-            past = (
-                query.past_window_length
-                if query.past_window_length is not None
-                else query.window_length
-            )
-            key = (spec.keyword, query.window_length, past)
-            classes.setdefault(key, []).append(spec)
-        shed: set[str] = set()
-        for members in classes.values():
-            if all(member.priority < threshold for member in members):
-                shed.update(member.query_id for member in members)
-        self._shed_cache = frozenset(shed)
-        return self._shed_cache
-
-    def _evaluate_overload(self) -> frozenset[str]:
-        """Run the hysteresis state machine; return the chunk's shed set.
-
-        Degraded mode is entered at ``depth >= high_watermark_chunks`` and
-        left at ``depth <= low_watermark_chunks`` — the dead band between
-        them keeps a depth oscillating around one threshold from flapping
-        the mode.  Under the ``error`` policy entry raises
-        :class:`~repro.service.overload.OverloadError` (strict mode fails
-        loudly); ``shed`` returns the sheddable route classes;
-        ``stretch`` only flags the mode (the checkpoint path consults it).
-        """
-        config = self.overload_config
-        if config is None:
-            return frozenset()
-        depth = self.queue_depth_chunks()
-        stats = self._overload
-        if depth > stats.max_depth_chunks:
-            stats.max_depth_chunks = depth
-        if not stats.degraded:
-            if depth >= config.high_watermark_chunks:
-                stats.degraded = True
-                stats.entered_degraded += 1
-                if config.policy == "error":
-                    raise OverloadError(
-                        f"queue depth {depth:.2f} chunks crossed the "
-                        f"high watermark "
-                        f"({config.high_watermark_chunks} chunks) under the "
-                        f"error policy",
-                        depth_chunks=depth,
-                    )
-        elif depth <= config.low_watermark_chunks:
-            stats.degraded = False
-            stats.exited_degraded += 1
-        if stats.degraded and config.policy == "shed":
-            shed = self._sheddable_ids()
-            stats.shedding = sorted(shed)
-            return shed
-        stats.shedding = []
-        return frozenset()
-
-    def _stretched_due(self, chunks_since: int) -> bool:
-        """Whether a due checkpoint survives the ``stretch`` policy.
-
-        While degraded under ``stretch``, the configured cadence is
-        multiplied by ``checkpoint_stretch``; a checkpoint the base policy
-        wanted but the stretched one defers is counted.
-        """
-        config = self.overload_config
-        if (
-            config is None
-            or config.policy != "stretch"
-            or not self._overload.degraded
-        ):
-            return True
-        policy = self._checkpoint_policy
-        stretched = CheckpointPolicy(
-            every_chunks=(
-                policy.every_chunks * config.checkpoint_stretch
-                if policy.every_chunks is not None
-                else None
-            ),
-            every_stream_seconds=(
-                policy.every_stream_seconds * config.checkpoint_stretch
-                if policy.every_stream_seconds is not None
-                else None
-            ),
-        )
-        if stretched.due(chunks_since, self._time, self._last_checkpoint_time):
-            return True
-        self._overload.checkpoints_deferred += 1
-        return False
+    @property
+    def overload_config(self) -> OverloadConfig | None:
+        """The degraded-mode configuration (``None`` = tier off)."""
+        return self._governor.config
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -527,15 +474,15 @@ class SurgeService:
             previous = obj.timestamp
         if objs:
             self._time = previous
-        shed = self._evaluate_overload()
+        governor = self._governor
+        shed = governor.evaluate(self.queue_depth_chunks(), self._specs.values())
         if shed:
             message = ("chunk", objs, self._chunk_index, shed)
         else:
             message = ("chunk", objs, self._chunk_index)
         updates = self._dispatch(message, len(objs))
         if shed and objs:
-            self._overload.chunks_shed += 1
-            self._overload.updates_shed += len(shed)
+            governor.count_shed(len(shed))
         if objs:
             # Empty chunks are no-ops for every monitor and are never
             # produced by the ingest tier (or iter_chunks), so they must not
@@ -551,15 +498,17 @@ class SurgeService:
                 # merged plan — and on replay the same offsets re-run the
                 # same (deterministic) passes, keeping counters exactly-once.
                 self.compact()
-            if self._wal is not None:
-                self._wal.append_chunk(offset, len(objs), objs[-1].timestamp)
-                chunks_since = self._chunk_offset - self._last_checkpoint_offset
-                if self._checkpoint_policy.due(
-                    chunks_since,
-                    self._time,
-                    self._last_checkpoint_time,
-                ) and self._stretched_due(chunks_since):
-                    self.checkpoint()
+            durability = self._durability
+            if (
+                durability.attached
+                and durability.log_chunk(offset, len(objs), self._time)
+                and not governor.defers_checkpoint(
+                    lambda stretch: durability.due(
+                        self._chunk_offset, self._time, stretch
+                    )
+                )
+            ):
+                self.checkpoint()
         return updates
 
     def push(self, obj: SpatialObject) -> list[QueryUpdate]:
@@ -582,8 +531,7 @@ class SurgeService:
         via ``compact_every_chunks`` is the intended mode).
         """
         merged = sum(self._executor.broadcast(("compact",)))
-        self._overload.compactions += 1
-        self._overload.queries_compacted += merged
+        self._governor.count_compaction(merged)
         return merged
 
     def advance_time(self, stream_time: float) -> list[QueryUpdate]:
@@ -807,7 +755,7 @@ class SurgeService:
             query_id: self.bus.stats(query_id) for query_id in self._order
         }
         self._stats.ingest = self.ingest_stats()
-        self._stats.overload = self._overload
+        self._stats.overload = self._governor.stats
         return self._stats
 
     def distributed_stats(self) -> dict[str, Any] | None:
@@ -873,87 +821,22 @@ class SurgeService:
     @property
     def checkpoint_dir(self) -> Path | None:
         """The attached checkpoint directory (``None`` = durability off)."""
-        return self._checkpoint_dir
+        return self._durability.directory
 
     @property
     def checkpoint_policy(self) -> CheckpointPolicy:
-        """The automatic checkpoint cadence (triggers disabled when detached)."""
-        return self._checkpoint_policy
+        """The automatic checkpoint cadence (never consulted when detached)."""
+        return self._durability.policy
 
-    def _attach_durability(
-        self,
-        directory: str | Path,
-        policy: CheckpointPolicy,
-        extra: Mapping[str, Any] | None = None,
-        *,
-        resume_from: WalCheckpoint | None = None,
-    ) -> None:
-        """Attach a checkpoint directory for WAL appends and auto snapshots.
-
-        ``resume_from`` is the checkpoint the service state was just
-        restored from (:meth:`restore` passes it); ``None`` means a fresh
-        service, which refuses a directory that already holds a checkpoint
-        — attaching would overwrite it on the first snapshot.  Either way
-        the WAL is atomically reset to match *this* service's durable state:
-        a stale log (from the crash being recovered, or from an unrelated
-        previous run) would double-count the replayed chunks otherwise.
-        """
-        directory = Path(directory)
-        if resume_from is None and has_checkpoint(directory):
-            raise ValueError(
-                f"{directory} already holds a service checkpoint; use "
-                f"SurgeService.restore({str(directory)!r}) to continue it, "
-                f"or point checkpoint_dir at a fresh directory"
-            )
-        if self.executor_name == "remote":
-            policy = self._clamp_remote_policy(policy)
-        self._checkpoint_dir = directory
-        self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        self._checkpoint_policy = policy
-        if extra:
-            self.checkpoint_extra = dict(extra)
-        self._wal = ChunkWal(wal_path(self._checkpoint_dir))
-        self._wal.reset(resume_from)
-        self._generation = resume_from.generation if resume_from is not None else 0
-        self._last_checkpoint_offset = self._chunk_offset
-        self._last_checkpoint_time = self._time
-
-    def _clamp_remote_policy(self, policy: CheckpointPolicy) -> CheckpointPolicy:
-        """Enforce the remote tier's checkpoint-cadence floor.
-
-        Under the remote executor every mutating message since the last
-        durable generation sits in the coordinator's replay ledger, so the
-        checkpoint cadence bounds both failover replay time and coordinator
-        memory.  A policy with no chunk cadence (or one wider than
-        :data:`~repro.distributed.executor.REMOTE_CHECKPOINT_FLOOR_CHUNKS`)
-        is clamped to the floor, with a structured warning.
-        """
-        from repro.distributed.executor import REMOTE_CHECKPOINT_FLOOR_CHUNKS
-
-        every = policy.every_chunks
-        if every is not None and every <= REMOTE_CHECKPOINT_FLOOR_CHUNKS:
-            return policy
-        logger.warning(
-            "remote executor clamps the checkpoint cadence to every %d "
-            "chunks (requested: %s); the cadence bounds failover replay "
-            "and the coordinator's ledger memory",
-            REMOTE_CHECKPOINT_FLOOR_CHUNKS,
-            "none" if every is None else f"every {every} chunks",
-            extra={
-                "event": "remote_checkpoint_floor",
-                "requested_every_chunks": every,
-                "floor_chunks": REMOTE_CHECKPOINT_FLOOR_CHUNKS,
-            },
-        )
-        return CheckpointPolicy(
-            every_chunks=REMOTE_CHECKPOINT_FLOOR_CHUNKS,
-            every_stream_seconds=policy.every_stream_seconds,
-        )
+    @property
+    def checkpoint_extra(self) -> dict[str, Any]:
+        """The caller metadata stored in every manifest this service writes."""
+        return self._durability.extra
 
     @property
     def checkpoint_prune_errors(self) -> int:
         """Failed checkpoint-prune deletes so far (counted, never fatal)."""
-        return self._prune_errors
+        return self._durability.prune_errors
 
     def checkpoint(self, directory: str | Path | None = None) -> Path:
         """Snapshot the whole service durably; returns the manifest path.
@@ -969,29 +852,11 @@ class SurgeService:
         what the automatic policy calls); an explicit ``directory`` takes a
         one-off checkpoint there without attaching it.
         """
-        target = Path(directory) if directory is not None else self._checkpoint_dir
-        if target is None:
-            raise ValueError(
-                "no checkpoint directory: construct the service with "
-                "checkpoint_dir=... or pass an explicit directory"
-            )
         tracer = self._tracer
         traced = tracer is not None and tracer.enabled
         checkpoint_started = time.perf_counter() if traced else 0.0
-        target.mkdir(parents=True, exist_ok=True)
-        # Spelling-insensitive "is this the attached directory?" — a relative
-        # vs absolute path must not fork the bookkeeping.
-        attached = (
-            self._checkpoint_dir is not None
-            and target.resolve() == self._checkpoint_dir.resolve()
-        )
-        if attached:
-            # The service wrote (or restored) the attached directory's last
-            # manifest itself, so the generation counter lives in memory —
-            # no O(registry) manifest re-parse on the ingestion path.
-            generation = self._generation + 1
-        else:
-            generation = next_generation(target)
+        durability = self._durability
+        target, generation = durability.allocate(directory)
         shard_files = [
             shard_snapshot_name(index, generation) for index in range(self.n_shards)
         ]
@@ -1042,19 +907,18 @@ class SurgeService:
                 "slow_chunk_threshold": tracer.slow_chunk_threshold,
             }
         overload_record: dict[str, Any] | None = None
+        governor = self._governor
         if (
-            self.overload_config is not None
+            governor.config is not None
             or self.max_inflight_chunks is not None
             or self.compact_every_chunks is not None
-            or self._overload != OverloadStats()
+            or governor.stats != OverloadStats()
         ):
             overload_record = {
                 "config": (
-                    self.overload_config.to_dict()
-                    if self.overload_config is not None
-                    else None
+                    governor.config.to_dict() if governor.config is not None else None
                 ),
-                "stats": self._overload.to_dict(),
+                "stats": governor.stats.to_dict(),
                 "max_inflight_chunks": self.max_inflight_chunks,
                 "compact_every_chunks": self.compact_every_chunks,
             }
@@ -1065,41 +929,24 @@ class SurgeService:
             stream_time=self._time,
             n_shards=self.n_shards,
             executor=self.executor_name,
-            order=list(self._order),
-            shard_of=dict(self._shard_of),
+            order=self._order,
+            shard_of=self._shard_of,
             registered=self._registered,
             specs=[self._specs[query_id].to_dict() for query_id in self._order],
-            policy=self._checkpoint_policy.to_dict(),
-            stats={
-                "objects_pushed": self._stats.objects_pushed,
-                "chunks_pushed": self._stats.chunks_pushed,
-                "object_query_pairs": self._stats.object_query_pairs,
-                "wall_seconds": self._stats.wall_seconds,
-                "subscriber_errors": self.bus.subscriber_errors,
-                "per_query": self.bus.export_stats(),
-            },
+            policy=durability.policy.to_dict(),
+            stats=dict(
+                self._stats.totals(),
+                subscriber_errors=self.bus.subscriber_errors,
+                per_query=self.bus.export_stats(),
+            ),
             shard_files=shard_files,
-            extra=dict(self.checkpoint_extra),
+            extra=durability.extra,
             ingest=ingest_record,
             overload=overload_record,
-            server=(
-                dict(self.server_info) if self.server_info is not None else None
-            ),
+            server=self.server_info,
             obs=obs_record,
         )
-        path = write_manifest(target, manifest)
-        ChunkWal(wal_path(target)).mark_checkpoint(
-            WalCheckpoint(
-                chunk_offset=self._chunk_offset,
-                generation=generation,
-                stream_time=encode_stream_time(self._time),
-            )
-        )
-        self._prune_errors += prune_generations(target, generation)
-        if attached:
-            self._generation = generation
-            self._last_checkpoint_offset = self._chunk_offset
-            self._last_checkpoint_time = self._time
+        path = durability.publish(target, manifest)
         if traced:
             tracer.record(
                 "checkpoint",
@@ -1139,8 +986,12 @@ class SurgeService:
         identical across backends); the shard count always comes from the
         manifest, because the per-shard snapshot files partition the queries.
         With ``attach=True`` (default) the directory stays attached for
-        further WAL appends and automatic checkpoints under
-        ``checkpoint_policy`` (default: the recorded policy).
+        further WAL appends and automatic checkpoints.  ``attach=False``
+        leaves the service detached (``checkpoint_dir is None``, no WAL, no
+        automatic checkpoints).  Either way it carries the recorded
+        ``checkpoint_extra`` and cadence (``checkpoint_policy`` overrides
+        the latter), so a one-off ``checkpoint(elsewhere)`` relocates the
+        checkpoint without losing them.
 
         The ingest tier is restored whole from its snapshot — held-back
         events, pending list, raw-record replay offset, counters and mode
@@ -1167,19 +1018,43 @@ class SurgeService:
         stream replay re-applies the lost chunks.
         """
         directory = Path(directory)
-        kwargs: dict[str, Any] = dict(
-            executor=executor,
-            executor_options=executor_options,
-            checkpoint_policy=checkpoint_policy,
-            attach=attach,
-            on_bad_record=on_bad_record,
-            quarantine_dir=quarantine_dir,
-            tracer=tracer,
-        )
+
+        def build(manifest: ServiceManifest) -> "SurgeService":
+            # The manifest read back as the constructor's own arguments,
+            # plus the state only a checkpoint has (``_resumed``).
+            resumed = read_generation(
+                directory, manifest, want_recorder=tracer is not None
+            )
+            if isinstance(resumed.recorder, FlightRecorder):
+                tracer.recorder = resumed.recorder
+            overload = manifest.overload or {}
+            config = overload.get("config")
+            return cls(
+                [QuerySpec.from_dict(record) for record in manifest.specs],
+                shards=manifest.n_shards,
+                executor=executor if executor is not None else manifest.executor,
+                executor_options=executor_options,
+                checkpoint_dir=directory if attach else None,
+                checkpoint_policy=(
+                    checkpoint_policy
+                    if checkpoint_policy is not None
+                    else CheckpointPolicy.from_dict(manifest.policy)
+                ),
+                checkpoint_extra=manifest.extra,
+                max_lateness=manifest.ingest["max_lateness"] if manifest.ingest else 0.0,
+                on_bad_record=on_bad_record,
+                quarantine_dir=quarantine_dir,
+                max_inflight_chunks=overload.get("max_inflight_chunks"),
+                overload=OverloadConfig.from_dict(config) if config else None,
+                compact_every_chunks=overload.get("compact_every_chunks"),
+                tracer=tracer,
+                _resumed=resumed,
+            )
+
         manifest: ServiceManifest | None = None
         try:
             manifest = read_manifest(directory)
-            return cls._restore_from_manifest(directory, manifest, **kwargs)
+            return build(manifest)
         except SnapshotError as newest_error:
             previous = read_previous_manifest(directory)
             if previous is None or (
@@ -1200,179 +1075,7 @@ class SurgeService:
                     "fallback_generation": previous.generation,
                 },
             )
-            return cls._restore_from_manifest(directory, previous, **kwargs)
-
-    @classmethod
-    def _restore_from_manifest(
-        cls,
-        directory: Path,
-        manifest: ServiceManifest,
-        *,
-        executor: str | None,
-        executor_options: Mapping[str, Any] | None,
-        checkpoint_policy: CheckpointPolicy | None,
-        attach: bool,
-        on_bad_record: Callable[[Any, str], None] | None,
-        quarantine_dir: str | Path | None,
-        tracer: Tracer | None,
-    ) -> "SurgeService":
-        if len(manifest.shard_files) != manifest.n_shards:
-            raise SnapshotError(
-                f"{manifest_path(directory)}: manifest names "
-                f"{len(manifest.shard_files)} shard files for "
-                f"{manifest.n_shards} shards"
-            )
-        shard_paths = [directory / name for name in manifest.shard_files]
-        for path in shard_paths:
-            if not path.exists():
-                raise SnapshotError(
-                    f"{manifest_path(directory)} names a missing shard "
-                    f"snapshot {path.name} (incomplete checkpoint directory?)"
-                )
-        specs = [QuerySpec.from_dict(record) for record in manifest.specs]
-
-        overload_record = manifest.overload
-        overload_config = None
-        max_inflight_chunks = None
-        compact_every_chunks = None
-        if overload_record is not None:
-            config_record = overload_record.get("config")
-            if config_record is not None:
-                overload_config = OverloadConfig.from_dict(config_record)
-            raw_inflight = overload_record.get("max_inflight_chunks")
-            if raw_inflight is not None:
-                max_inflight_chunks = int(raw_inflight)
-            raw_compact = overload_record.get("compact_every_chunks")
-            if raw_compact is not None:
-                compact_every_chunks = int(raw_compact)
-        service = cls(
-            (),
-            shards=manifest.n_shards,
-            executor=executor if executor is not None else manifest.executor,
-            executor_options=executor_options,
-            max_lateness=float((manifest.ingest or {}).get("max_lateness", 0.0)),
-            on_bad_record=on_bad_record,
-            quarantine_dir=quarantine_dir,
-            max_inflight_chunks=max_inflight_chunks,
-            overload=overload_config,
-            compact_every_chunks=compact_every_chunks,
-            tracer=tracer,
-        )
-        try:
-            cls._hydrate_restored(
-                service,
-                directory,
-                manifest,
-                shard_paths,
-                specs,
-                overload_record,
-                checkpoint_policy=checkpoint_policy,
-                attach=attach,
-                tracer=tracer,
-            )
-        except BaseException:
-            # A half-restored service may own real resources (worker
-            # processes, a remote fleet); release them before the caller
-            # sees the failure (or restore() falls back a generation).
-            service.close()
-            raise
-        return service
-
-    @classmethod
-    def _hydrate_restored(
-        cls,
-        service: "SurgeService",
-        directory: Path,
-        manifest: ServiceManifest,
-        shard_paths: list[Path],
-        specs: list[QuerySpec],
-        overload_record: dict[str, Any] | None,
-        *,
-        checkpoint_policy: CheckpointPolicy | None,
-        attach: bool,
-        tracer: Tracer | None,
-    ) -> None:
-        if tracer is not None and manifest.obs is not None:
-            snapshot_file = manifest.obs.get("snapshot_file")
-            if snapshot_file is not None:
-                obs_path = directory / snapshot_file
-                if obs_path.exists():
-                    # A missing recorder snapshot is tolerated (unlike shard
-                    # or ingest snapshots): tracing history is observability,
-                    # not correctness state.
-                    _, recorder = read_snapshot(
-                        obs_path, expected_kind=OBS_SNAPSHOT_KIND
-                    )
-                    if isinstance(recorder, FlightRecorder):
-                        tracer.recorder = recorder
-        if overload_record is not None:
-            # Cumulative counters carry over; the degraded flag restored
-            # with them makes the resumed run continue shedding exactly
-            # where the victim stopped (the hysteresis re-evaluates from
-            # the restored depth on the next chunk).
-            service._overload = OverloadStats.from_dict(
-                overload_record.get("stats", {})
-            )
-        # Registry bookkeeping comes from the manifest verbatim: replaying
-        # round-robin over the surviving specs would mis-assign after
-        # removals, and the shard snapshot files already partition by the
-        # recorded assignment.
-        service._order = list(manifest.order)
-        service._shard_of = dict(manifest.shard_of)
-        service._specs = {spec.query_id: spec for spec in specs}
-        service._registered = manifest.registered
-        service._time = manifest.stream_time
-        service._chunk_index = manifest.chunk_index
-        service._chunk_offset = manifest.chunk_offset
-        stats = manifest.stats
-        service._stats = ServiceStats(
-            objects_pushed=int(stats.get("objects_pushed", 0)),
-            chunks_pushed=int(stats.get("chunks_pushed", 0)),
-            object_query_pairs=int(stats.get("object_query_pairs", 0)),
-            wall_seconds=float(stats.get("wall_seconds", 0.0)),
-        )
-        service.bus.load_stats(stats.get("per_query", {}))
-        service.bus.subscriber_errors = int(stats.get("subscriber_errors", 0))
-        if manifest.ingest is not None:
-            ingest_path = directory / manifest.ingest["snapshot_file"]
-            if not ingest_path.exists():
-                raise SnapshotError(
-                    f"{manifest_path(directory)} names a missing ingest "
-                    f"snapshot {ingest_path.name} (incomplete checkpoint "
-                    f"directory?)"
-                )
-            _, tier = read_snapshot(ingest_path, expected_kind=INGEST_SNAPSHOT_KIND)
-            service._ingest = tier.reattach(service._ingest)
-        if manifest.server is not None:
-            service.server_info = dict(manifest.server)
-
-        replies = service._executor.scatter(
-            [("restore", str(path)) for path in shard_paths]
-        )
-        for index, restored_ids in enumerate(replies):
-            expected = [
-                query_id
-                for query_id in manifest.order
-                if manifest.shard_of[query_id] == index
-            ]
-            if sorted(restored_ids) != sorted(expected):
-                raise SnapshotError(
-                    f"{shard_paths[index]}: shard snapshot holds queries "
-                    f"{sorted(restored_ids)}, manifest expects {sorted(expected)}"
-                )
-        if attach:
-            if checkpoint_policy is None:
-                checkpoint_policy = CheckpointPolicy.from_dict(manifest.policy)
-            service._attach_durability(
-                directory,
-                checkpoint_policy,
-                manifest.extra,
-                resume_from=WalCheckpoint(
-                    chunk_offset=manifest.chunk_offset,
-                    generation=manifest.generation,
-                    stream_time=encode_stream_time(manifest.stream_time),
-                ),
-            )
+            return build(previous)
 
     # ------------------------------------------------------------------
     # Lifecycle

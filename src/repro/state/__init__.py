@@ -13,7 +13,9 @@ This package turns the continuous monitors into restartable services:
 * :mod:`repro.state.recovery` — the checkpoint-directory layout (per-shard
   snapshot files + service manifest) shared by
   :meth:`repro.service.SurgeService.checkpoint` / ``restore`` and the
-  ``repro serve --checkpoint-dir/--resume`` CLI.
+  ``repro serve --checkpoint-dir/--resume`` CLI;
+* :mod:`repro.state.durability` — :class:`Durability`: one service's
+  attached directory, cadence, WAL and generation counter.
 
 Quickstart::
 
@@ -34,6 +36,7 @@ Quickstart::
         ...                                   # replays only the lost tail
 """
 
+from repro.state.durability import Durability
 from repro.state.policy import CheckpointPolicy
 from repro.state.recovery import (
     MANIFEST_SCHEMA,
@@ -54,6 +57,7 @@ from repro.state.wal import WAL_SCHEMA, ChunkWal, WalCheckpoint, WalState
 
 __all__ = [
     "CheckpointPolicy",
+    "Durability",
     "ServiceManifest",
     "MANIFEST_SCHEMA",
     "has_checkpoint",

@@ -11,7 +11,7 @@ streams where a chunk budget alone could leave hours between snapshots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,18 @@ class CheckpointPolicy:
             return True
         return False
 
+    def scaled(self, factor: int) -> "CheckpointPolicy":
+        """The same triggers, each ``factor`` times rarer (``stretch`` overload)."""
+        chunks, seconds = self.every_chunks, self.every_stream_seconds
+        return CheckpointPolicy(
+            every_chunks=None if chunks is None else chunks * factor,
+            every_stream_seconds=None if seconds is None else seconds * factor,
+        )
+
     def to_dict(self) -> dict:
         """JSON form stored in the service manifest (for resume)."""
-        return {
-            "every_chunks": self.every_chunks,
-            "every_stream_seconds": self.every_stream_seconds,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(record: dict) -> "CheckpointPolicy":
-        return CheckpointPolicy(
-            every_chunks=record.get("every_chunks"),
-            every_stream_seconds=record.get("every_stream_seconds"),
-        )
+    @classmethod
+    def from_dict(cls, record: dict) -> "CheckpointPolicy":
+        return cls(**record)

@@ -10,11 +10,15 @@ A service checkpoint directory looks like::
       ingest.g000003.ckpt     the ingest tier, once it holds any state
       obs.g000003.ckpt        tracing flight recorder, when a tracer is on
 
-Checkpoint protocol (crash-safe by ordering):
+Checkpoint protocol (crash-safe by ordering).  The service conducts step 1 —
+it knows *what* is snapshotted — and hands the finished manifest to its
+:class:`~repro.state.durability.Durability`, which allocated the generation
+and publishes steps 2–4:
 
 1. every shard writes its own generation-``g`` snapshot file (atomic; under
    the process executor each worker process persists its shard
    independently — the shard state never crosses the process boundary);
+   the ingest tier and the flight recorder follow, when there are any;
 2. the manifest — query registry, shard assignment, chunk offset, stats,
    and the list of generation-``g`` shard files — is atomically replaced;
 3. the WAL is restarted from a ``checkpoint`` record for generation ``g``;
@@ -39,7 +43,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.state.snapshot import SnapshotError, _atomic_write_bytes, check_schema
+from repro.state.snapshot import (
+    SnapshotError,
+    _atomic_write_bytes,
+    check_schema,
+    read_snapshot,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +102,12 @@ def decode_stream_time(value: float | None) -> float:
 
 @dataclass
 class ServiceManifest:
-    """Everything :meth:`SurgeService.restore` needs besides the shard files."""
+    """Everything :meth:`SurgeService.restore` needs besides the shard files.
+
+    ``service-manifest/v4`` guarantees every field below is present in the
+    file (older layouts are refused by version, not defaulted); the four
+    optional sections are ``None`` when their tier holds nothing to record.
+    """
 
     generation: int
     chunk_offset: int
@@ -118,91 +132,41 @@ class ServiceManifest:
     #: :class:`~repro.streams.ingest.IngestTier` (reorder buffer, pending
     #: list, replay offset, counters).
     ingest: dict | None = None
-    #: Overload tier state (``None`` = tier unconfigured, and in every
-    #: pre-overload manifest): the :class:`~repro.service.overload.
-    #: OverloadConfig` in force, the cumulative :class:`~repro.service.
-    #: overload.OverloadStats` (including whether the service was degraded
-    #: at checkpoint time, so a resume continues shedding exactly where the
-    #: victim stopped), and the ``max_inflight_chunks`` budget.  Optional
-    #: field, same schema version — old manifests load with the tier off.
+    #: Overload tier state (``None`` = tier unconfigured and every counter
+    #: zero): the :class:`~repro.service.overload.OverloadConfig` in force,
+    #: the cumulative :class:`~repro.service.overload.OverloadStats`
+    #: (including whether the service was degraded at checkpoint time, so a
+    #: resume continues shedding exactly where the victim stopped), and the
+    #: ``max_inflight_chunks`` / ``compact_every_chunks`` settings.
     overload: dict | None = None
     #: Network-tier listener configuration (``None`` = the service was not
-    #: serving, and in every pre-server manifest): host/port of the frame
-    #: listener and the optional metrics endpoint, plus the serving chunk
-    #: size — enough for ``repro serve --resume`` to re-serve the same
-    #: endpoint without re-specifying it.  Optional field, same schema
-    #: version — old manifests load with no listener recorded.
+    #: serving): host/port of the frame listener and the optional metrics
+    #: endpoint, plus the serving chunk size — enough for
+    #: ``repro serve --resume`` to re-serve the same endpoint without
+    #: re-specifying it.
     server: dict | None = None
-    #: Observability tier state (``None`` = no tracer attached, and in every
-    #: pre-tracing manifest): whether the tracer was enabled, its slow-chunk
-    #: threshold, and the name of the generation's flight-recorder snapshot
-    #: (span ring + per-stage latency aggregates).  Optional field, same
-    #: schema version — old manifests load with the tier off.
+    #: Observability tier state (``None`` = no tracer attached): whether the
+    #: tracer was enabled, its slow-chunk threshold, and the name of the
+    #: generation's flight-recorder snapshot (span ring + per-stage latency
+    #: aggregates).
     obs: dict | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "generation": self.generation,
-            "chunk_offset": self.chunk_offset,
-            "chunk_index": self.chunk_index,
-            "stream_time": encode_stream_time(self.stream_time),
-            "n_shards": self.n_shards,
-            "executor": self.executor,
-            "order": list(self.order),
-            "shard_of": dict(self.shard_of),
-            "registered": self.registered,
-            "specs": list(self.specs),
-            "policy": dict(self.policy),
-            "stats": dict(self.stats),
-            "shard_files": list(self.shard_files),
-            "extra": dict(self.extra),
-            "ingest": dict(self.ingest) if self.ingest is not None else None,
-            "overload": dict(self.overload) if self.overload is not None else None,
-            "server": dict(self.server) if self.server is not None else None,
-            "obs": dict(self.obs) if self.obs is not None else None,
-        }
+        # Shallow on purpose: the sections are already JSON-shaped, and
+        # asdict's deep copy doubles the cost of a 256-query checkpoint.
+        record = dict(vars(self))
+        record["schema"] = MANIFEST_SCHEMA
+        record["stream_time"] = encode_stream_time(self.stream_time)
+        return record
 
-    @staticmethod
-    def from_dict(record: Mapping[str, Any], path: str | Path) -> "ServiceManifest":
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any], path: str | Path) -> "ServiceManifest":
         check_schema(record.get("schema"), MANIFEST_SCHEMA, path, "service manifest")
         try:
-            return ServiceManifest(
-                generation=int(record["generation"]),
-                chunk_offset=int(record["chunk_offset"]),
-                chunk_index=int(record["chunk_index"]),
-                stream_time=decode_stream_time(record["stream_time"]),
-                n_shards=int(record["n_shards"]),
-                executor=str(record["executor"]),
-                order=list(record["order"]),
-                shard_of={key: int(value) for key, value in record["shard_of"].items()},
-                registered=int(record["registered"]),
-                specs=list(record["specs"]),
-                policy=dict(record.get("policy", {})),
-                stats=dict(record.get("stats", {})),
-                shard_files=list(record["shard_files"]),
-                extra=dict(record.get("extra", {})),
-                ingest=(
-                    dict(record["ingest"])
-                    if record.get("ingest") is not None
-                    else None
-                ),
-                overload=(
-                    dict(record["overload"])
-                    if record.get("overload") is not None
-                    else None
-                ),
-                server=(
-                    dict(record["server"])
-                    if record.get("server") is not None
-                    else None
-                ),
-                obs=(
-                    dict(record["obs"])
-                    if record.get("obs") is not None
-                    else None
-                ),
-            )
+            values = dict(record)
+            del values["schema"]
+            values["stream_time"] = decode_stream_time(values["stream_time"])
+            return cls(**values)
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"{path}: corrupt service manifest (missing or malformed "
@@ -245,14 +209,7 @@ def write_manifest(directory: str | Path, manifest: ServiceManifest) -> Path:
     return path
 
 
-def read_manifest(directory: str | Path) -> ServiceManifest:
-    """Read and validate the manifest of a checkpoint directory."""
-    path = manifest_path(directory)
-    if not path.exists():
-        raise SnapshotError(
-            f"{Path(directory)} holds no service checkpoint "
-            f"(missing {MANIFEST_NAME})"
-        )
+def _parse_manifest(path: Path) -> ServiceManifest:
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -262,18 +219,77 @@ def read_manifest(directory: str | Path) -> ServiceManifest:
     return ServiceManifest.from_dict(record, path)
 
 
+def read_manifest(directory: str | Path) -> ServiceManifest:
+    """Read and validate the manifest of a checkpoint directory."""
+    path = manifest_path(directory)
+    if not path.exists():
+        raise SnapshotError(
+            f"{Path(directory)} holds no service checkpoint "
+            f"(missing {MANIFEST_NAME})"
+        )
+    return _parse_manifest(path)
+
+
 def read_previous_manifest(directory: str | Path) -> ServiceManifest | None:
     """The manifest the last checkpoint replaced, or ``None`` if absent/corrupt."""
-    path = previous_manifest_path(directory)
-    if not path.exists():
-        return None
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(record, dict):
-            return None
-        return ServiceManifest.from_dict(record, path)
-    except (OSError, json.JSONDecodeError, SnapshotError):
+        return _parse_manifest(previous_manifest_path(directory))
+    except (OSError, SnapshotError):
         return None
+
+
+@dataclass
+class Generation:
+    """One checkpoint generation read back: the manifest and what it names."""
+
+    manifest: ServiceManifest
+    #: Verified to exist; each shard loads its own file where it runs.
+    shard_paths: list[Path]
+    #: Payload of the ingest snapshot (``None`` = the manifest names none).
+    ingest: Any = None
+    #: Payload of the flight-recorder snapshot (``None`` = not recorded, not
+    #: wanted, or its file is gone).
+    recorder: Any = None
+
+
+def read_generation(
+    directory: Path, manifest: ServiceManifest, *, want_recorder: bool
+) -> Generation:
+    """Check the snapshot files ``manifest`` names; load the service-side ones."""
+
+    def named(what: str, name: str) -> Path:
+        path = directory / name
+        if not path.exists():
+            raise SnapshotError(
+                f"{manifest_path(directory)} names a missing {what} "
+                f"snapshot {name} (incomplete checkpoint directory?)"
+            )
+        return path
+
+    if len(manifest.shard_files) != manifest.n_shards:
+        raise SnapshotError(
+            f"{manifest_path(directory)}: manifest names "
+            f"{len(manifest.shard_files)} shard files for "
+            f"{manifest.n_shards} shards"
+        )
+    generation = Generation(
+        manifest, [named("shard", name) for name in manifest.shard_files]
+    )
+    if manifest.ingest is not None:
+        _, generation.ingest = read_snapshot(
+            named("ingest", manifest.ingest["snapshot_file"]),
+            expected_kind=INGEST_SNAPSHOT_KIND,
+        )
+    if want_recorder and manifest.obs is not None:
+        obs_path = directory / manifest.obs["snapshot_file"]
+        if obs_path.exists():
+            # A missing recorder snapshot is tolerated (unlike shard or
+            # ingest snapshots): tracing history is observability, not
+            # correctness state.
+            _, generation.recorder = read_snapshot(
+                obs_path, expected_kind=OBS_SNAPSHOT_KIND
+            )
+    return generation
 
 
 def next_generation(directory: str | Path) -> int:

@@ -24,6 +24,7 @@ also get direct socket-free unit tests.
 
 from __future__ import annotations
 
+import logging
 import signal
 import socket
 import threading
@@ -440,16 +441,17 @@ def test_losing_every_worker_is_a_loud_error():
 # ---------------------------------------------------------------------------
 class TestServiceIntegration:
     def test_checkpoint_policy_clamped_to_remote_floor(self):
-        with SurgeService([spec("a")]) as service:
-            # The clamp helper is executor-independent; drive it directly.
-            loose = CheckpointPolicy(every_chunks=10_000, every_stream_seconds=5.0)
-            clamped = service._clamp_remote_policy(loose)
-            assert clamped.every_chunks == REMOTE_CHECKPOINT_FLOOR_CHUNKS
-            assert clamped.every_stream_seconds == 5.0
-            unbounded = service._clamp_remote_policy(CheckpointPolicy())
-            assert unbounded.every_chunks == REMOTE_CHECKPOINT_FLOOR_CHUNKS
-            tight = CheckpointPolicy(every_chunks=8)
-            assert service._clamp_remote_policy(tight) is tight
+        # The clamp is a plain function of the policy; drive it directly.
+        from repro.state.durability import remote_cadence_floor
+
+        loose = CheckpointPolicy(every_chunks=10_000, every_stream_seconds=5.0)
+        clamped = remote_cadence_floor(loose)
+        assert clamped.every_chunks == REMOTE_CHECKPOINT_FLOOR_CHUNKS
+        assert clamped.every_stream_seconds == 5.0
+        unbounded = remote_cadence_floor(CheckpointPolicy())
+        assert unbounded.every_chunks == REMOTE_CHECKPOINT_FLOOR_CHUNKS
+        tight = CheckpointPolicy(every_chunks=8)
+        assert remote_cadence_floor(tight) is tight
 
     def test_remote_attach_applies_the_floor(self, tmp_path):
         with SurgeService(
@@ -468,6 +470,41 @@ class TestServiceIntegration:
                 service.checkpoint_policy.every_chunks
                 == REMOTE_CHECKPOINT_FLOOR_CHUNKS
             )
+
+    def test_only_a_directoryless_remote_service_warns_about_the_ledger(
+        self, tmp_path, caplog
+    ):
+        """An attached restore has its directory before the executor is built."""
+        options = {
+            "workers": 1,
+            "spawn_workers": 1,
+            "join_timeout": 60.0,
+            "heartbeat_interval": 60.0,
+        }
+
+        def ledger_warnings():
+            return [
+                record
+                for record in caplog.records
+                if "remote executor without checkpoint_dir" in record.getMessage()
+            ]
+
+        with caplog.at_level(logging.WARNING, logger="repro.service.service"):
+            with SurgeService(
+                [spec("a")], executor="remote", executor_options=options
+            ) as fresh:
+                fresh.push_many(make_objects(10))
+                fresh.checkpoint(tmp_path)
+            assert len(ledger_warnings()) == 1
+            caplog.clear()
+            with SurgeService.restore(tmp_path, executor_options=options) as attached:
+                assert attached.checkpoint_dir == tmp_path
+            assert ledger_warnings() == []
+            with SurgeService.restore(
+                tmp_path, executor_options=options, attach=False
+            ) as detached:
+                assert detached.checkpoint_dir is None
+            assert len(ledger_warnings()) == 1
 
     def test_distributed_stats_surface(self):
         with SurgeService([spec("a")]) as serial_service:

@@ -652,6 +652,40 @@ class TestDurabilityPlumbing:
                 qid: result_key(r) for qid, r in restored.results().items()
             } == finals
 
+    def test_detached_restore_relocates_extra_and_policy(self, tmp_path, stream):
+        """restore(a, attach=False) + checkpoint(b): b records what a did."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        policy = CheckpointPolicy(every_chunks=2)
+        chunks = list(iter_chunks(stream, CHUNK_SIZE))
+        with SurgeService(
+            make_specs()[:2],
+            checkpoint_dir=a,
+            checkpoint_policy=policy,
+            checkpoint_extra={"chunk_size": CHUNK_SIZE},
+        ) as service:
+            for chunk in chunks[:2]:
+                service.push_many(chunk)
+        recorded = read_manifest(a)
+        with SurgeService.restore(a, attach=False) as detached:
+            assert detached.checkpoint_dir is None
+            assert detached.checkpoint_policy == policy
+            assert detached.checkpoint_extra == {"chunk_size": CHUNK_SIZE}
+            # Detached: the carried cadence is never consulted — no WAL, no
+            # automatic checkpoint, here or in the source directory.
+            for chunk in chunks[2:5]:
+                detached.push_many(chunk)
+            assert read_manifest(a).generation == recorded.generation
+            assert ChunkWal.read(wal_path(a)).lost_chunks == 0
+            detached.checkpoint(b)
+        relocated = read_manifest(b)
+        assert relocated.extra == recorded.extra == {"chunk_size": CHUNK_SIZE}
+        assert relocated.policy == recorded.policy == policy.to_dict()
+        with SurgeService.restore(b) as resumed:
+            assert resumed.checkpoint_policy == policy
+            for chunk in chunks[5:7]:
+                resumed.push_many(chunk)
+        assert read_manifest(b).generation == relocated.generation + 1
+
     def test_manual_checkpoint_to_explicit_directory(self, tmp_path, stream):
         target = tmp_path / "one-off"
         with SurgeService(make_specs()[:2]) as service:
@@ -819,6 +853,27 @@ class TestCliResume:
         )
         assert code == 2
         assert "chunk-size" in capsys.readouterr().err
+
+    def test_relocated_checkpoint_keeps_the_chunk_size_guard(self, cli_env, capsys):
+        main, tmp_path, full, partial, queries = cli_env
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert (
+            self.serve(main, partial, "--queries", str(queries),
+                       "--checkpoint-dir", str(a))
+            == 0
+        )
+        with SurgeService.restore(a, attach=False) as detached:
+            detached.checkpoint(b)
+        capsys.readouterr()
+        code = main(
+            ["serve", str(full), "--chunk-size", str(CHUNK_SIZE + 1),
+             "--resume", "--checkpoint-dir", str(b)]
+        )
+        assert code == 2
+        assert (
+            "replay offsets only line up at the original chunking"
+            in capsys.readouterr().err
+        )
 
     def test_fresh_start_refuses_existing_checkpoint(self, cli_env, capsys):
         main, tmp_path, full, partial, queries = cli_env

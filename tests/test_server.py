@@ -505,6 +505,74 @@ class TestDrain:
         with pytest.raises(OSError):
             ServerClient("127.0.0.1", server.port, timeout=2)
 
+    def test_drain_is_bounded_when_a_subscriber_stops_reading(
+        self, tmp_path, monkeypatch
+    ):
+        """A peer that never reads must not keep the drain from its checkpoint.
+
+        Its pump sits inside the one write holding the connection's write
+        lock, so the ``draining`` frame queues behind it; the drain gives
+        the peer ``DRAIN_NOTIFY_TIMEOUT``, closes it and moves on — while a
+        subscriber that does read still gets its notice.
+        """
+        from repro.server import server as server_module
+
+        monkeypatch.setattr(server_module, "DRAIN_NOTIFY_TIMEOUT", 1.0)
+        n_queries, chunk_size = 16, 2
+        specs = [make_spec(f"q{index}") for index in range(n_queries)]
+        service = SurgeService(specs, checkpoint_dir=tmp_path / "ckpt")
+        server = SurgeServer(service, port=0, chunk_size=chunk_size)
+        server.start_background()
+        stalled = connect(server)
+        stalled.subscribe(maxsize=2 * n_queries, name="stalled")
+        reader = connect(server)
+        reader.subscribe(maxsize=4 * n_queries, name="reader")
+        reader_saw: list[str] = []
+
+        def read_until_draining():
+            try:
+                while True:
+                    frame = reader.recv_raw()
+                    if frame.get("type") == "control":
+                        reader_saw.append(frame["event"])
+                        if frame["event"] == "draining":
+                            return
+            except (ConnectionError, OSError):
+                pass
+
+        reading = threading.Thread(target=read_until_draining, daemon=True)
+        reading.start()
+        stream = make_clean(4000 * chunk_size, seed=15)
+        stalled_rounds, previous = 0, None
+        with connect(server) as feeder:
+            for start in range(0, len(stream), chunk_size):
+                feeder.ingest(stream[start : start + chunk_size])
+                by_name = {
+                    record["name"]: record
+                    for record in feeder.stats()["subscriptions"]
+                }
+                delivered = by_name["stalled"]["delivered"]
+                stalled_rounds = stalled_rounds + 1 if delivered == previous else 0
+                if stalled_rounds == 4:
+                    break
+                previous = delivered
+        assert stalled_rounds == 4, "the stalled peer's socket never filled"
+        started = time.monotonic()
+        server.request_drain()
+        summary = server.drain(timeout=20)
+        elapsed = time.monotonic() - started
+        assert summary["checkpoint"] is not None
+        assert summary["chunk_offset"] == service.chunk_offset > 0
+        assert elapsed < 10.0, elapsed  # the 1 s bound plus the checkpoint
+        reading.join(timeout=10)
+        assert not reading.is_alive()
+        assert reader_saw[-1:] == ["draining"]
+        stalled.close()
+        reader.close()
+        with SurgeService.restore(tmp_path / "ckpt", attach=False) as restored:
+            assert restored.chunk_offset == summary["chunk_offset"]
+        service.close()
+
     def test_drain_without_durability_flushes_pending(self):
         stream = make_clean(20, seed=11)
         specs = [make_spec("kw", "concert"), make_spec("all")]

@@ -38,12 +38,12 @@ from repro.service import (
     SurgeService,
 )
 from repro.service.bus import QueryStats, QueryUpdate, ResultBus, Subscription
-from repro.service.overload import OVERLOAD_POLICIES
+from repro.service.overload import OVERLOAD_POLICIES, OverloadGovernor
 from repro.state import CheckpointPolicy
 from repro.state.recovery import read_manifest
 from repro.streams.watermark import WatermarkReorderBuffer
 
-from tests.helpers import replay_oracle, result_keys
+from tests.helpers import replay_oracle, result_key, result_keys
 from tests.test_service_robustness import make_clean, make_specs, replay
 
 EXECUTOR_GRID = [("serial", 1), ("serial", 2), ("process", 2)]
@@ -124,6 +124,83 @@ class TestOverloadConfig:
         loaded = OverloadStats.from_dict(stats.to_dict())
         assert loaded.shedding == []  # recomputed live, never persisted
         assert loaded == replace(stats, shedding=[])
+
+
+class TestOverloadGovernor:
+    """The state machine on its own: no service, no executor, no stream."""
+
+    def test_hysteresis_and_whole_class_shedding(self):
+        specs = grid_specs({"c1": 0, "c2": 0, "p1": 5, "p2": 5})
+        governor = OverloadGovernor(
+            OverloadConfig(high_watermark_chunks=4.0, low_watermark_chunks=1.0)
+        )
+        assert governor.evaluate(3.9, specs) == frozenset()
+        assert governor.evaluate(4.0, specs) == {"c1", "c2"}
+        # Inside the dead band the mode holds; the low watermark leaves it.
+        assert governor.evaluate(1.5, specs) == {"c1", "c2"}
+        assert governor.stats.shedding == ["c1", "c2"]
+        assert governor.evaluate(1.0, specs) == frozenset()
+        stats = governor.stats
+        assert (stats.entered_degraded, stats.exited_degraded) == (1, 1)
+        assert stats.max_depth_chunks == 4.0 and stats.shedding == []
+
+    def test_shed_set_is_cached_until_the_registry_changes(self):
+        governor = OverloadGovernor(
+            OverloadConfig(high_watermark_chunks=1.0, low_watermark_chunks=0.5)
+        )
+        specs = grid_specs({"c1": 0, "c2": 0, "p1": 5, "p2": 5})
+        assert governor.evaluate(2.0, specs) == {"c1", "c2"}
+        promoted = grid_specs({"c1": 0, "c2": 5, "p1": 5, "p2": 5})
+        assert governor.evaluate(2.0, promoted) == {"c1", "c2"}  # stale cache
+        governor.registry_changed()
+        assert governor.evaluate(2.0, promoted) == frozenset()
+
+    def test_error_policy_raises_on_entry_and_counts_it(self):
+        governor = OverloadGovernor(
+            OverloadConfig(high_watermark_chunks=2.0, policy="error")
+        )
+        with pytest.raises(OverloadError) as excinfo:
+            governor.evaluate(2.5, grid_specs())
+        assert excinfo.value.depth_chunks == 2.5
+        assert governor.stats.entered_degraded == 1
+
+    def test_stretch_defers_only_while_degraded(self):
+        governor = OverloadGovernor(
+            OverloadConfig(
+                high_watermark_chunks=2.0, policy="stretch", checkpoint_stretch=3
+            )
+        )
+        asked: list[int] = []
+
+        def due_when_stretched(factor: int) -> bool:
+            asked.append(factor)
+            return False
+
+        assert not governor.defers_checkpoint(due_when_stretched)
+        governor.evaluate(2.0, grid_specs())
+        assert governor.defers_checkpoint(due_when_stretched)
+        assert not governor.defers_checkpoint(lambda factor: True)
+        assert asked == [3] and governor.stats.checkpoints_deferred == 1
+
+    def test_unconfigured_governor_only_counts_compactions(self):
+        governor = OverloadGovernor()
+        assert governor.evaluate(1e9, grid_specs()) == frozenset()
+        assert not governor.defers_checkpoint(lambda factor: False)
+        governor.count_compaction(2)
+        assert governor.stats == OverloadStats(compactions=1, queries_compacted=2)
+
+    def test_restored_stats_continue(self):
+        recorded = OverloadStats(degraded=True, entered_degraded=3, chunks_shed=9)
+        governor = OverloadGovernor(
+            OverloadConfig(high_watermark_chunks=8.0, low_watermark_chunks=2.0),
+            OverloadStats.from_dict(recorded.to_dict()),
+        )
+        specs = grid_specs({"c1": 0, "c2": 0, "p1": 5, "p2": 5})
+        # Still above the low watermark: keeps shedding without re-entering.
+        assert governor.evaluate(3.0, specs) == {"c1", "c2"}
+        governor.count_shed(2)
+        assert governor.stats.entered_degraded == 3
+        assert (governor.stats.chunks_shed, governor.stats.updates_shed) == (10, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +310,8 @@ class TestSubscriptionBounds:
         # And the QueryStats JSON form itself round-trips the new fields.
         stats = QueryStats(dropped_results=3, chunks_shed=2)
         assert QueryStats.from_dict(stats.to_dict()) == stats
-        # Old checkpoints without the new fields load as zeros.
+        # A record is the dataclass's own keyword arguments: v4 manifests
+        # always carry every field, and an absent one takes its default.
         legacy = {"objects_routed": 5, "chunks_processed": 1}
         loaded = QueryStats.from_dict(legacy)
         assert loaded.dropped_results == 0 and loaded.chunks_shed == 0
@@ -768,6 +846,142 @@ class TestOverloadDurability:
         assert got_overload.chunks_shed == expected_overload.chunks_shed
         assert got_overload.updates_shed == expected_overload.updates_shed
         assert got_overload.entered_degraded == expected_overload.entered_degraded
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_every_manifest_field_round_trips_to_a_public_read_out(
+        self, tmp_path, executor
+    ):
+        """Checkpoint a service with every optional section populated, while
+        degraded; the restored one answers every public read-out alike.
+
+        The table below names, per :class:`ServiceManifest` field, the
+        read-out that proves it was restored — a field added to the manifest
+        without a row here fails the test.
+        """
+        import dataclasses
+        import json
+
+        from repro.obs.tracer import Tracer
+        from repro.state.recovery import ServiceManifest, manifest_path
+        from repro.streams.faults import FaultInjector
+
+        specs = grid_specs({"c1": 0, "c2": 0, "p1": 5, "p2": 5})
+        policy = CheckpointPolicy(every_chunks=1000, every_stream_seconds=1e9)
+        victim = SurgeService(
+            specs,
+            shards=2,
+            executor=executor,
+            max_lateness=60.0,
+            overload=self.CONFIG,
+            max_inflight_chunks=16,
+            compact_every_chunks=2,
+            tracer=Tracer(),
+            checkpoint_dir=tmp_path / "ckpt",
+            checkpoint_policy=policy,
+            checkpoint_extra={"chunk_size": 8, "note": "round-trip"},
+        )
+        injector = FaultInjector(
+            make_clean(300, seed=83),
+            seed=83,
+            flash_crowd_factor=8.0,
+            disorder_fraction=0.2,
+            max_disorder=5.0,
+            poison_fraction=0.05,
+        )
+        with victim:
+            for _ in victim.run(iter(injector), chunk_size=8):
+                if victim.degraded and victim.overload_stats().chunks_shed >= 3:
+                    break
+            victim.remove_query("c2")  # registered (4) != len(order) (3)
+            victim.server_info = {"host": "127.0.0.1", "port": 7, "chunk_size": 8}
+            victim.checkpoint()
+            assert victim.degraded and victim.ingest_stats().reordered > 0
+            assert victim.ingest_stats().quarantined > 0
+            assert victim.overload_stats().compactions > 0
+
+            read_outs = {
+                "chunk_offset": lambda s: s.chunk_offset,
+                "chunk_index": lambda s: s.chunk_index,
+                "stream_time": lambda s: s.stream_time,
+                "n_shards": lambda s: s.n_shards,
+                "executor": lambda s: s.executor_name,
+                "order": lambda s: s.query_ids,
+                # results() answers only if every shard holds its queries.
+                "shard_of": lambda s: sorted(s.results()),
+                "specs": lambda s: result_keys(s.results()),
+                "policy": lambda s: s.checkpoint_policy,
+                "stats": lambda s: (
+                    s.stats().totals(),
+                    s.stats().per_query,
+                    s.ingest_stats().subscriber_errors,
+                ),
+                "shard_files": lambda s: {
+                    query_id: [result_key(region) for region in regions]
+                    for query_id, regions in s.top_k().items()
+                },
+                "extra": lambda s: s.checkpoint_extra,
+                "ingest": lambda s: (s.max_lateness, s.ingest_stats(), s.raw_consumed),
+                "overload": lambda s: (
+                    s.overload_config,
+                    s.overload_stats().to_dict(),
+                    s.degraded,
+                    s.max_inflight_chunks,
+                    s.compact_every_chunks,
+                ),
+                "server": lambda s: s.server_info,
+                # The recorder is snapshotted inside the checkpoint, so that
+                # checkpoint's own span is the one thing it cannot hold.
+                "obs": lambda s: (
+                    s.tracer.enabled,
+                    {k: v for k, v in s.stage_stats().items() if k != "checkpoint"},
+                ),
+            }
+            # Read back through the next registration, after the loop below.
+            counters = {"generation", "registered"}
+            fields = {field.name for field in dataclasses.fields(ServiceManifest)}
+            assert set(read_outs) | counters == fields
+            expected = {name: read(victim) for name, read in read_outs.items()}
+
+        record = json.loads(manifest_path(tmp_path / "ckpt").read_text())
+        # The no-schema-bump proof: service-manifest/v4's key sets.
+        assert record["schema"] == "service-manifest/v4"
+        assert set(record) == fields | {"schema"}
+        assert set(record["stats"]) == {
+            "objects_pushed", "chunks_pushed", "object_query_pairs",
+            "wall_seconds", "subscriber_errors", "per_query",
+        }
+        assert set(record["stats"]["per_query"]["c1"]) == {
+            "objects_routed", "chunks_processed", "busy_seconds",
+            "last_lag_seconds", "max_lag_seconds", "dropped_results",
+            "chunks_shed",
+        }
+        assert set(record["policy"]) == {"every_chunks", "every_stream_seconds"}
+        assert set(record["overload"]) == {
+            "config", "stats", "max_inflight_chunks", "compact_every_chunks",
+        }
+        assert set(record["overload"]["config"]) == {
+            "high_watermark_chunks", "low_watermark_chunks", "policy",
+            "shed_below_priority", "checkpoint_stretch",
+        }
+        assert set(record["overload"]["stats"]) == {
+            "degraded", "entered_degraded", "exited_degraded", "chunks_shed",
+            "updates_shed", "checkpoints_deferred", "compactions",
+            "queries_compacted", "max_depth_chunks",
+        }
+        assert set(record["ingest"]) == {"max_lateness", "snapshot_file"}
+        assert set(record["obs"]) == {
+            "snapshot_file", "enabled", "slow_chunk_threshold",
+        }
+
+        with SurgeService.restore(tmp_path / "ckpt", tracer=Tracer()) as restored:
+            for name, read in read_outs.items():
+                assert read(restored) == expected[name], name
+            # A registration is durable at once: one generation on, in the
+            # round-robin slot after the removed query's (never reused).
+            restored.add_query(replace(specs[0], query_id="late"))
+            after = read_manifest(tmp_path / "ckpt")
+            assert after.generation == record["generation"] + 1
+            assert after.registered == 5 and after.shard_of["late"] == 4 % 2
 
     def test_old_manifest_without_overload_loads_with_tier_off(self, tmp_path):
         clean = make_clean(40, seed=107)
