@@ -114,15 +114,18 @@ def make_queries_file(path: Path) -> None:
     )
 
 
-def serve_args(stream: Path, *extra: str, chunk_size: int = CHUNK_SIZE) -> list[str]:
+def serve_args(
+    stream: Path, *extra: str, chunk_size: int | None = CHUNK_SIZE
+) -> list[str]:
+    """A ``repro serve`` command line (``chunk_size=None``: no --chunk-size)."""
+    chunking = ["--chunk-size", str(chunk_size)] if chunk_size is not None else []
     return [
         sys.executable,
         "-m",
         "repro.cli",
         "serve",
         str(stream),
-        "--chunk-size",
-        str(chunk_size),
+        *chunking,
         "--shards",
         "2",
         *extra,
@@ -446,6 +449,8 @@ def overload_leg(workdir: Path, env: dict) -> None:
         )
         assert victim.returncode == 0
 
+    # No replay-shaping flag at all, --chunk-size included: the manifest's
+    # one replay section alone must reproduce the overload counter line.
     print("smoke[overload]: resuming from the checkpoint ...", flush=True)
     resumed = subprocess.run(
         serve_args(
@@ -453,7 +458,7 @@ def overload_leg(workdir: Path, env: dict) -> None:
             "--resume",
             "--checkpoint-dir",
             str(checkpoint_dir),
-            chunk_size=OVERLOAD_CHUNK,
+            chunk_size=None,
         ),
         capture_output=True,
         text=True,

@@ -53,8 +53,9 @@ import os
 import signal
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.monitor import DETECTOR_NAMES, SurgeMonitor
 from repro.core.query import SurgeQuery
@@ -69,6 +70,7 @@ from repro.obs import (
 )
 from repro.service import OverloadConfig, OverloadError, SurgeService, load_query_specs
 from repro.service.overload import OVERLOAD_POLICIES
+from repro.service.replay import DEFAULT_CHUNK_SIZE, ReplaySettings, recorded_settings
 from repro.service.shards import EXECUTOR_NAMES
 
 #: Environment switches of the observability tier (see repro.obs): truthy
@@ -197,10 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--chunk-size",
         type=int,
-        default=512,
+        default=None,
         help="shared-chunker batch size: every chunk is broadcast to each "
         "shard once and each query's monitor ingests its keyword-filtered "
-        "slice through the batched push_many path (default 512)",
+        "slice through the batched push_many path (default 512; with "
+        "--resume, the recorded size)",
     )
     serve.add_argument(
         "--workers",
@@ -262,9 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="restore the service from --checkpoint-dir and replay only the "
-        "chunks after the last checkpoint (the stream file and --chunk-size "
-        "must match the original run; --queries is ignored — the query "
-        "registry comes from the checkpoint)",
+        "chunks after the last checkpoint (the stream file must match the "
+        "original run; --queries is ignored — the query registry comes from "
+        "the checkpoint).  The settings that shape the replayed results — "
+        "--chunk-size, --max-lateness, --max-inflight-chunks, "
+        "--overload-high/--overload-low/--overload-policy/"
+        "--shed-below-priority and --compact-every — resume as recorded: an "
+        "omitted flag takes the recorded value, a restated one is accepted, "
+        "and a differing one is refused",
     )
     serve.add_argument(
         "--max-lateness",
@@ -276,9 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "stragglers past the bound are counted and dropped, and results "
         "for within-bound disorder are bit-identical to the pre-sorted "
         "stream.  Default/0: strict mode — any out-of-order arrival "
-        "aborts with OutOfOrderError.  With --resume the checkpoint's "
-        "recorded lateness is restored and a differing value is refused "
-        "(it shapes the replayed chunking)",
+        "aborts with OutOfOrderError",
     )
     serve.add_argument(
         "--quarantine-dir",
@@ -307,9 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="CHUNKS",
         help="enter degraded mode when the queue depth (ingest backlog or "
         "slowest subscriber queue, in chunks) reaches this watermark; "
-        "enables the overload tier.  With --resume the checkpoint's "
-        "recorded overload configuration is restored and a differing "
-        "value is refused (shed decisions replay deterministically)",
+        "enables the overload tier",
     )
     serve.add_argument(
         "--overload-low",
@@ -547,31 +551,43 @@ def _format_result(result) -> str:
     )
 
 
-def _overload_config_from_args(args: argparse.Namespace) -> OverloadConfig | None:
-    """The :class:`OverloadConfig` the serve flags describe (``None`` = off)."""
-    dependent = {
-        "--overload-low": args.overload_low,
-        "--overload-policy": args.overload_policy,
-        "--shed-below-priority": args.shed_below_priority,
-    }
-    if args.overload_high is None:
+def _requested_replay(args: argparse.Namespace) -> ReplaySettings:
+    """The replay-shaping settings the serve flags request.
+
+    An unset flag stays ``None``: the default on a fresh start, the recorded
+    value on ``--resume``.  The four overload flags describe one
+    :class:`OverloadConfig`, which ``--overload-high`` switches on.
+    """
+    overload = None
+    if args.overload_high is not None:
+        overload = OverloadConfig(
+            high_watermark_chunks=args.overload_high,
+            low_watermark_chunks=(
+                args.overload_low
+                if args.overload_low is not None
+                else args.overload_high / 4.0
+            ),
+            policy=args.overload_policy if args.overload_policy is not None else "shed",
+            shed_below_priority=args.shed_below_priority,
+        )
+    else:
+        dependent = {
+            "--overload-low": args.overload_low,
+            "--overload-policy": args.overload_policy,
+            "--shed-below-priority": args.shed_below_priority,
+        }
         given = [name for name, value in dependent.items() if value is not None]
         if given:
             raise ValueError(
                 f"{', '.join(given)} require --overload-high (the watermark "
                 f"that enables the overload tier)"
             )
-        return None
-    low = (
-        args.overload_low
-        if args.overload_low is not None
-        else args.overload_high / 4.0
-    )
-    return OverloadConfig(
-        high_watermark_chunks=args.overload_high,
-        low_watermark_chunks=low,
-        policy=args.overload_policy if args.overload_policy is not None else "shed",
-        shed_below_priority=args.shed_below_priority,
+    return ReplaySettings(
+        chunk_size=args.chunk_size,
+        max_lateness=args.max_lateness,
+        max_inflight_chunks=args.max_inflight_chunks,
+        overload=overload,
+        compact_every_chunks=args.compact_every,
     )
 
 
@@ -585,10 +601,6 @@ def _serve_tracer_from_args(args: argparse.Namespace) -> Tracer | None:
     codec's ``wire.encode``/``wire.decode`` spans — reach the same
     recorder.
     """
-    if args.slow_chunk is not None and args.slow_chunk < 0:
-        raise ValueError(
-            f"--slow-chunk must be >= 0 seconds, got {args.slow_chunk}"
-        )
     enabled = (
         args.trace_dir is not None
         or args.slow_chunk is not None
@@ -626,8 +638,6 @@ def _remote_executor_options(
             )
         return {}
     workers = args.workers if args.workers is not None else 1
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
     listen = ("127.0.0.1", 0)
     if args.worker_listen is not None:
         listen = _parse_endpoint(args.worker_listen, flag="--worker-listen")
@@ -644,26 +654,27 @@ def _remote_executor_options(
     }
 
 
-def _build_serve_service(args: argparse.Namespace, *, require_queries: bool = True):
-    """Construct (service, start_offset) for ``serve`` — fresh or resumed."""
-    from repro.state import CheckpointPolicy, has_checkpoint, read_manifest
+def _build_serve_service(
+    args: argparse.Namespace, *, require_queries: bool = True
+) -> SurgeService:
+    """Construct the ``serve`` service: fresh, or restored with ``--resume``."""
+    from repro.state import CheckpointPolicy, has_checkpoint
 
-    overload_config = _overload_config_from_args(args)
+    requested = _requested_replay(args)
     tracer = _serve_tracer_from_args(args)
 
     checkpoint_dir = args.checkpoint_dir
     if args.resume and checkpoint_dir is None:
         raise ValueError("--resume requires --checkpoint-dir")
-    if checkpoint_dir is None and (
+    cadence_given = (
         args.checkpoint_every is not None or args.checkpoint_every_seconds is not None
-    ):
+    )
+    if checkpoint_dir is None and cadence_given:
         raise ValueError(
             "--checkpoint-every/--checkpoint-every-seconds require --checkpoint-dir"
         )
     policy = None
-    if checkpoint_dir is not None and (
-        args.checkpoint_every is not None or args.checkpoint_every_seconds is not None
-    ):
+    if cadence_given:
         from repro.service.service import DEFAULT_CHECKPOINT_EVERY_CHUNKS
 
         # --checkpoint-every-seconds *adds* a trigger; the documented
@@ -679,90 +690,31 @@ def _build_serve_service(args: argparse.Namespace, *, require_queries: bool = Tr
         )
 
     if args.resume:
-        manifest = read_manifest(checkpoint_dir)
-        recorded_chunk_size = manifest.extra.get("chunk_size")
-        if recorded_chunk_size is not None and recorded_chunk_size != args.chunk_size:
-            raise ValueError(
-                f"--resume with --chunk-size {args.chunk_size}, but the "
-                f"checkpoint was taken at --chunk-size {recorded_chunk_size}: "
-                f"replay offsets only line up at the original chunking"
-            )
-        recorded_lateness = (
-            float(manifest.ingest.get("max_lateness", 0.0))
-            if manifest.ingest is not None
-            else 0.0
-        )
-        if args.max_lateness is not None and args.max_lateness != recorded_lateness:
-            raise ValueError(
-                f"--resume with --max-lateness {args.max_lateness}, but the "
-                f"checkpoint was taken at --max-lateness {recorded_lateness}: "
-                f"the lateness bound shapes the replayed chunking, so it "
-                f"cannot change mid-stream"
-            )
-        # The overload configuration shapes which chunks were shed, so —
-        # like --chunk-size and --max-lateness — it is part of the replayed
-        # results and cannot change mid-stream.  Flags that merely restate
-        # the recorded values are accepted.
-        recorded_overload = manifest.overload or {}
-        recorded_config = (
-            OverloadConfig.from_dict(recorded_overload["config"])
-            if recorded_overload.get("config") is not None
-            else None
-        )
-        if overload_config is not None and overload_config != recorded_config:
-            raise ValueError(
-                "--resume with a different overload configuration than the "
-                "checkpoint recorded: degraded-mode shed decisions are part "
-                "of the replayed results, so the watermarks and policy "
-                "cannot change mid-stream"
-            )
-        recorded_inflight = recorded_overload.get("max_inflight_chunks")
-        if (
-            args.max_inflight_chunks is not None
-            and args.max_inflight_chunks != recorded_inflight
+        # Refused before anything is restored: a remote or process backend
+        # would otherwise be spawned just to be torn down again.
+        recorded_executor, recorded = recorded_settings(checkpoint_dir)
+        recorded.conflicts(requested)
+        for flag, value, restored in (
+            ("--queries", args.queries, "the query registry"),
+            ("--shards", args.shards, "the shard layout (the per-shard "
+             "snapshot files partition the queries)"),
         ):
-            raise ValueError(
-                f"--resume with --max-inflight-chunks "
-                f"{args.max_inflight_chunks}, but the checkpoint was taken "
-                f"at {recorded_inflight}: the budget shapes which arrivals "
-                f"were force-released, so it cannot change mid-stream"
-            )
-        recorded_compact = recorded_overload.get("compact_every_chunks")
-        if args.compact_every is not None and args.compact_every != recorded_compact:
-            raise ValueError(
-                f"--resume with --compact-every {args.compact_every}, but "
-                f"the checkpoint was taken at {recorded_compact}: compaction "
-                f"offsets are part of the replayed plan, so the cadence "
-                f"cannot change mid-stream"
-            )
-        if args.queries is not None:
-            print(
-                "note: --resume restores the query registry from the "
-                "checkpoint; --queries is ignored",
-                file=sys.stderr,
-            )
-        if args.shards is not None:
-            print(
-                "note: --resume restores the shard layout from the "
-                "checkpoint (the per-shard snapshot files partition the "
-                "queries); --shards is ignored",
-                file=sys.stderr,
-            )
+            if value is not None:
+                print(f"note: --resume restores {restored} from the "
+                      f"checkpoint; {flag} is ignored", file=sys.stderr)
         # An explicit --executor overrides; otherwise the recorded backend
         # resumes (defaulting to "serial" here would silently downgrade a
         # process-sharded service).
-        resolved_executor = (
-            args.executor if args.executor is not None else manifest.executor
-        )
-        service = SurgeService.restore(
+        return SurgeService.restore(
             checkpoint_dir,
             executor=args.executor,
-            executor_options=_remote_executor_options(args, resolved_executor),
+            executor_options=_remote_executor_options(
+                args, args.executor or recorded_executor
+            ),
             checkpoint_policy=policy,
             quarantine_dir=args.quarantine_dir,
             tracer=tracer,
         )
-        return service, service.chunk_offset
 
     if args.queries is None and require_queries:
         raise ValueError("--queries is required (unless resuming with --resume)")
@@ -781,30 +733,18 @@ def _build_serve_service(args: argparse.Namespace, *, require_queries: bool = Tr
             specs = load_query_specs(args.queries)
         except (OSError, ValueError) as exc:
             raise ValueError(f"failed to load {args.queries}: {exc}") from exc
-    if args.max_inflight_chunks is not None and (
-        args.max_lateness is None or args.max_lateness <= 0
-    ):
-        raise ValueError(
-            "--max-inflight-chunks bounds the reorder buffer, which only "
-            "exists with --max-lateness > 0"
-        )
     executor_name = args.executor if args.executor is not None else "serial"
-    service = SurgeService(
+    return SurgeService(
         specs,
         shards=args.shards if args.shards is not None else 1,
         executor=executor_name,
         executor_options=_remote_executor_options(args, executor_name),
         checkpoint_dir=checkpoint_dir,
         checkpoint_policy=policy,
-        checkpoint_extra={"chunk_size": args.chunk_size},
-        max_lateness=args.max_lateness if args.max_lateness is not None else 0.0,
         quarantine_dir=args.quarantine_dir,
-        max_inflight_chunks=args.max_inflight_chunks,
-        overload=overload_config,
-        compact_every_chunks=args.compact_every,
         tracer=tracer,
+        **requested.keywords(),
     )
-    return service, 0
 
 
 def _parse_endpoint(value: str, *, flag: str) -> tuple[str, int]:
@@ -843,17 +783,44 @@ def _print_remote_summary(service) -> None:
     )
 
 
-def _command_serve_network(args: argparse.Namespace, service) -> int:
-    """Serve the service over TCP until drained (SIGINT/SIGTERM/drain frame)."""
+@contextmanager
+def _drain_on_signals(drain: Callable[[], None]) -> Iterator[None]:
+    """Route SIGINT/SIGTERM to ``drain`` for the block, then put the previous
+    handlers back however the block exits, so in-process callers keep theirs.
+
+    Only the main thread may install handlers; elsewhere this is a no-op.
+    """
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, lambda *_: drain())
+    try:
+        yield
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def _command_serve_network(
+    args: argparse.Namespace, service: SurgeService, chunk_size: int
+) -> int:
+    """Serve the service over TCP until drained (SIGINT/SIGTERM/drain frame);
+    the caller owns (and closes) ``service``."""
     from repro.server import SurgeServer
 
     recorded = service.server_info or {}
     if args.listen is not None:
         host, port = _parse_endpoint(args.listen, flag="--listen")
-    else:
+    elif recorded.get("port"):
         # --resume without --listen: re-serve the endpoint the checkpoint
         # recorded (the manifest's "server" field).
         host, port = recorded["host"], int(recorded["port"])
+    else:
+        raise ValueError(
+            "no stream file and no --listen endpoint: pass a stream to "
+            "replay, or --listen [HOST:]PORT to serve the network (the "
+            "resumed checkpoint records no listener to re-serve)"
+        )
     metrics_host: str | None = None
     metrics_port: int | None = None
     if args.metrics is not None:
@@ -867,20 +834,14 @@ def _command_serve_network(args: argparse.Namespace, service) -> int:
         port=port,
         metrics_host=metrics_host,
         metrics_port=metrics_port,
-        chunk_size=args.chunk_size,
+        chunk_size=chunk_size,
         max_queued_batches=args.max_queued_batches,
     )
-    with service:
-        # Handlers go in BEFORE the listening line is printed: tooling
-        # sends the drain signal as soon as it reads that line, and a
-        # pre-start request_drain() is already safe (the server drains
-        # immediately after binding).
-        previous = {}
-        if threading.current_thread() is threading.main_thread():
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous[signum] = signal.signal(
-                    signum, lambda *_: server.request_drain()
-                )
+    # Handlers go in BEFORE the listening line is printed: tooling sends the
+    # drain signal as soon as it reads that line, and a pre-start
+    # request_drain() is already safe (the server drains immediately after
+    # binding).
+    with _drain_on_signals(server.request_drain):
         server.start_background()
         metrics_note = (
             f" (metrics http://{metrics_host or host}:{server.metrics_port}/metrics)"
@@ -889,12 +850,8 @@ def _command_serve_network(args: argparse.Namespace, service) -> int:
         )
         # Parsed by tooling (the server smoke reads the bound ports here).
         print(f"listening on {server.host}:{server.port}{metrics_note}", flush=True)
-        try:
-            while server._thread is not None and server._thread.is_alive():
-                server._thread.join(timeout=0.5)
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
+        while server._thread is not None and server._thread.is_alive():
+            server._thread.join(timeout=0.5)
         summary = server.drain_summary or {}
         checkpoint = summary.get("checkpoint")
         print(
@@ -930,14 +887,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.shards is not None and args.shards < 1:
         print("--shards must be a positive number of shards", file=sys.stderr)
         return 2
-    if args.chunk_size < 1:
-        print("--chunk-size must be a positive number of objects", file=sys.stderr)
-        return 2
     if args.report_every < 1:
         print("--report-every must be a positive number of objects", file=sys.stderr)
-        return 2
-    if args.max_lateness is not None and args.max_lateness < 0:
-        print("--max-lateness must be >= 0 stream seconds", file=sys.stderr)
         return 2
     if args.max_queued_batches < 1:
         print("--max-queued-batches must be >= 1", file=sys.stderr)
@@ -954,26 +905,18 @@ def _command_serve(args: argparse.Namespace) -> int:
         print("--metrics requires --listen", file=sys.stderr)
         return 2
     try:
-        service, start_offset = _build_serve_service(
-            args, require_queries=not network
-        )
+        service = _build_serve_service(args, require_queries=not network)
     except (OSError, ValueError, RuntimeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    # On --resume the recorded size (a differing request was refused).
+    chunk_size = service.replay.chunk_size or args.chunk_size or DEFAULT_CHUNK_SIZE
     if network:
-        if args.listen is None and not (service.server_info or {}).get("port"):
-            service.close()
-            print(
-                "no stream file and no --listen endpoint: pass a stream to "
-                "replay, or --listen [HOST:]PORT to serve the network (the "
-                "resumed checkpoint records no listener to re-serve)",
-                file=sys.stderr,
-            )
-            return 2
         from repro.server.server import EndpointInUseError
 
         try:
-            code = _command_serve_network(args, service)
+            with service:  # closed on a refused endpoint too
+                code = _command_serve_network(args, service, chunk_size)
         except EndpointInUseError as exc:
             # The --resume re-serve trip-wire: the manifest's recorded
             # endpoint is still held (often by the instance being
@@ -990,40 +933,35 @@ def _command_serve(args: argparse.Namespace) -> int:
             return 2
         _write_trace_export(service, args)
         return code
-    # With the disorder-tolerant tier on, the file records an *arrival
-    # order* for the tier to absorb — loading it pre-sorted would silently
-    # repair the disorder (and poison NaN timestamps break sorting).
-    tolerant = service.max_lateness > 0 or service.quarantine_dir is not None
-    stream = load_stream(args.stream, sort=not tolerant)
+    # With the screen absorbing, the file records an *arrival order* for the
+    # tier to absorb — loading it pre-sorted would silently repair the
+    # disorder (and poison NaN timestamps break sorting).  A resumed service
+    # keeps its recorded screen mode, whatever flags are re-passed.
+    stream = load_stream(args.stream, sort=service.strict)
     if not stream:
         service.close()
         print("stream is empty", file=sys.stderr)
         return 1
+    start_offset = service.chunk_offset
     if start_offset:
         print(
             f"resuming from checkpoint: {start_offset} chunks "
-            f"({min(start_offset * args.chunk_size, len(stream))} objects) "
+            f"({min(start_offset * chunk_size, len(stream))} objects) "
             f"already durable, replaying the rest",
             file=sys.stderr,
         )
-    report_chunks = max(1, -(-args.report_every // args.chunk_size))
+    report_chunks = max(1, -(-args.report_every // chunk_size))
     # Graceful drain on SIGINT/SIGTERM: finish the in-flight chunk, stop
     # consuming, then fall through to the final checkpoint and results —
     # the stdout block is exactly a clean run over the consumed prefix.
     drain = threading.Event()
-    previous_handlers = {}
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[signum] = signal.signal(
-                signum, lambda *_: drain.set()
-            )
-    with service:
+    with service, _drain_on_signals(drain.set):
         try:
             for index, updates in enumerate(
-                service.run(stream, args.chunk_size, start_offset=start_offset),
+                service.run(stream, chunk_size, start_offset=start_offset),
                 start=start_offset + 1,
             ):
-                pushed = min(index * args.chunk_size, len(stream))
+                pushed = min(index * chunk_size, len(stream))
                 if index % report_chunks == 0 or pushed >= len(stream):
                     print(f"[{pushed:>8} objects, t={stream[pushed - 1].timestamp:.0f}]")
                     for update in updates:
@@ -1044,7 +982,12 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"gracefully instead",
                 file=sys.stderr,
             )
-            _restore_signal_handlers(previous_handlers)
+            return 1
+        except ValueError as exc:
+            # A strict screen refusing a malformed or out-of-order record
+            # (OutOfOrderError is a ValueError), or a resume stream that
+            # does not match the checkpoint.
+            print(str(exc), file=sys.stderr)
             return 1
         if service.checkpoint_dir is not None:
             # Final checkpoint: a subsequent --resume of the same stream is a
@@ -1053,7 +996,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         print("final results:")
         for query_id, result in service.results().items():
             print(f"  {query_id:>12}: {_format_result(result)}")
-        if tolerant:
+        if not service.strict:
             # Part of the compared stdout block on purpose: the chaos smoke
             # asserts these counters are consistent across a crash+resume.
             ingest = service.ingest_stats()
@@ -1064,10 +1007,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"quarantined={ingest.quarantined} "
                 f"subscriber_errors={ingest.subscriber_errors}"
             )
-        overload_on = (
-            service.overload_config is not None
-            or service.max_inflight_chunks is not None
-            or service.compact_every_chunks is not None
+        replay = service.replay
+        overload_on = any(
+            (replay.overload, replay.max_inflight_chunks, replay.compact_every_chunks)
         )
         if overload_on:
             # Also part of the compared block: the chaos smoke's overload
@@ -1094,7 +1036,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if overload_on:
-            overload = service.overload_stats()
             print(
                 f"  overload: max queue depth "
                 f"{overload.max_depth_chunks:.1f} chunks, "
@@ -1112,17 +1053,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
         _print_remote_summary(service)
     _write_trace_export(service, args)
-    _restore_signal_handlers(previous_handlers)
     return 0
-
-
-def _restore_signal_handlers(previous: dict) -> None:
-    """Put back the handlers ``serve`` replaced (in-process callers)."""
-    for signum, handler in previous.items():
-        try:
-            signal.signal(signum, handler)
-        except (ValueError, TypeError):  # pragma: no cover - non-main thread
-            pass
 
 
 def _command_trace(args: argparse.Namespace) -> int:

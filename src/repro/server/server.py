@@ -275,7 +275,6 @@ class SurgeServer:
             "port": self.port,
             "metrics_host": self.metrics_host or self.host,
             "metrics_port": self.metrics_port,
-            "chunk_size": self.chunk_size,
         }
         if install_signals:
             for signum in (signal.SIGINT, signal.SIGTERM):

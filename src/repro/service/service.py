@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,6 +53,7 @@ from repro.core.base import RegionResult
 from repro.obs.tracer import FlightRecorder, Tracer
 from repro.service.bus import QueryUpdate, ResultBus, ServiceStats
 from repro.service.overload import OverloadConfig, OverloadGovernor, OverloadStats
+from repro.service.replay import ReplaySettings
 from repro.service.shards import EXECUTOR_NAMES, make_executor
 from repro.service.spec import QuerySpec
 from repro.state.durability import (  # the default is re-exported: the CLI reads it here
@@ -119,8 +121,8 @@ class SurgeService:
         one-off :meth:`checkpoint` writes.
     checkpoint_extra:
         Free-form JSON-serialisable metadata stored in every manifest this
-        service writes (e.g. the CLI records its ``--chunk-size`` so a
-        resume can refuse a mismatching re-chunking).
+        service writes.  The settings that shape replayed results are
+        recorded separately, as :attr:`replay`.
     max_lateness:
         Disorder tolerance of the ingest tier, in stream seconds.  ``0``
         (default) checks order instead of restoring it: out-of-order input
@@ -215,10 +217,12 @@ class SurgeService:
                 f"unknown executor {executor!r}; expected one of "
                 f"{', '.join(EXECUTOR_NAMES)}"
             )
-        if compact_every_chunks is not None and compact_every_chunks < 1:
-            raise ValueError(
-                f"compact_every_chunks must be >= 1, got {compact_every_chunks}"
-            )
+        self._settings = settings = ReplaySettings(
+            max_lateness=float(max_lateness),
+            max_inflight_chunks=max_inflight_chunks,
+            overload=overload,
+            compact_every_chunks=compact_every_chunks,
+        )
         # ``_resumed`` is restore()'s side door: the state a checkpoint
         # recorded, in place of the fresh-start defaults below.
         manifest = _resumed.manifest if _resumed is not None else None
@@ -227,25 +231,28 @@ class SurgeService:
         self.n_shards = shards
         # Overload tier (see the class docstring): degraded-mode state
         # machine, compaction cadence.
-        self.max_inflight_chunks = max_inflight_chunks
-        self.compact_every_chunks = compact_every_chunks
+        self.max_inflight_chunks = settings.max_inflight_chunks
+        self.compact_every_chunks = settings.compact_every_chunks
         recorded = manifest.overload if manifest is not None else None
         self._governor = OverloadGovernor(
-            overload,
+            settings.overload,
             OverloadStats.from_dict(recorded["stats"]) if recorded else None,
         )
         # The ingest tier (see feed()): every record reaches push_many
         # through it — screened, ordered, cut into chunks, held to a budget.
-        # A resumed tier arrives whole; only its configuration is fresh.
+        # A resumed tier arrives whole; only its configuration is fresh,
+        # the recorded chunk size among it.
         tier = IngestTier(
-            max_lateness,
+            settings.max_lateness,
             on_bad_record=on_bad_record,
             quarantine_dir=quarantine_dir,
-            max_inflight_chunks=max_inflight_chunks,
+            max_inflight_chunks=settings.max_inflight_chunks,
             tracer=tracer,
         )
-        if _resumed is not None and _resumed.ingest is not None:
-            tier = _resumed.ingest.reattach(tier)
+        if _resumed is not None:
+            tier.chunk_size = manifest.replay["chunk_size"]
+            if _resumed.ingest is not None:
+                tier = _resumed.ingest.reattach(tier)
         self._ingest = tier
         self.max_lateness = tier.max_lateness
         self.quarantine_dir = tier.quarantine_dir
@@ -425,7 +432,8 @@ class SurgeService:
         deepest bounded bus subscription (updates, over the live query
         count: one chunk produces one update per query).
         """
-        depth = len(self._ingest) / self._ingest.chunk_size
+        tier = self._ingest
+        depth = len(tier) / tier.chunk_size if tier.chunk_size else 0.0
         if self._order:
             bus_depth = self.bus.max_queue_depth() / len(self._order)
             if bus_depth > depth:
@@ -445,6 +453,20 @@ class SurgeService:
     def overload_config(self) -> OverloadConfig | None:
         """The degraded-mode configuration (``None`` = tier off)."""
         return self._governor.config
+
+    @property
+    def replay(self) -> ReplaySettings:
+        """The settings that shape replayed results, as checkpoints record
+        them; ``chunk_size`` is the size the ingest tier cuts at (``None``
+        until :meth:`run` / :meth:`feed` set it)."""
+        return replace(self._settings, chunk_size=self._ingest.chunk_size)
+
+    @property
+    def strict(self) -> bool:
+        """Whether the ingest screen refuses malformed or out-of-order records
+        instead of absorbing them (a restored service keeps the recorded
+        mode, whatever spill target it is given)."""
+        return self._ingest.strict
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -884,11 +906,7 @@ class SurgeService:
             write_snapshot(
                 target / ingest_file, INGEST_SNAPSHOT_KIND, tier, meta=shard_meta
             )
-            # Only what must be known before unpickling the tier.
-            ingest_record = {
-                "max_lateness": tier.max_lateness,
-                "snapshot_file": ingest_file,
-            }
+            ingest_record = {"snapshot_file": ingest_file}
         obs_record: dict[str, Any] | None = None
         if tracer is not None:
             # The flight recorder is state worth surviving a crash: the
@@ -906,22 +924,12 @@ class SurgeService:
                 "enabled": tracer.enabled,
                 "slow_chunk_threshold": tracer.slow_chunk_threshold,
             }
-        overload_record: dict[str, Any] | None = None
-        governor = self._governor
-        if (
-            governor.config is not None
-            or self.max_inflight_chunks is not None
-            or self.compact_every_chunks is not None
-            or governor.stats != OverloadStats()
-        ):
-            overload_record = {
-                "config": (
-                    governor.config.to_dict() if governor.config is not None else None
-                ),
-                "stats": governor.stats.to_dict(),
-                "max_inflight_chunks": self.max_inflight_chunks,
-                "compact_every_chunks": self.compact_every_chunks,
-            }
+        overload_stats = self._governor.stats
+        overload_record = (
+            {"stats": overload_stats.to_dict()}
+            if overload_stats != OverloadStats()
+            else None
+        )
         manifest = ServiceManifest(
             generation=generation,
             chunk_offset=self._chunk_offset,
@@ -940,6 +948,7 @@ class SurgeService:
                 per_query=self.bus.export_stats(),
             ),
             shard_files=shard_files,
+            replay=self.replay.to_dict(),
             extra=durability.extra,
             ingest=ingest_record,
             overload=overload_record,
@@ -993,10 +1002,12 @@ class SurgeService:
         the latter), so a one-off ``checkpoint(elsewhere)`` relocates the
         checkpoint without losing them.
 
-        The ingest tier is restored whole from its snapshot — held-back
-        events, pending list, raw-record replay offset, counters and mode
-        (``max_lateness`` and strictness shape the replayed chunking, so
-        they cannot be changed mid-stream).  ``on_bad_record`` /
+        The replay-shaping settings (:attr:`replay`: chunk size, lateness,
+        in-flight budget, overload configuration, compaction cadence) come
+        from the manifest's one ``replay`` section and cannot be changed
+        mid-stream.  The ingest tier is restored whole from its snapshot —
+        held-back events, pending list, raw-record replay offset, counters
+        and screen mode (:attr:`strict`).  ``on_bad_record`` /
         ``quarantine_dir`` re-attach the non-picklable spill targets
         (callbacks and paths are configuration, not state).
 
@@ -1027,8 +1038,6 @@ class SurgeService:
             )
             if isinstance(resumed.recorder, FlightRecorder):
                 tracer.recorder = resumed.recorder
-            overload = manifest.overload or {}
-            config = overload.get("config")
             return cls(
                 [QuerySpec.from_dict(record) for record in manifest.specs],
                 shards=manifest.n_shards,
@@ -1041,14 +1050,11 @@ class SurgeService:
                     else CheckpointPolicy.from_dict(manifest.policy)
                 ),
                 checkpoint_extra=manifest.extra,
-                max_lateness=manifest.ingest["max_lateness"] if manifest.ingest else 0.0,
                 on_bad_record=on_bad_record,
                 quarantine_dir=quarantine_dir,
-                max_inflight_chunks=overload.get("max_inflight_chunks"),
-                overload=OverloadConfig.from_dict(config) if config else None,
-                compact_every_chunks=overload.get("compact_every_chunks"),
                 tracer=tracer,
                 _resumed=resumed,
+                **ReplaySettings.from_dict(manifest.replay).keywords(),
             )
 
         manifest: ServiceManifest | None = None

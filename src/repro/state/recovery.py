@@ -53,7 +53,7 @@ from repro.state.snapshot import (
 logger = logging.getLogger(__name__)
 
 #: The manifest format version this build reads and writes.
-MANIFEST_SCHEMA = "service-manifest/v4"
+MANIFEST_SCHEMA = "service-manifest/v5"
 MANIFEST_NAME = "MANIFEST.json"
 #: Backup of the manifest the last checkpoint replaced.  Restore falls back
 #: to it when the current manifest names a shard file whose write was
@@ -104,7 +104,7 @@ def decode_stream_time(value: float | None) -> float:
 class ServiceManifest:
     """Everything :meth:`SurgeService.restore` needs besides the shard files.
 
-    ``service-manifest/v4`` guarantees every field below is present in the
+    ``service-manifest/v5`` guarantees every field below is present in the
     file (older layouts are refused by version, not defaulted); the four
     optional sections are ``None`` when their tier holds nothing to record.
     """
@@ -122,28 +122,28 @@ class ServiceManifest:
     policy: dict
     stats: dict
     shard_files: list[str]
-    #: Free-form caller metadata (e.g. the CLI records its ``--chunk-size``
-    #: here so a resume can refuse a mismatching re-chunking).
+    #: The replay-shaping settings, the one place they are recorded: chunk
+    #: size (``None`` until the ingest tier was fed), lateness bound,
+    #: in-flight budget, overload configuration and compaction cadence — the
+    #: :class:`~repro.service.replay.ReplaySettings` a resume is checked
+    #: against and the restored service is built from.
+    replay: dict
+    #: Free-form caller metadata, carried into every later manifest.
     extra: dict = field(default_factory=dict)
     #: Ingest tier state (``None`` = a strict tier no record went through):
-    #: what must be known before unpickling it — ``max_lateness`` (the CLI
-    #: checks it against ``--max-lateness`` on resume) and the name of the
-    #: generation's ingest snapshot file, which holds the pickled
-    #: :class:`~repro.streams.ingest.IngestTier` (reorder buffer, pending
-    #: list, replay offset, counters).
+    #: the name of the generation's ingest snapshot file, which holds the
+    #: pickled :class:`~repro.streams.ingest.IngestTier` (reorder buffer,
+    #: pending list, replay offset, counters, screen mode).
     ingest: dict | None = None
-    #: Overload tier state (``None`` = tier unconfigured and every counter
-    #: zero): the :class:`~repro.service.overload.OverloadConfig` in force,
-    #: the cumulative :class:`~repro.service.overload.OverloadStats`
-    #: (including whether the service was degraded at checkpoint time, so a
-    #: resume continues shedding exactly where the victim stopped), and the
-    #: ``max_inflight_chunks`` / ``compact_every_chunks`` settings.
+    #: Overload tier state (``None`` = every counter zero): the cumulative
+    #: :class:`~repro.service.overload.OverloadStats` under ``"stats"``,
+    #: including whether the service was degraded at checkpoint time, so a
+    #: resume continues shedding exactly where the victim stopped.
     overload: dict | None = None
     #: Network-tier listener configuration (``None`` = the service was not
     #: serving): host/port of the frame listener and the optional metrics
-    #: endpoint, plus the serving chunk size — enough for
-    #: ``repro serve --resume`` to re-serve the same endpoint without
-    #: re-specifying it.
+    #: endpoint — enough for ``repro serve --resume`` to re-serve the same
+    #: endpoint without re-specifying it.
     server: dict | None = None
     #: Observability tier state (``None`` = no tracer attached): whether the
     #: tracer was enabled, its slow-chunk threshold, and the name of the

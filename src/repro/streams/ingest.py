@@ -49,10 +49,11 @@ class IngestTier:
     """Everything between the raw arrivals and the timestamp-ordered chunks.
 
     The parameters are :class:`~repro.service.SurgeService`'s of the same
-    names, documented there; ``tracer`` receives the ``ingest.reorder`` /
-    ``ingest.quarantine`` spans.  Callback, directory and tracer are
-    configuration, not state: dropped on pickling, put back by
-    :meth:`reattach`.
+    names, documented there and validated by the service's
+    :class:`~repro.service.replay.ReplaySettings`; ``tracer`` receives the
+    ``ingest.reorder`` / ``ingest.quarantine`` spans.  Callback, directory,
+    tracer and chunk size are configuration, not state: dropped on pickling,
+    put back by :meth:`reattach`.
     """
 
     def __init__(
@@ -65,12 +66,6 @@ class IngestTier:
         tracer: Any = None,
     ) -> None:
         max_lateness = float(max_lateness)
-        if max_lateness < 0:
-            raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")
-        if max_inflight_chunks is not None and max_inflight_chunks < 1:
-            raise ValueError(
-                f"max_inflight_chunks must be >= 1, got {max_inflight_chunks}"
-            )
         self.max_lateness = max_lateness
         self.max_inflight_chunks = max_inflight_chunks
         self.on_bad_record = on_bad_record
@@ -98,15 +93,21 @@ class IngestTier:
         #: re-sorted stream, whose chunks no longer map 1:1 onto raw records.
         self.raw_consumed = 0
         #: Size of the chunks being cut — also the unit queue depth is
-        #: measured in (initially the default of ``SurgeService.run``).
-        self.chunk_size = 512
+        #: measured in; ``None`` until a consumer sets it.  Configuration
+        #: like the callback: a service records it in its manifest's
+        #: ``replay`` section, not in the pickle.
+        self.chunk_size: int | None = None
         self._spill_warned = False
 
     def __getstate__(self) -> dict:
         # The spill warning is once per process.
         state = self.__dict__.copy()
         state.update(
-            on_bad_record=None, quarantine_dir=None, tracer=None, _spill_warned=False
+            on_bad_record=None,
+            quarantine_dir=None,
+            tracer=None,
+            chunk_size=None,
+            _spill_warned=False,
         )
         return state
 
@@ -115,6 +116,7 @@ class IngestTier:
         self.on_bad_record = configured.on_bad_record
         self.quarantine_dir = configured.quarantine_dir
         self.tracer = configured.tracer
+        self.chunk_size = configured.chunk_size
         return self
 
     def set_chunk_size(self, chunk_size: int) -> None:
@@ -161,16 +163,17 @@ class IngestTier:
                 tracer.record(
                     "ingest.reorder", started, time.perf_counter(), lane="ingest"
                 )
-            if self.max_inflight_chunks is not None:
+            if self.max_inflight_chunks is not None and chunk_size is not None:
                 self._relieve(reorder, chunk_size)
             held = len(reorder)
         # Full chunks are as good as dispatched (the consumer pulls them
         # before the next push): only the partial chunk counts as buffered.
+        # Without a chunk size nothing is cut yet, and all of it is.
         ordered = len(pending)
-        held += ordered % chunk_size
+        held += ordered % chunk_size if chunk_size is not None else ordered
         if held > self.stats.peak_buffered:
             self.stats.peak_buffered = held
-        return ordered >= chunk_size
+        return chunk_size is not None and ordered >= chunk_size
 
     def _relieve(self, reorder: WatermarkReorderBuffer, chunk_size: int) -> None:
         """Backpressure valve: keep partial chunk + reorder heap in budget.
@@ -305,7 +308,9 @@ class IngestTier:
         if final and self._reorder is not None:
             pending.extend(self._reorder.flush())
         chunk_size = self.chunk_size
-        if len(pending) < chunk_size and not (final and pending):
+        if not pending:
+            return None
+        if not final and (chunk_size is None or len(pending) < chunk_size):
             return None
         chunk = pending[:chunk_size]
         del pending[:chunk_size]

@@ -207,3 +207,30 @@ class TestNetworkServeDrain:
             raise
         assert victim.returncode == 0, err
         assert "drained:" in err
+
+
+class TestHandlersRestored:
+    def test_strict_refusal_exits_one_and_restores_the_handlers(
+        self, tmp_path, capsys
+    ):
+        """A strict serve refusing a malformed record is a one-line error
+        with exit code 1, and the caller's signal handlers come back."""
+        from dataclasses import replace
+
+        from repro.cli import main
+
+        stream_path = tmp_path / "stream.csv"
+        objects = make_stream_file(stream_path, count=200)
+        objects[120] = replace(objects[120], x=float("nan"))
+        write_csv_stream(stream_path, objects)
+        queries_path = tmp_path / "queries.json"
+        make_queries_file(queries_path)
+        before = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        code = main(
+            ["serve", str(stream_path), "--queries", str(queries_path),
+             "--chunk-size", "16"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "malformed record in strict mode" in err[0]
+        assert {sig: signal.getsignal(sig) for sig in before} == before

@@ -924,9 +924,9 @@ class TestCliResume:
              "--checkpoint-dir", str(tmp_path / "d"),
              "--checkpoint-every-seconds", "3600"]
         )
-        service, offset = _build_serve_service(args)
+        service = _build_serve_service(args)
         with service:
-            assert offset == 0
+            assert service.chunk_offset == 0
             assert service.checkpoint_policy == policy
 
     def test_checkpoint_flags_require_directory(self, cli_env, capsys):
@@ -938,3 +938,148 @@ class TestCliResume:
             == 2
         )
         assert "--checkpoint-dir" in capsys.readouterr().err
+
+    def test_resume_runs_at_the_recorded_chunk_size(self, cli_env, capsys):
+        """--chunk-size need not be restated: its default is a fresh start's."""
+        main, tmp_path, full, partial, queries = cli_env
+        ckpt = tmp_path / "ckpt"
+        assert self.serve(main, full, "--queries", str(queries)) == 0
+        expected = self.finals(capsys)
+        assert (
+            self.serve(main, partial, "--queries", str(queries),
+                       "--checkpoint-dir", str(ckpt))
+            == 0
+        )
+        capsys.readouterr()
+        assert main(["serve", str(full), "--resume", "--checkpoint-dir", str(ckpt)]) == 0
+        assert self.finals(capsys) == expected
+
+    #: setting -> (flags recording it, a differing request of the same flags)
+    SETTINGS = {
+        "chunk_size": (("--chunk-size", str(CHUNK_SIZE)),
+                       ("--chunk-size", str(CHUNK_SIZE - 1))),
+        "max_lateness": (("--max-lateness", "5"), ("--max-lateness", "6")),
+        "max_inflight_chunks": (
+            ("--max-lateness", "5", "--max-inflight-chunks", "4"),
+            ("--max-inflight-chunks", "3"),
+        ),
+        "overload": (
+            ("--overload-high", "8", "--overload-low", "2",
+             "--overload-policy", "stretch", "--shed-below-priority", "1"),
+            ("--overload-high", "8", "--overload-policy", "shed"),
+        ),
+        "compact_every_chunks": (("--compact-every", "3"), ("--compact-every", "4")),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    def test_every_replay_setting_is_refused_changed_and_kept_otherwise(
+        self, cli_env, capsys, setting
+    ):
+        import shutil
+
+        main, tmp_path, full, partial, queries = cli_env
+        recorded, changed = self.SETTINGS[setting]
+        # The setting under test alone is restated; whatever else shapes the
+        # replay (the lateness a budget needs) is left to the recording.
+        restated = recorded[-2:] if setting == "max_inflight_chunks" else recorded
+        if setting != "chunk_size":
+            recorded = ("--chunk-size", str(CHUNK_SIZE), *recorded)
+        assert main(["serve", str(full), *recorded, "--queries", str(queries)]) == 0
+        expected = self.finals(capsys)
+        victim = tmp_path / "victim"
+        assert (
+            main(["serve", str(partial), *recorded, "--queries", str(queries),
+                  "--checkpoint-dir", str(victim)])
+            == 0
+        )
+        capsys.readouterr()
+        copies = {case: tmp_path / case for case in ("restated", "omitted")}
+        for copy in copies.values():
+            shutil.copytree(victim, copy)
+
+        def resume(directory, *flags):
+            return main(["serve", str(full), "--resume", "--checkpoint-dir",
+                         str(directory), *flags])
+
+        assert resume(victim, *changed) == 2
+        err = capsys.readouterr().err
+        assert changed[0] in err and "cannot change mid-stream" in err
+        assert resume(copies["restated"], *restated) == 0
+        assert self.finals(capsys) == expected
+        assert resume(copies["omitted"]) == 0
+        assert self.finals(capsys) == expected
+
+    def test_two_conflicting_flags_make_one_error_naming_both(self, cli_env, capsys):
+        main, tmp_path, full, partial, queries = cli_env
+        ckpt = tmp_path / "ckpt"
+        assert (
+            self.serve(main, partial, "--queries", str(queries),
+                       "--checkpoint-dir", str(ckpt))
+            == 0
+        )
+        capsys.readouterr()
+        code = main(
+            ["serve", str(full), "--chunk-size", str(CHUNK_SIZE + 1),
+             "--compact-every", "2", "--resume", "--checkpoint-dir", str(ckpt)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "--chunk-size" in err and "--compact-every" in err
+
+    def test_resume_without_quarantine_dir_stays_tolerant(self, cli_env, capsys):
+        """The screen mode is the checkpoint's: omitting --quarantine-dir on
+        resume neither sorts the arrival-order file nor drops the ingest
+        line of the compared block."""
+        from repro.datasets.io import write_csv_stream
+        from repro.service import load_query_specs
+        from repro.streams.faults import FaultInjector
+
+        main, tmp_path, _, _, queries = cli_env
+        arrivals = FaultInjector(
+            make_stream(), seed=5, poison_fraction=0.02,
+            poison_kinds=("nan_timestamp",),
+        ).materialize()
+        poisoned = tmp_path / "poisoned.csv"
+        write_csv_stream(poisoned, arrivals)
+        assert (
+            self.serve(main, poisoned, "--queries", str(queries),
+                       "--quarantine-dir", str(tmp_path / "q1"))
+            == 0
+        )
+        expected = self.finals(capsys)
+        assert any(line.startswith("ingest:") for line in expected)
+        # The victim stops mid-stream with a partial chunk held in its tier.
+        ckpt = tmp_path / "ckpt"
+        with SurgeService(
+            load_query_specs(queries), checkpoint_dir=ckpt,
+            quarantine_dir=tmp_path / "q2",
+        ) as victim:
+            for _ in victim.feed(arrivals[: len(arrivals) // 2], CHUNK_SIZE):
+                pass
+            victim.checkpoint()
+        assert self.serve(main, poisoned, "--resume", "--checkpoint-dir", str(ckpt)) == 0
+        assert self.finals(capsys) == expected
+
+
+def test_v4_manifest_is_refused_before_any_payload_is_read(tmp_path, stream):
+    """``v4`` kept the replay settings in three sections; ``v5`` has one."""
+    from repro.service.replay import recorded_settings
+
+    with SurgeService(make_specs()[:2], checkpoint_dir=tmp_path, max_lateness=1.0) as s:
+        for _ in s.feed(stream[:100], CHUNK_SIZE):
+            pass
+        s.checkpoint()
+        s.checkpoint()
+    for path in tmp_path.glob("*.ckpt"):
+        path.write_bytes(b"not a snapshot")  # reaching any payload would fail
+    for path in (manifest_path(tmp_path), previous_manifest_path(tmp_path)):
+        record = json.loads(path.read_text())
+        record["schema"] = "service-manifest/v4"
+        path.write_text(json.dumps(record))
+    for attempt in (SurgeService.restore, recorded_settings):
+        with pytest.raises(SnapshotSchemaError) as excinfo:
+            attempt(tmp_path)
+        assert type(excinfo.value) is SnapshotSchemaError
+        message = str(excinfo.value)
+        assert "service-manifest/v4" in message and MANIFEST_SCHEMA in message

@@ -788,8 +788,8 @@ class TestOverloadDurability:
 
         manifest = read_manifest(tmp_path / "ckpt")
         assert manifest.overload is not None
-        assert manifest.overload["max_inflight_chunks"] == 16
-        config = OverloadConfig.from_dict(manifest.overload["config"])
+        assert manifest.replay["max_inflight_chunks"] == 16
+        config = OverloadConfig.from_dict(manifest.replay["overload"])
         assert config == self.CONFIG
 
         restored = SurgeService.restore(tmp_path / "ckpt")
@@ -878,7 +878,7 @@ class TestOverloadDurability:
             tracer=Tracer(),
             checkpoint_dir=tmp_path / "ckpt",
             checkpoint_policy=policy,
-            checkpoint_extra={"chunk_size": 8, "note": "round-trip"},
+            checkpoint_extra={"note": "round-trip"},
         )
         injector = FaultInjector(
             make_clean(300, seed=83),
@@ -893,7 +893,7 @@ class TestOverloadDurability:
                 if victim.degraded and victim.overload_stats().chunks_shed >= 3:
                     break
             victim.remove_query("c2")  # registered (4) != len(order) (3)
-            victim.server_info = {"host": "127.0.0.1", "port": 7, "chunk_size": 8}
+            victim.server_info = {"host": "127.0.0.1", "port": 7}
             victim.checkpoint()
             assert victim.degraded and victim.ingest_stats().reordered > 0
             assert victim.ingest_stats().quarantined > 0
@@ -919,15 +919,16 @@ class TestOverloadDurability:
                     query_id: [result_key(region) for region in regions]
                     for query_id, regions in s.top_k().items()
                 },
-                "extra": lambda s: s.checkpoint_extra,
-                "ingest": lambda s: (s.max_lateness, s.ingest_stats(), s.raw_consumed),
-                "overload": lambda s: (
+                "replay": lambda s: (
+                    s.replay,
+                    s.max_lateness,
                     s.overload_config,
-                    s.overload_stats().to_dict(),
-                    s.degraded,
                     s.max_inflight_chunks,
                     s.compact_every_chunks,
                 ),
+                "extra": lambda s: s.checkpoint_extra,
+                "ingest": lambda s: (s.strict, s.ingest_stats(), s.raw_consumed),
+                "overload": lambda s: (s.overload_stats().to_dict(), s.degraded),
                 "server": lambda s: s.server_info,
                 # The recorder is snapshotted inside the checkpoint, so that
                 # checkpoint's own span is the one thing it cannot hold.
@@ -943,8 +944,8 @@ class TestOverloadDurability:
             expected = {name: read(victim) for name, read in read_outs.items()}
 
         record = json.loads(manifest_path(tmp_path / "ckpt").read_text())
-        # The no-schema-bump proof: service-manifest/v4's key sets.
-        assert record["schema"] == "service-manifest/v4"
+        # The no-schema-bump proof: service-manifest/v5's key sets.
+        assert record["schema"] == "service-manifest/v5"
         assert set(record) == fields | {"schema"}
         assert set(record["stats"]) == {
             "objects_pushed", "chunks_pushed", "object_query_pairs",
@@ -956,10 +957,13 @@ class TestOverloadDurability:
             "chunks_shed",
         }
         assert set(record["policy"]) == {"every_chunks", "every_stream_seconds"}
-        assert set(record["overload"]) == {
-            "config", "stats", "max_inflight_chunks", "compact_every_chunks",
+        # The replay-shaping settings live in one section, and only there.
+        assert record["replay"] == {
+            "chunk_size": 8, "max_lateness": 60.0, "max_inflight_chunks": 16,
+            "overload": self.CONFIG.to_dict(), "compact_every_chunks": 2,
         }
-        assert set(record["overload"]["config"]) == {
+        assert set(record["overload"]) == {"stats"}
+        assert set(record["replay"]["overload"]) == {
             "high_watermark_chunks", "low_watermark_chunks", "policy",
             "shed_below_priority", "checkpoint_stretch",
         }
@@ -968,7 +972,8 @@ class TestOverloadDurability:
             "updates_shed", "checkpoints_deferred", "compactions",
             "queries_compacted", "max_depth_chunks",
         }
-        assert set(record["ingest"]) == {"max_lateness", "snapshot_file"}
+        assert set(record["ingest"]) == {"snapshot_file"}
+        assert set(record["server"]) == {"host", "port"}
         assert set(record["obs"]) == {
             "snapshot_file", "enabled", "slow_chunk_threshold",
         }
@@ -994,7 +999,8 @@ class TestOverloadDurability:
                 pass
             service.checkpoint()
         manifest = read_manifest(tmp_path / "ckpt")
-        assert manifest.overload is None  # tier unconfigured -> not recorded
+        assert manifest.overload is None  # every counter zero -> not recorded
+        assert manifest.replay["overload"] is None
         restored = SurgeService.restore(tmp_path / "ckpt")
         assert restored.overload_config is None
         assert restored.max_inflight_chunks is None

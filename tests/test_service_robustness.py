@@ -385,10 +385,11 @@ class TestTolerantRecovery:
         self.crashed_service(tmp_path, die_after=3)
         manifest = read_manifest(tmp_path / "ckpt")
         assert manifest.ingest is not None
-        # Only what is needed before unpickling: the tier itself (replay
-        # offset, counters, held-back events) is the snapshot's payload.
-        assert set(manifest.ingest) == {"max_lateness", "snapshot_file"}
-        assert manifest.ingest["max_lateness"] == MAX_LATENESS
+        # The tier itself (replay offset, counters, held-back events, screen
+        # mode) is the snapshot's payload; its settings are in ``replay``.
+        assert set(manifest.ingest) == {"snapshot_file"}
+        assert manifest.replay["max_lateness"] == MAX_LATENESS
+        assert manifest.replay["chunk_size"] == self.CHUNK
         assert (tmp_path / "ckpt" / manifest.ingest["snapshot_file"]).exists()
         with SurgeService.restore(tmp_path / "ckpt") as restored:
             assert restored.raw_consumed > 0

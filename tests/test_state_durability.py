@@ -41,6 +41,7 @@ def make_manifest(generation: int, chunk_offset: int, stream_time: float, policy
         policy=policy or {},
         stats={},
         shard_files=[],
+        replay={},
     )
 
 
