@@ -15,7 +15,11 @@ substreams) three ways:
   the durability boundary.
 
 Every variant must report final results, top-k lists and routed-object
-counts bit-identical to the oracle's.  Exercised as a standalone script
+counts bit-identical to the oracle's: each query's ``objects_routed`` is its
+route's object count in the oracle replay.  The per-query counters must also
+conserve: Σ ``chunks_processed`` = chunks × live queries, so a detector-unit
+member credited twice or not at all fails here, outside the unit-test
+process, even if every final answer agrees.  Exercised as a standalone script
 (``make smoke-shared``) because the process-executor leg depends on worker
 process spawning, which only breaks outside the unit-test process.
 
@@ -63,12 +67,15 @@ def make_stream(n_objects: int, seed: int = 20180416) -> list[SpatialObject]:
 
 
 def make_specs() -> list:
+    # 8 keywords × 2 rects × 3 windows = 48 distinct specs: the grid wraps
+    # after 48, so 16 specs run as two-tenant detector units.
     return make_query_grid(
         N_QUERIES,
         base_window=120.0,
         algorithm="ccs",
         backend="python",
         keywords=VOCABULARY,
+        rect_multipliers=(1.0, 1.5),
         group_aligned=True,
     )
 
@@ -89,8 +96,19 @@ def fingerprint(service: SurgeService) -> dict:
 
 
 def oracle_fingerprint(stream) -> dict:
-    _, finals, top_k, routed = replay_oracle(stream, make_specs(), CHUNK_SIZE)
-    return {"finals": finals, "top_k": top_k, "routed": routed}
+    trace, finals, top_k, routed = replay_oracle(stream, make_specs(), CHUNK_SIZE)
+    return {
+        "finals": finals,
+        "top_k": top_k,
+        "routed": routed,
+        "conservation": {"chunks_processed": len(trace) * N_QUERIES},
+    }
+
+
+def conserved(service: SurgeService) -> dict:
+    """Per-query counters summed across queries (see the module docstring)."""
+    per_query = service.stats().per_query.values()
+    return {"chunks_processed": sum(s.chunks_processed for s in per_query)}
 
 
 def replay(stream, *, executor: str, shards: int):
@@ -99,7 +117,7 @@ def replay(stream, *, executor: str, shards: int):
         for _ in service.run(stream, CHUNK_SIZE):
             pass
         wall = time.perf_counter() - started
-        return fingerprint(service), wall
+        return dict(fingerprint(service), conservation=conserved(service)), wall
 
 
 def replay_with_crash(stream, workdir: Path):
@@ -118,7 +136,13 @@ def replay_with_crash(stream, workdir: Path):
     with restored:
         for chunk in iter_chunks(stream, CHUNK_SIZE, start_offset=restored.chunk_offset):
             restored.push_many(chunk)
-        return fingerprint(restored)
+        return dict(fingerprint(restored), conservation=conserved(restored))
+
+
+def status(got: dict, reference: dict) -> str:
+    """``ok``, or ``DIVERGED`` naming the fingerprint parts that differ."""
+    differing = [part for part in reference if got.get(part) != reference[part]]
+    return f"DIVERGED ({', '.join(differing)})" if differing else "ok"
 
 
 def main() -> int:
@@ -147,8 +171,7 @@ def main() -> int:
     ]
     for label, kwargs in variants:
         got, wall = replay(stream, **kwargs)
-        status = "ok" if got == reference else "DIVERGED"
-        print(f"  {label}: {wall:6.2f}s  {status}", flush=True)
+        print(f"  {label}: {wall:6.2f}s  {status(got, reference)}", flush=True)
         if got != reference:
             failures.append(label)
 
@@ -157,8 +180,7 @@ def main() -> int:
         got = replay_with_crash(stream, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    status = "ok" if got == reference else "DIVERGED"
-    print(f"  checkpoint -> crash -> resume: {status}", flush=True)
+    print(f"  checkpoint -> crash -> resume: {status(got, reference)}", flush=True)
     if got != reference:
         failures.append("checkpoint resume")
 

@@ -4,7 +4,7 @@ Frames reuse the network tier's codec (:mod:`repro.server.protocol`): a
 4-byte big-endian length prefix plus one JSON object with a ``"type"``
 key.  Shard messages and replies are Python object graphs
 (:class:`~repro.streams.objects.SpatialObject` chunks,
-:class:`~repro.service.bus.QueryUpdate` lists, detector results), so they
+:class:`~repro.service.shards.UnitRecord` lists, detector results), so they
 ride inside the JSON frame as a base85-encoded pickle — the same trust
 model and the same exact float round-trip as the process executor's
 pipes and the snapshot files.

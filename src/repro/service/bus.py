@@ -1,12 +1,18 @@
 """Result bus: the service-side surface for per-query updates and stats.
 
-Every chunk broadcast produces one :class:`QueryUpdate` per live query.  The
-:class:`ResultBus` keeps the latest update per query, fans updates out to
-subscribers (dashboards, alert hooks, tests), and accumulates the per-query
-:class:`QueryStats` — objects routed, shard busy time, and the chunk *lag*
-(how long a query's answer trailed the service receiving the chunk, i.e.
-wall time of the whole broadcast minus nothing: the query's result is only
-available once its shard's reply is gathered).
+Every chunk broadcast produces one :class:`QueryUpdate` per live query.
+Shards answer once per *detector unit* (the queries sharing one monitor,
+see :class:`~repro.service.shards.UnitRecord`); the service expands each
+unit's record into its members' updates, with the lag already stamped, so
+the bus only ever sees per-query updates.  The :class:`ResultBus` keeps the
+latest update per query, fans updates out to subscribers (dashboards, alert
+hooks, tests), and accumulates the per-query :class:`QueryStats` — objects
+routed, shard busy time, and the chunk *lag* (how long a query's answer
+trailed the service receiving the chunk, i.e. wall time of the whole
+broadcast minus nothing: the query's result is only available once its
+shard's reply is gathered).  Members of one unit share the unit's result
+object; their updates, stats, drop credits and subscription filters stay
+per query.
 
 Two subscriber surfaces coexist:
 
@@ -29,7 +35,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.core.base import RegionResult
 from repro.service.overload import OverloadError, OverloadStats
@@ -57,8 +63,7 @@ class SubscriptionSelfBlockError(RuntimeError):
         self.subscription_name = subscription_name
 
 
-@dataclass(frozen=True, slots=True)
-class QueryUpdate:
+class QueryUpdate(NamedTuple):
     """One query's answer after one ingestion step.
 
     ``busy_seconds`` is the time the query's pipeline spent routing and
@@ -67,6 +72,10 @@ class QueryUpdate:
     surfaced — the queueing/transport overhead a tenant actually observes.
     ``shed`` marks an update whose chunk was load-shed for this query: the
     carried ``result`` is the last computed answer, not a fresh one.
+
+    Immutable, because subscribers share one instance by reference; a named
+    tuple because the service builds one per query per chunk, at a third of
+    a frozen dataclass's construction cost.
     """
 
     query_id: str
@@ -78,15 +87,7 @@ class QueryUpdate:
     shed: bool = False
 
     def with_lag(self, lag_seconds: float) -> "QueryUpdate":
-        return QueryUpdate(
-            query_id=self.query_id,
-            chunk_index=self.chunk_index,
-            result=self.result,
-            objects_routed=self.objects_routed,
-            busy_seconds=self.busy_seconds,
-            lag_seconds=lag_seconds,
-            shed=self.shed,
-        )
+        return self._replace(lag_seconds=lag_seconds)
 
 
 @dataclass
@@ -450,9 +451,14 @@ class ResultBus:
         self._publish(updates)
 
     def _publish(self, updates: Iterable[QueryUpdate]) -> None:
+        latest, all_stats = self._latest, self._stats
         for update in updates:
-            self._latest[update.query_id] = update
-            self._stats.setdefault(update.query_id, QueryStats()).observe(update)
+            query_id = update.query_id
+            latest[query_id] = update
+            stats = all_stats.get(query_id)
+            if stats is None:
+                stats = all_stats[query_id] = QueryStats()
+            stats.observe(update)
             for callback in self._subscribers:
                 try:
                     callback(update)
@@ -462,7 +468,7 @@ class ResultBus:
                         "result-bus subscriber %r failed on update for query %s "
                         "(isolated; delivery continues)",
                         callback,
-                        update.query_id,
+                        query_id,
                     )
             if self._subscriptions:
                 evicted: list[Subscription] = []
@@ -471,10 +477,8 @@ class ResultBus:
                     if dropped_ids is None:
                         evicted.append(subscription)
                         continue
-                    for query_id in dropped_ids:
-                        self._stats.setdefault(
-                            query_id, QueryStats()
-                        ).dropped_results += 1
+                    for dropped_id in dropped_ids:
+                        self.stats(dropped_id).dropped_results += 1
                 for subscription in evicted:
                     self._subscriptions.remove(subscription)
                     self.evicted_subscribers += 1
@@ -490,7 +494,10 @@ class ResultBus:
 
     def stats(self, query_id: str) -> QueryStats:
         """Cumulative stats for a query (zeros before its first update)."""
-        return self._stats.setdefault(query_id, QueryStats())
+        stats = self._stats.get(query_id)
+        if stats is None:
+            stats = self._stats[query_id] = QueryStats()
+        return stats
 
     def forget(self, query_id: str) -> None:
         """Drop the cached state of a removed query."""

@@ -581,32 +581,36 @@ class SurgeService:
         started = time.perf_counter()
         replies = self._executor.broadcast(message)
         wall = time.perf_counter() - started
+        # Each shard replies one record per detector unit; each member's
+        # update is built here, once, with the broadcast wall time stamped
+        # as its lag: an update is only observable once the gather returns.
         by_query: dict[str, QueryUpdate] = {}
+        active = 0
         for shard, reply in enumerate(replies):
             if isinstance(reply, tuple):
-                # A tracing shard replies (updates, spans): absorb the spans
+                # A tracing shard replies (records, spans): absorb the spans
                 # into the service-side recorder, labelled with the shard's
                 # lane so the exported trace shows per-shard timelines.
                 reply, spans = reply
                 if spans:
                     self._absorb_shard_spans(shard, spans, started)
-            for update in reply:
-                by_query[update.query_id] = update
-        # Registration order, with the broadcast wall time stamped as each
-        # query's lag: an update is only observable once the gather returns.
+            for ids, result, routed, busy, follower_busy, shed in reply:
+                if not shed:
+                    active += len(ids)
+                for query_id in ids:
+                    by_query[query_id] = QueryUpdate(
+                        query_id, chunk_index, result, routed, busy, wall, shed
+                    )
+                    busy = follower_busy  # the leader comes first
         updates = [
-            by_query[query_id].with_lag(wall)
-            for query_id in self._order
-            if query_id in by_query
+            by_query[query_id] for query_id in self._order if query_id in by_query
         ]
         self._chunk_index += 1
         self._stats.objects_pushed += n_objects
         self._stats.chunks_pushed += 1
         # Shed queries did no work on this chunk, so they contribute no
         # object–query pairs to the throughput headline.
-        self._stats.object_query_pairs += n_objects * sum(
-            1 for update in updates if not update.shed
-        )
+        self._stats.object_query_pairs += n_objects * active
         self._stats.wall_seconds += wall
         self.bus.publish(updates)
         tracer = self._tracer

@@ -32,6 +32,13 @@ keyword-filtered substreams — the oracle the differential suites replay,
    share one monitor: the unit leader applies the batch and settles once,
    the followers mirror its result.
 
+The reply follows the plan: a shard answers a chunk with one
+:class:`UnitRecord` per detector unit (member ids, result, routed count,
+busy seconds, shed flag), not one update per query.  The service expands
+each record into one :class:`~repro.service.bus.QueryUpdate` per member, so
+with N tenants per spec a chunk's reply crosses an executor boundary as N×
+fewer records and each query's update is built once.
+
 Empty routes take a settle-free fast path: a query whose sub-chunk is empty
 never moved its window clock, so no deadline can have crossed and the
 previous settled result is returned as-is (counted in ``chunks_skipped``
@@ -58,8 +65,9 @@ Two in-process executors drive the shards (a third, ``remote``, lives in
     One persistent single-worker :class:`concurrent.futures.ProcessPoolExecutor`
     per shard.  The shard's query specs are pickled to the worker once at
     start-up (the worker builds its monitors locally and keeps them alive
-    across chunks); each chunk is pickled to every shard once.  This is the
-    backend that scales with cores.
+    across chunks); each chunk is pickled to every shard once, and each
+    shard pickles back one record per detector unit.  This is the backend
+    that scales with cores.
 
 All executors speak the same message protocol (:meth:`ShardState.handle`), so
 the executors contain no query logic — determinism across backends falls out
@@ -71,10 +79,10 @@ from __future__ import annotations
 import abc
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
+from repro.core.base import RegionResult
 from repro.obs.tracer import Tracer, activate
-from repro.service.bus import QueryUpdate
 from repro.service.spec import QuerySpec
 from repro.streams.objects import SpatialObject
 from repro.streams.windows import SlidingWindowPair
@@ -111,89 +119,25 @@ class QueryPipeline:
         self.epoch = epoch
         self.last_result = self.monitor.result()
 
-    def apply_batch(self, batch, chunk_index: int, n_routed: int, shared_seconds: float) -> QueryUpdate:
-        """Apply a group-ingested event batch to this pipeline's detector.
 
-        The non-empty-route path: the owning :class:`WindowGroup` already
-        ran ``observe_batch`` on the shared window pair; this pipeline only
-        pays the detector half.  ``shared_seconds`` is this pipeline's slice
-        of the shard-wide routing/windowing work, folded into the update's
-        ``busy_seconds`` so it keeps meaning "time this query's presence
-        cost the shard".
-        """
-        started = time.perf_counter()
-        result = self.monitor.apply_batch(batch)
-        self.last_result = result
-        busy = time.perf_counter() - started + shared_seconds
-        return QueryUpdate(
-            query_id=self.spec.query_id,
-            chunk_index=chunk_index,
-            result=result,
-            objects_routed=n_routed,
-            busy_seconds=busy,
-        )
+class UnitRecord(NamedTuple):
+    """One detector unit's reply to one ``chunk`` / ``advance`` message.
 
-    def mirror_result(self, result, chunk_index: int, n_routed: int, shared_seconds: float) -> QueryUpdate:
-        """Adopt a shared detector unit leader's already-settled result.
+    Every member of a unit holds the same settled result, so a shard answers
+    once per unit rather than once per query; the service expands the record
+    into one :class:`~repro.service.bus.QueryUpdate` per member.
+    ``query_ids`` lists the members in registration order, leader first.
+    ``leader_busy`` is the leader's settle (or fast-path) time plus its
+    routing and window-observe shares; ``follower_busy`` is the shares alone,
+    so the members' busy seconds still sum to the shard's measured work.
+    """
 
-        Used for follower pipelines whose spec is identical to the unit
-        leader's: the shared monitor has already ingested the batch, so the
-        follower's answer *is* the leader's answer.
-        """
-        self.last_result = result
-        return QueryUpdate(
-            query_id=self.spec.query_id,
-            chunk_index=chunk_index,
-            result=result,
-            objects_routed=n_routed,
-            busy_seconds=shared_seconds,
-        )
-
-    def skip_chunk(
-        self,
-        chunk_index: int,
-        shared_seconds: float = 0.0,
-        shed: bool = False,
-    ) -> QueryUpdate:
-        """The settle-free fast path: nothing routed, clock unmoved.
-
-        With ``shed=True`` the chunk was load-shed for this query (degraded
-        mode), not merely empty: the update is marked so the bus can count
-        it separately and consumers know the carried result is stale.
-        """
-        started = time.perf_counter()
-        result = self.last_result
-        self.chunks_skipped += 1
-        busy = time.perf_counter() - started + shared_seconds
-        return QueryUpdate(
-            query_id=self.spec.query_id,
-            chunk_index=chunk_index,
-            result=result,
-            objects_routed=0,
-            busy_seconds=busy,
-            shed=shed,
-        )
-
-    def apply_window_events(self, events, chunk_index: int) -> QueryUpdate:
-        """Apply clock-advance events (possibly of a shared pair) and settle.
-
-        With no events the advance crossed no deadline, so the previous
-        settled result is reused without touching the detector.
-        """
-        started = time.perf_counter()
-        if events:
-            result = self.monitor.push_events(events)
-            self.last_result = result
-        else:
-            result = self.last_result
-        busy = time.perf_counter() - started
-        return QueryUpdate(
-            query_id=self.spec.query_id,
-            chunk_index=chunk_index,
-            result=result,
-            objects_routed=0,
-            busy_seconds=busy,
-        )
+    query_ids: tuple[str, ...]
+    result: RegionResult | None
+    objects_routed: int
+    leader_busy: float
+    follower_busy: float
+    shed: bool = False
 
 
 class WindowGroup:
@@ -202,15 +146,19 @@ class WindowGroup:
     ``units`` partitions the member pipelines by full spec identity: each
     unit is a list whose head (the *leader*) owns the shared monitor and
     whose tail (the *followers*) mirror the leader's result.  Window-only
-    sharing is the single-pipeline-per-unit case.
+    sharing is the single-pipeline-per-unit case.  ``unit_ids`` holds each
+    unit's member ids, as its :class:`UnitRecord` reports them.
     """
 
-    __slots__ = ("keyword", "windows", "units")
+    __slots__ = ("keyword", "windows", "units", "unit_ids")
 
     def __init__(self, keyword: str | None, windows: SlidingWindowPair, units) -> None:
         self.keyword = keyword
         self.windows = windows
         self.units = units
+        self.unit_ids = [
+            tuple(pipeline.spec.query_id for pipeline in unit) for unit in units
+        ]
 
 
 #: Detectors whose settled results are a pure function of current window
@@ -271,18 +219,20 @@ class ShardState:
     boundaries as plain pickles:
 
     ``("chunk", objects, chunk_index)`` / ``("chunk", objects, chunk_index, shed)``
-        Route a shared-stream chunk through every pipeline; returns the
-        per-query :class:`~repro.service.bus.QueryUpdate` list in query
-        registration order.  The optional ``shed`` frozenset names queries
+        Route a shared-stream chunk through every pipeline; returns one
+        :class:`UnitRecord` per detector unit (member ids, settled result,
+        objects routed, leader and follower busy seconds, shed flag), never
+        one reply per query.  The optional ``shed`` frozenset names queries
         whose chunk is load-shed (degraded mode): their window clocks stay
-        unmoved and their updates carry ``shed=True``.  The service only
+        unmoved and their records carry ``shed=True``.  The service only
         sheds whole route classes, so a window group is always fully shed
         or fully active.
     ``("compact",)``
         Safe-boundary re-epoching (see :meth:`compact`); returns the
         number of pipelines merged back into older sharing groups.
     ``("advance", stream_time, chunk_index)``
-        Advance every pipeline's clock; returns updates.
+        Advance every pipeline's clock; returns one :class:`UnitRecord` per
+        detector unit, as ``chunk`` does.
     ``("add", spec)`` / ``("remove", query_id)``
         Register / drop a pipeline; returns the shard's query ids.
     ``("results",)``
@@ -300,7 +250,7 @@ class ShardState:
     ``("trace", enabled)``
         Attach (or detach) a shard-local :class:`~repro.obs.tracer.Tracer`.
         While attached, ``chunk``/``advance`` replies become
-        ``(updates, spans)`` tuples: the spans recorded during the message
+        ``(records, spans)`` tuples: the spans recorded during the message
         (routing, window observe, settle, sweep kernel) ship back with the
         reply so the service can merge them into its flight recorder —
         this is how process shards get their lane in the Chrome trace.
@@ -515,12 +465,34 @@ class ShardState:
                     bucket.append(obj)
         return buckets
 
+    @staticmethod
+    def _skip_units(
+        group: WindowGroup, shared_seconds: float, shed: bool = False
+    ) -> list[UnitRecord]:
+        """The settle-free fast path: nothing routed, clock unmoved.
+
+        Every member reports its previous settled result.  With
+        ``shed=True`` the chunk was load-shed for the group (degraded mode),
+        not merely empty: the records are marked so the bus can count them
+        separately and consumers know the carried result is stale.
+        """
+        records = []
+        for unit, ids in zip(group.units, group.unit_ids):
+            started = time.perf_counter()
+            for pipeline in unit:
+                pipeline.chunks_skipped += 1
+            busy = time.perf_counter() - started + shared_seconds
+            records.append(
+                UnitRecord(ids, unit[0].last_result, 0, busy, shared_seconds, shed)
+            )
+        return records
+
     def _push_chunk(
         self,
         chunk: Sequence[SpatialObject],
         chunk_index: int,
         shed: frozenset[str] = frozenset(),
-    ) -> list[QueryUpdate]:
+    ) -> list[UnitRecord]:
         tracer = self._tracer if self._tracer is not None and self._tracer.enabled else None
         started = time.perf_counter()
         buckets = self._route_chunk(chunk)
@@ -532,23 +504,17 @@ class ShardState:
         shared_seconds = (
             (routed_at - started) / len(self.pipelines) if self.pipelines else 0.0
         )
-        updates: dict[str, QueryUpdate] = {}
+        records: list[UnitRecord] = []
         for group in self._groups:
             if shed and all(
-                pipeline.spec.query_id in shed
-                for unit in group.units
-                for pipeline in unit
+                query_id in shed for ids in group.unit_ids for query_id in ids
             ):
                 # The whole group is shed: its window clock stays unmoved
                 # (the service only sheds whole route classes).  Shedding a
                 # *partial* group is never requested — it would advance the
                 # shared windows past the shed members — so a partial shed
                 # set is ignored and the group processes normally.
-                for unit in group.units:
-                    for pipeline in unit:
-                        updates[pipeline.spec.query_id] = pipeline.skip_chunk(
-                            chunk_index, shared_seconds, shed=True
-                        )
+                records += self._skip_units(group, shared_seconds, shed=True)
                 continue
             sub = chunk if group.keyword is None else buckets.get(group.keyword, ())
             if sub:
@@ -570,42 +536,41 @@ class ShardState:
                     shared_seconds + (observe_ended - observe_started) / members
                 )
                 n_routed = len(sub)
-                for unit in group.units:
-                    leader = unit[0]
-                    update = leader.apply_batch(batch, chunk_index, n_routed, group_seconds)
-                    updates[leader.spec.query_id] = update
-                    for follower in unit[1:]:
-                        updates[follower.spec.query_id] = follower.mirror_result(
-                            update.result, chunk_index, n_routed, group_seconds
-                        )
-            else:
-                for unit in group.units:
+                for unit, ids in zip(group.units, group.unit_ids):
+                    # The leader owns the unit's monitor: it pays the
+                    # detector half once, and every member adopts the result.
+                    settle_started = time.perf_counter()
+                    result = unit[0].monitor.apply_batch(batch)
+                    busy = time.perf_counter() - settle_started + group_seconds
                     for pipeline in unit:
-                        updates[pipeline.spec.query_id] = pipeline.skip_chunk(
-                            chunk_index, shared_seconds
-                        )
+                        pipeline.last_result = result
+                    records.append(
+                        UnitRecord(ids, result, n_routed, busy, group_seconds)
+                    )
+            else:
+                records += self._skip_units(group, shared_seconds)
         self._epoch += 1
-        return [updates[query_id] for query_id in self.pipelines]
+        return records
 
-    def _advance(self, stream_time: float, chunk_index: int) -> list[QueryUpdate]:
-        updates: dict[str, QueryUpdate] = {}
+    def _advance(self, stream_time: float) -> list[UnitRecord]:
+        records: list[UnitRecord] = []
         for group in self._groups:
             events = group.windows.advance_time(stream_time)
-            for unit in group.units:
-                leader = unit[0]
-                update = leader.apply_window_events(events, chunk_index)
-                updates[leader.spec.query_id] = update
-                for follower in unit[1:]:
-                    follower.last_result = update.result
-                    updates[follower.spec.query_id] = QueryUpdate(
-                        query_id=follower.spec.query_id,
-                        chunk_index=chunk_index,
-                        result=update.result,
-                        objects_routed=0,
-                        busy_seconds=0.0,
-                    )
+            for unit, ids in zip(group.units, group.unit_ids):
+                # With no events the advance crossed no deadline, so the
+                # previous settled result is reused without touching the
+                # detector.
+                started = time.perf_counter()
+                if events:
+                    result = unit[0].monitor.push_events(events)
+                    for pipeline in unit:
+                        pipeline.last_result = result
+                else:
+                    result = unit[0].last_result
+                busy = time.perf_counter() - started
+                records.append(UnitRecord(ids, result, 0, busy, 0.0))
         self._epoch += 1
-        return [updates[query_id] for query_id in self.pipelines]
+        return records
 
     # ------------------------------------------------------------------
     # Durability (see repro.state)
@@ -644,7 +609,7 @@ class ShardState:
         self._rebuild_plan()
         return list(self.pipelines)
 
-    def _handle_ingest(self, message: tuple) -> list[QueryUpdate]:
+    def _handle_ingest(self, message: tuple) -> list[UnitRecord]:
         """The ``chunk``/``advance`` half of :meth:`handle`."""
         kind = message[0]
         if kind == "chunk":
@@ -654,8 +619,7 @@ class ShardState:
                 _, chunk, chunk_index = message
                 shed = frozenset()
             return self._push_chunk(chunk, chunk_index, shed)
-        _, stream_time, chunk_index = message
-        return self._advance(stream_time, chunk_index)
+        return self._advance(message[1])
 
     def handle(self, message: tuple) -> Any:
         kind = message[0]
@@ -670,8 +634,8 @@ class ShardState:
             # cross the pipe as plain tuples, and the service stamps this
             # shard's lane and rebases the worker-local clock.
             with activate(tracer):
-                updates = self._handle_ingest(message)
-            return (updates, tracer.drain_spans())
+                records = self._handle_ingest(message)
+            return (records, tracer.drain_spans())
         if kind == "trace":
             enabled = bool(message[1])
             self._tracer = Tracer(enabled=True) if enabled else None
@@ -790,8 +754,9 @@ class ProcessExecutor(ShardExecutor):
     Each shard is a ``ProcessPoolExecutor(max_workers=1)``: the single
     worker keeps the shard's monitors alive across chunks, and the pool's
     FIFO task queue preserves message order per shard.  Specs are pickled
-    once at start-up via the pool initializer; chunks and
-    :class:`~repro.service.bus.QueryUpdate` replies are pickled per message.
+    once at start-up via the pool initializer; chunks and the
+    :class:`UnitRecord` replies (one per detector unit, not per query) are
+    pickled per message.
     """
 
     name = "process"

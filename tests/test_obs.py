@@ -402,12 +402,16 @@ class TestBusyAccounting:
 
         ticker = itertools.count(start=1.0, step=1.0)
         monkeypatch.setattr(_time, "perf_counter", lambda: next(ticker))
-        updates = state.handle(("chunk", chunk, 0))
+        records = state.handle(("chunk", chunk, 0))
 
-        by_query = {update.query_id: update for update in updates}
-        assert by_query["a"].busy_seconds == pytest.approx(2.0)
-        assert by_query["b"].busy_seconds == pytest.approx(2.0)
-        assert sum(u.busy_seconds for u in updates) == pytest.approx(4.0)
+        busy = {}
+        for record in records:
+            leader, *followers = record.query_ids
+            busy[leader] = record.leader_busy
+            busy.update(dict.fromkeys(followers, record.follower_busy))
+        assert busy["a"] == pytest.approx(2.0)
+        assert busy["b"] == pytest.approx(2.0)
+        assert sum(busy.values()) == pytest.approx(4.0)
 
 
 class TestJsonLogging:

@@ -1,6 +1,6 @@
 """Property-based tests for the grid addressing and the lazy max-heap."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.grids import GridSpec
@@ -24,15 +24,34 @@ class TestGridProperties:
         assert cell.min_y - 1e-6 * ch <= y <= cell.max_y + 1e-6 * ch
 
     @given(x=coords, y=coords, cw=cell_sizes, ch=cell_sizes)
+    @example(x=0.0, y=13.0, cw=1.0, ch=0.1)
     @settings(max_examples=100)
     def test_query_sized_rectangle_overlaps_at_most_nine_cells(self, x, y, cw, ch):
-        """Lemma 1: at most 4 cells in general position, up to 9 when aligned."""
+        """Lemma 1: at most 4 cells in general position, up to 9 when aligned.
+
+        ``cells_overlapping`` promises the cells *possibly* affected: every
+        cell a corner is addressed to, and nothing farther than the float
+        addressing can reach.  At ``y = 13, ch = 0.1`` the top edge 13.1 is
+        addressed to row 131, whose ``cell_rect`` starts at
+        13.100000000000001 (``floor(v / h)`` against ``i · h``), so a
+        yielded cell may miss the rectangle by an ulp, never by more.
+        """
         grid = GridSpec(cell_width=cw, cell_height=ch)
         rect = Rect(x, y, x + cw, y + ch)
         cells = list(grid.cells_overlapping(rect))
         assert 1 <= len(cells) <= 9
+        corners = {
+            grid.cell_of(px, py)
+            for px in (rect.min_x, rect.max_x)
+            for py in (rect.min_y, rect.max_y)
+        }
+        assert corners <= set(cells)
         for index in cells:
-            assert grid.cell_rect(index).intersects(rect)
+            cell = grid.cell_rect(index)
+            assert cell.min_x - 1e-6 * cw <= rect.max_x
+            assert rect.min_x <= cell.max_x + 1e-6 * cw
+            assert cell.min_y - 1e-6 * ch <= rect.max_y
+            assert rect.min_y <= cell.max_y + 1e-6 * ch
 
     @given(x=coords, y=coords, cw=cell_sizes, ch=cell_sizes)
     @settings(max_examples=60)

@@ -20,6 +20,10 @@ that make that safe:
   which restore re-aliases;
 * the settle-free fast path for empty routes is taken (``chunks_skipped``)
   and still reports the correct result;
+* a shard replies one record per detector unit (members in registration
+  order) to ``chunk``, shed ``chunk`` and ``advance`` messages, and a
+  subscription filter that splits a unit counts exactly what one update
+  per query would;
 * ``make_query_grid(group_aligned=True)`` produces the documented explicit
   sharing factors, and the default grid is unchanged.
 """
@@ -33,7 +37,7 @@ import pytest
 
 from repro.core.query import SurgeQuery
 from repro.datasets.keywords import keyword_predicate
-from repro.service import QuerySpec, SurgeService, make_query_grid
+from repro.service import QuerySpec, QueryUpdate, ResultBus, SurgeService, make_query_grid
 from repro.service.shards import ShardState
 from repro.streams.objects import SpatialObject
 from tests.helpers import IndependentMonitors, result_key, result_keys
@@ -299,10 +303,11 @@ class TestCheckpointRoundTrip:
         got = target.handle(("chunk", stream[50:], 1))
         want = uninterrupted.handle(("chunk", stream[50:], 1))
         assert [
-            (u.query_id, u.objects_routed, result_key(u.result)) for u in got
+            (r.query_ids, r.objects_routed, result_key(r.result)) for r in got
         ] == [
-            (u.query_id, u.objects_routed, result_key(u.result)) for u in want
+            (r.query_ids, r.objects_routed, result_key(r.result)) for r in want
         ]
+        assert [r.query_ids for r in got] == [("a", "b"), ("c",)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +320,21 @@ class TestSkipFastPath:
         )
         stream = make_keyword_stream(60)
         n_chunks = 0
-        updates = []
+        records = []
         for start in range(0, len(stream), 15):
-            updates += shard.handle(("chunk", stream[start : start + 15], n_chunks))
+            records += shard.handle(("chunk", stream[start : start + 15], n_chunks))
             n_chunks += 1
         miss = shard.pipelines["miss"]
         assert miss.chunks_skipped == n_chunks
         assert miss.last_result is None
-        missed = [u for u in updates if u.query_id == "miss"]
+        missed = [r for r in records if r.query_ids == ("miss",)]
         assert len(missed) == n_chunks
-        assert all(u.objects_routed == 0 for u in missed)
+        assert all(r.objects_routed == 0 for r in missed)
         # The fast path is still accounted: busy time was measured, not
         # fabricated — it only has to be non-negative and tiny.
-        assert 0.0 <= sum(u.busy_seconds for u in missed) < 1.0
+        assert 0.0 <= sum(r.leader_busy for r in missed) < 1.0
         assert shard.pipelines["hit"].chunks_skipped < n_chunks
-        assert sum(u.objects_routed for u in updates if u.query_id == "hit") > 0
+        assert sum(r.objects_routed for r in records if r.query_ids == ("hit",)) > 0
 
     def test_skipped_chunk_reports_the_previous_result(self):
         spec = make_spec("q", "concert")
@@ -345,6 +350,125 @@ class TestSkipFastPath:
         # Nothing routed, clock unmoved: the previous settled result object
         # is reported as-is.
         assert skipped_update.result is matched_update.result
+
+
+# ---------------------------------------------------------------------------
+# One reply record per detector unit
+# ---------------------------------------------------------------------------
+class TestUnitRecords:
+    ROUTES = ("concert", "parade", "zika", None)
+
+    def grid(self):
+        """4 routes × 2 rects × 2 windows × 4 tenants, tenants outermost so
+        a unit's members are interleaved in registration order."""
+        return [
+            make_spec(f"{route}/{rect}/{window}/t{tenant}", route, window, rect)
+            for tenant in range(4)
+            for route in self.ROUTES
+            for rect in (1.0, 1.5)
+            for window in (20.0, 40.0)
+        ]
+
+    @staticmethod
+    def expected_units(specs):
+        units = {}
+        for spec in specs:
+            units.setdefault((spec.keyword, spec.query), []).append(spec.query_id)
+        return sorted(tuple(ids) for ids in units.values())
+
+    def check(self, shard, records, specs):
+        assert len(records) == 16
+        assert sorted(r.query_ids for r in records) == self.expected_units(specs)
+        for record in records:
+            for query_id in record.query_ids:
+                assert shard.pipelines[query_id].last_result is record.result
+
+    def test_chunk_shed_and_advance_reply_once_per_unit(self):
+        specs = self.grid()
+        shard = ShardState(specs)
+        stream = make_keyword_stream(120)
+
+        records = shard.handle(("chunk", stream[:60], 0))
+        self.check(shard, records, specs)
+        assert not any(r.shed for r in records)
+        for record in records:
+            route = shard.pipelines[record.query_ids[0]].spec.keyword
+            assert record.objects_routed == sum(
+                1 for obj in stream[:60]
+                if route is None or route in obj.attributes.get("keywords", ())
+            )
+
+        before = {r.query_ids: r.result for r in records}
+        shed = frozenset(s.query_id for s in specs if s.keyword == "zika")
+        records = shard.handle(("chunk", stream[60:], 1, shed))
+        self.check(shard, records, specs)
+        for record in records:
+            is_shed = set(record.query_ids) <= shed
+            assert record.shed == is_shed
+            if is_shed:
+                assert record.objects_routed == 0
+                assert record.result is before[record.query_ids]
+                assert record.follower_busy <= record.leader_busy
+        assert all(shard.pipelines[q].chunks_skipped == 1 for q in shed)
+
+        records = shard.handle(("advance", stream[-1].timestamp + 30.0, 2))
+        self.check(shard, records, specs)
+        assert all(r.objects_routed == 0 and r.follower_busy == 0.0 for r in records)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_filter_splitting_a_unit_keeps_per_query_semantics(self, executor):
+        """``lead`` and ``follow`` share one unit on shard 0; a bounded
+        subscription that takes ``lead`` only must count exactly what a
+        bus fed one update per query (the independent-monitor oracle's
+        steps) counts."""
+        specs = [
+            make_spec("lead", "concert"),
+            make_spec("other", "parade"),
+            make_spec("follow", "concert"),
+        ]
+        stream = make_keyword_stream(120)
+        chunks = [stream[start : start + 20] for start in range(0, len(stream), 20)]
+        horizon = stream[-1].timestamp + 30.0
+        oracle = IndependentMonitors(specs)
+        reference = ResultBus()
+        options = dict(maxsize=1, policy="drop_oldest", query_ids={"lead"})
+        want_sub = reference.open_subscription(**options)
+        with SurgeService(specs, shards=2, executor=executor) as service:
+            got_sub = service.bus.open_subscription(**options)
+            got_drained, want_drained = [], []
+            for chunk_index, chunk in enumerate(chunks):
+                service.push_many(chunk)
+                reference.publish(
+                    QueryUpdate(query_id, chunk_index, key, routed, 0.0)
+                    for query_id, (key, routed) in oracle.push_many(chunk).items()
+                )
+                if chunk_index == 2:
+                    got_drained += got_sub.drain()
+                    want_drained += want_sub.drain()
+            service.advance_time(horizon)
+            reference.publish(
+                QueryUpdate(query_id, len(chunks), key, 0, 0.0)
+                for query_id, key in oracle.advance_time(horizon).items()
+            )
+            got_drained += got_sub.drain()
+            want_drained += want_sub.drain()
+            got_stats = service.stats().per_query
+
+        assert got_sub.counters() == want_sub.counters()
+        assert got_sub.counters()["dropped"] > 0
+        assert [
+            (u.query_id, u.chunk_index, result_key(u.result), u.objects_routed, u.shed)
+            for u in got_drained
+        ] == [
+            (u.query_id, u.chunk_index, u.result, u.objects_routed, u.shed)
+            for u in want_drained
+        ]
+        untimed = ("objects_routed", "chunks_processed", "dropped_results", "chunks_shed")
+        for spec in specs:
+            got, want = got_stats[spec.query_id], reference.stats(spec.query_id)
+            assert [getattr(got, f) for f in untimed] == [getattr(want, f) for f in untimed]
+        assert got_stats["lead"].dropped_results > 0
+        assert got_stats["follow"].dropped_results == 0
 
 
 # ---------------------------------------------------------------------------
