@@ -72,6 +72,7 @@ import time
 from pathlib import Path
 
 from repro.datasets.workloads import zipf_keyword_stream
+from repro.obs.counters import declared
 from repro.service import QuerySpec, SurgeService, make_query_grid
 from repro.streams.faults import FaultInjector
 from repro.streams.objects import SpatialObject
@@ -163,7 +164,7 @@ def drive(arrivals, *, max_lateness: float = 0.0) -> tuple[float, dict, dict]:
         for _updates in service.run(iter(arrivals), chunk_size=CHUNK_SIZE):
             pass
         wall = time.perf_counter() - started
-        return wall, service.results(), service.ingest_stats().to_dict()
+        return wall, service.results(), declared(service.ingest_stats())
     finally:
         service.close()
 

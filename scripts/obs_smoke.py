@@ -30,23 +30,23 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import random
 import shutil
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = str(REPO_ROOT / "src")
-sys.path.insert(0, SRC)
-
+from _smoke import (
+    REPO_ROOT,
+    TIMEOUT,
+    parse_listening_line,
+    read_announced_line,
+    run_env,
+    terminate,
+)
 from repro.server.client import ServerClient, http_get
 from repro.streams.objects import SpatialObject
 
-TIMEOUT = float(os.environ.get("SMOKE_TIMEOUT", "120"))
 CHUNK_SIZE = 32
 TOTAL = 320
 SEED = 20180416
@@ -77,48 +77,6 @@ def queries() -> list[dict]:
         {"id": "city-wide", "rect": [1.5, 1.5], "window": 30,
          "backend": "python"},
     ]
-
-
-def run_env() -> dict:
-    return dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
-
-
-def parse_listening_line(line: str) -> tuple[int, int | None]:
-    if not line.startswith("listening on "):
-        raise AssertionError(f"unexpected listening line: {line!r}")
-    endpoint = line[len("listening on "):].split(" ", 1)[0]
-    port = int(endpoint.rsplit(":", 1)[1])
-    metrics_port = None
-    if "(metrics http://" in line:
-        metrics_url = line.split("(metrics http://", 1)[1].rstrip(")\n")
-        metrics_port = int(metrics_url.split("/", 1)[0].rsplit(":", 1)[1])
-    return port, metrics_port
-
-
-def read_listening_line(proc: subprocess.Popen) -> str:
-    assert proc.stdout is not None
-    deadline = time.monotonic() + TIMEOUT
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise AssertionError(f"server exited before listening (rc={proc.poll()})")
-        if line.startswith("listening on "):
-            return line
-    raise AssertionError("server did not print the listening line in time")
-
-
-def terminate(proc: subprocess.Popen) -> tuple[str, str]:
-    proc.send_signal(signal.SIGTERM)
-    try:
-        out, err = proc.communicate(timeout=TIMEOUT)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        raise AssertionError("server ignored SIGTERM (killed)")
-    if proc.returncode != 0:
-        raise AssertionError(f"server exited {proc.returncode} on SIGTERM\n{err}")
-    if "drained:" not in err:
-        raise AssertionError(f"no drain report on stderr:\n{err}")
-    return out, err
 
 
 def check_stats_frame(stats: dict, chunks_dispatched: int) -> None:
@@ -262,7 +220,7 @@ def _run(workdir: Path) -> int:
         env=run_env(),
     )
     try:
-        port, metrics_port = parse_listening_line(read_listening_line(server))
+        port, metrics_port = parse_listening_line(read_announced_line(server, "listening on "))
         assert metrics_port is not None, "metrics endpoint missing"
 
         with ServerClient("127.0.0.1", port, timeout=TIMEOUT) as client:

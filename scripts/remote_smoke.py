@@ -34,26 +34,27 @@ Usage::
 from __future__ import annotations
 
 import json
-import os
 import random
 import shutil
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = str(REPO_ROOT / "src")
-sys.path.insert(0, SRC)
-
+from _smoke import (
+    REPO_ROOT,
+    TIMEOUT,
+    parse_endpoint,
+    parse_listening_line,
+    read_announced_line,
+    run_env,
+    terminate,
+)
 from repro.server.client import ServerClient
 from repro.server.protocol import encode_result
 from repro.service import QuerySpec, SurgeService
-
 from repro.streams.objects import SpatialObject
 
-TIMEOUT = float(os.environ.get("SMOKE_TIMEOUT", "120"))
 CHUNK_SIZE = 16
 TOTAL = 320
 SEED = 20180416
@@ -88,31 +89,6 @@ def queries() -> list[dict]:
         {"id": "city-wide", "rect": [1.5, 1.5], "window": 30,
          "backend": "python"},
     ]
-
-
-def run_env() -> dict:
-    return dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
-
-
-def read_announced_line(proc: subprocess.Popen, prefix: str) -> str:
-    """Read stdout lines until one starts with ``prefix`` (hard deadline)."""
-    assert proc.stdout is not None
-    deadline = time.monotonic() + TIMEOUT
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise AssertionError(
-                f"server exited before printing {prefix!r} (rc={proc.poll()})"
-            )
-        if line.startswith(prefix):
-            return line.strip()
-    raise AssertionError(f"server did not print {prefix!r} in time")
-
-
-def parse_endpoint(line: str, prefix: str) -> tuple[str, int]:
-    endpoint = line[len(prefix):].split(" ", 1)[0]
-    host, port = endpoint.rsplit(":", 1)
-    return host, int(port)
 
 
 def parse_remote_summary(stderr: str) -> dict:
@@ -195,8 +171,8 @@ def _run(workdir: Path) -> int:
                 text=True,
                 env=run_env(),
             ))
-        _, port = parse_endpoint(
-            read_announced_line(server, "listening on "), "listening on "
+        port, _ = parse_listening_line(
+            read_announced_line(server, "listening on ")
         )
         print(f"  fleet of {WORKERS} joined on {fleet_host}:{fleet_port}, "
               f"serving on :{port}")
@@ -225,16 +201,7 @@ def _run(workdir: Path) -> int:
         print(f"  final results bit-identical across the failover "
               f"({len(wire_results)} queries)")
 
-        server.send_signal(signal.SIGTERM)
-        try:
-            _, err = server.communicate(timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            raise AssertionError("server ignored SIGTERM (killed)")
-        if server.returncode != 0:
-            raise AssertionError(
-                f"server exited {server.returncode} on SIGTERM\n{err}"
-            )
+        _, err = terminate(server)
         summary = parse_remote_summary(err)
         assert summary["workers_joined"] >= WORKERS, summary
         assert summary["workers_lost"] >= 1, summary

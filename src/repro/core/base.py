@@ -16,12 +16,13 @@ cell search, Table II).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from typing import Iterable
 
 from repro.core.query import SurgeQuery
 from repro.geometry.primitives import Point, Rect, region_covering_point
+from repro.obs.counters import counter, declared
 from repro.streams.objects import EventBatch, WindowEvent
 
 
@@ -70,29 +71,30 @@ class RegionResult:
 class DetectorStats:
     """Operation counters accumulated while a detector processes a stream."""
 
-    #: Window events handed to :meth:`BurstyRegionDetector.process`.
-    events_processed: int = 0
-    #: Events whose object fell outside the preferred area and were skipped.
-    events_skipped: int = 0
-    #: Events that triggered at least one cell search (the Table II metric).
-    events_triggering_search: int = 0
-    #: Individual cell searches (SL-CSPOT invocations on a cell).
-    cells_searched: int = 0
-    #: Stand-alone sweep-line invocations (snapshot searches).
-    sweepline_calls: int = 0
-    #: Rectangles examined inside cell searches (a proxy for |c_max|).
-    rectangles_swept: int = 0
+    events_processed: int = counter(
+        "Window events handed to BurstyRegionDetector.process."
+    )
+    events_skipped: int = counter(
+        "Events whose object fell outside the preferred area and were skipped."
+    )
+    events_triggering_search: int = counter(
+        "Events that triggered at least one cell search (the Table II metric)."
+    )
+    cells_searched: int = counter(
+        "Individual cell searches (SL-CSPOT invocations on a cell)."
+    )
+    sweepline_calls: int = counter(
+        "Stand-alone sweep-line invocations (snapshot searches)."
+    )
+    rectangles_swept: int = counter(
+        "Rectangles examined inside cell searches (a proxy for |c_max|)."
+    )
 
     def merge(self, other: "DetectorStats") -> "DetectorStats":
         """Element-wise sum of two counter sets (useful for multi-grid detectors)."""
+        theirs = declared(other)
         return DetectorStats(
-            events_processed=self.events_processed + other.events_processed,
-            events_skipped=self.events_skipped + other.events_skipped,
-            events_triggering_search=self.events_triggering_search
-            + other.events_triggering_search,
-            cells_searched=self.cells_searched + other.cells_searched,
-            sweepline_calls=self.sweepline_calls + other.sweepline_calls,
-            rectangles_swept=self.rectangles_swept + other.rectangles_swept,
+            **{name: mine + theirs[name] for name, mine in declared(self).items()}
         )
 
     @property

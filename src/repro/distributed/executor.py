@@ -61,6 +61,7 @@ from repro.distributed.protocol import (
     send_frame,
 )
 from repro.distributed.stats import DistributedStats
+from repro.obs.counters import declared
 from repro.obs.tracer import current as _current_tracer
 from repro.server.protocol import ProtocolError, error_frame
 from repro.service.shards import ShardExecutor
@@ -687,7 +688,7 @@ class RemoteExecutor(ShardExecutor):
         with self._membership:
             alive = sum(1 for w in self._workers if w.alive)
             total = len(self._workers)
-        snapshot = self.stats.to_dict()
+        snapshot = declared(self.stats)
         snapshot["workers_alive"] = alive
         snapshot["workers_total"] = total
         snapshot["ledger_depth"] = len(self._ledger)

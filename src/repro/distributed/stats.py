@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
+
+from repro.obs.counters import counter
 
 
 @dataclass
@@ -16,32 +17,40 @@ class DistributedStats:
     must be visible before it stops being quiet.
     """
 
-    #: RPC deadline expiries that were answered by a resend (the worker
-    #: deduplicates by ``seq``, so a resend can never double-apply).
-    rpc_retries: int = 0
-    #: RPC deadline expiries, including the final one before a worker is
-    #: declared lost (``rpc_timeouts >= rpc_retries``).
-    rpc_timeouts: int = 0
-    #: Workers declared dead: connection drop, retry budget exhausted, or
-    #: heartbeat miss budget exhausted.
-    workers_lost: int = 0
-    #: Shards re-restored on a surviving/new worker after their owner died.
-    shards_failed_over: int = 0
-    #: Wall-clock seconds spent in failover (restore + ledger replay).
-    failover_seconds: float = 0.0
-    #: Workers admitted over the lifetime (initial fleet + elastic joins).
-    workers_joined: int = 0
-    #: Shards moved to re-balance after membership changed (owner alive).
-    shards_migrated: int = 0
-    #: Heartbeat probes sent by the coordinator's monitor thread.
-    heartbeats_sent: int = 0
-    #: Heartbeat probes that expired without an answer.
-    heartbeat_misses: int = 0
-    #: Stale reply frames discarded (answers to a resend's earlier copy).
-    replies_discarded: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+    rpc_retries: int = counter(
+        "RPC deadline expiries answered by a resend (the worker deduplicates "
+        "by seq, so a resend never double-applies)."
+    )
+    rpc_timeouts: int = counter(
+        "RPC deadline expiries, including the final one before a worker is "
+        "declared lost (>= rpc_retries)."
+    )
+    workers_lost: int = counter(
+        "Workers declared dead: connection drop, retry budget or heartbeat "
+        "miss budget exhausted."
+    )
+    shards_failed_over: int = counter(
+        "Shards re-restored on a surviving or new worker after their owner died."
+    )
+    failover_seconds: float = counter(
+        "Wall-clock seconds spent failing shards over (restore + ledger replay).",
+        0.0,
+    )
+    workers_joined: int = counter(
+        "Workers admitted over the lifetime (initial fleet + elastic joins)."
+    )
+    shards_migrated: int = counter(
+        "Shards moved to re-balance after membership changed (owner alive)."
+    )
+    heartbeats_sent: int = counter(
+        "Heartbeat probes sent by the coordinator's monitor thread."
+    )
+    heartbeat_misses: int = counter(
+        "Heartbeat probes that expired without an answer."
+    )
+    replies_discarded: int = counter(
+        "Stale reply frames discarded (answers to a resend's earlier copy)."
+    )
 
 
 __all__ = ["DistributedStats"]

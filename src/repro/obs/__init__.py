@@ -1,8 +1,9 @@
 """Observability: stage spans, flight recorder, histograms, exports.
 
 See :mod:`repro.obs.tracer` for the recording model,
-:mod:`repro.obs.export` for the Chrome ``trace_event`` dump, and
-:mod:`repro.obs.logjson` for the structured-logging opt-in.
+:mod:`repro.obs.export` for the Chrome ``trace_event`` dump,
+:mod:`repro.obs.logjson` for the structured-logging opt-in, and
+:mod:`repro.obs.counters` for the counters stats records declare.
 """
 
 from repro.obs.export import (

@@ -42,6 +42,7 @@ import threading
 from concurrent.futures import Future
 from typing import Any, Callable
 
+from repro.obs.counters import declared
 from repro.server import protocol
 from repro.service.bus import Subscription
 from repro.service.overload import OverloadError
@@ -316,14 +317,14 @@ class ServerEngine:
             subscriptions.append(record)
         return {
             "service": dict(
-                stats.totals(), pairs_per_second=stats.pairs_per_second
+                declared(stats), pairs_per_second=stats.pairs_per_second
             ),
             "queries": {
-                query_id: stats.per_query[query_id].to_dict()
+                query_id: declared(stats.per_query[query_id])
                 for query_id in service.query_ids
             },
-            "ingest": stats.ingest.to_dict(),
-            "overload": stats.overload.to_dict(),
+            "ingest": declared(stats.ingest),
+            "overload": declared(stats.overload),
             "degraded": service.degraded,
             "queue_depth_chunks": service.queue_depth_chunks(),
             "queued_ingest_batches": self._queued_ingest,

@@ -4,27 +4,27 @@
 :meth:`repro.server.engine.ServerEngine._snapshot_stats`) into the
 Prometheus text exposition format, version ``0.0.4``: one ``# HELP`` and
 ``# TYPE`` line per metric family, then one sample per line, labels
-escaped per the spec.  Families:
+escaped per the spec.
 
-* ``repro_service_*`` — the aggregate :class:`~repro.service.bus.
-  ServiceStats` counters (objects, chunks, object–query pairs, wall time);
-* ``repro_ingest_*`` — the disorder-tolerant tier's
-  :class:`~repro.streams.watermark.IngestStats` counters;
-* ``repro_overload_*`` — the overload tier's :class:`~repro.service.
-  overload.OverloadStats` (including the ``repro_overload_degraded``
-  gauge and current queue depth);
-* ``repro_query_*`` — per-query series labelled ``{query="..."}``:
-  routed objects, busy seconds, chunk counts, and the result-lag
-  gauges (``last``/``max``);
-* ``repro_subscription_*`` — per-subscription conservation counters
-  labelled ``{subscription="...",policy="..."}``;
-* ``repro_server_*`` — the front end's own counters (connections,
-  subscribers, refused ingest batches);
-* ``repro_stage_seconds`` — per-stage latency histograms from the tracing
-  tier's flight recorder (see :mod:`repro.obs`), one series set per stage
-  label with the log-bucketed bounds of
-  :data:`repro.obs.tracer.HISTOGRAM_BOUNDS`; rendered only when the
-  snapshot carries a ``stages`` section (i.e. a tracer is attached).
+Most families are read off the stats records themselves: every field a
+record declares with :func:`~repro.obs.counters.counter` or
+:func:`~repro.obs.counters.gauge` renders as ``repro_{section}_{field}``
+(plus ``_total`` for counters), with the field's help text:
+
+* ``repro_service_*`` — :class:`~repro.service.bus.ServiceStats`;
+* ``repro_ingest_*`` — :class:`~repro.streams.watermark.IngestStats`;
+* ``repro_overload_*`` — :class:`~repro.service.overload.OverloadStats`;
+* ``repro_query_*`` — :class:`~repro.service.bus.QueryStats`, one series
+  per query labelled ``{query="..."}``;
+* ``repro_remote_*`` — :class:`~repro.distributed.stats.DistributedStats`,
+  only when the snapshot carries a ``distributed`` section (the remote
+  executor).
+
+The tables below declare the few families no record keeps: per-subscription
+counters labelled ``{subscription="...",policy="..."}``, the front end's
+``repro_server_*`` counters, the queue depth and the remote fleet gauges.
+Last come the ``repro_stage_seconds`` histograms of the tracing tier's
+flight recorder (see :mod:`repro.obs`), only when a tracer is attached.
 
 Everything renders from one immutable snapshot taken inside the engine
 thread, so a scrape never observes a torn update.
@@ -34,63 +34,59 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.distributed.stats import DistributedStats
+from repro.obs.counters import declarations
 from repro.obs.tracer import HISTOGRAM_BOUNDS
+from repro.service.bus import QueryStats, ServiceStats
+from repro.service.overload import OverloadStats
+from repro.streams.watermark import IngestStats
 
-#: (metric suffix, snapshot key) pairs of the service-level counters.
-_SERVICE_COUNTERS = (
-    ("objects_pushed_total", "objects_pushed"),
-    ("chunks_pushed_total", "chunks_pushed"),
-    ("object_query_pairs_total", "object_query_pairs"),
+#: (snapshot section, family prefix, record) rendered field by field.
+_RECORDS = (
+    ("service", "service", ServiceStats),
+    ("ingest", "ingest", IngestStats),
+    ("overload", "overload", OverloadStats),
+    ("distributed", "remote", DistributedStats),
 )
 
-_INGEST_COUNTERS = (
-    "reordered",
-    "late_dropped",
-    "duplicates_seen",
-    "quarantined",
-    "subscriber_errors",
-    "spill_errors",
-    "force_released",
+#: Per-subscription families: (snapshot key, TYPE, HELP).
+_SUBSCRIPTION = (
+    ("offered", "counter", "Updates offered (offered == delivered + dropped + depth)."),
+    ("delivered", "counter", "Updates handed to the consumer."),
+    ("dropped", "counter", "Updates discarded by the slow-consumer policy."),
+    ("depth", "gauge", "Updates currently buffered per subscription."),
 )
 
-_OVERLOAD_COUNTERS = (
-    "entered_degraded",
-    "exited_degraded",
-    "chunks_shed",
-    "updates_shed",
-    "checkpoints_deferred",
-    "compactions",
-    "queries_compacted",
-)
-
-_QUERY_COUNTERS = (
-    ("objects_routed_total", "objects_routed"),
-    ("chunks_processed_total", "chunks_processed"),
-    ("dropped_results_total", "dropped_results"),
-    ("chunks_shed_total", "chunks_shed"),
-)
-
-_SUBSCRIPTION_COUNTERS = ("offered", "delivered", "dropped")
-
-#: Counters of the distributed shard tier (see repro.distributed.stats);
-#: rendered only when the snapshot carries a ``distributed`` section
-#: (i.e. the service runs the remote executor).
-_REMOTE_COUNTERS = (
-    "rpc_retries",
-    "rpc_timeouts",
-    "workers_lost",
-    "workers_joined",
-    "shards_failed_over",
-    "shards_migrated",
-    "heartbeats_sent",
-    "heartbeat_misses",
-    "replies_discarded",
-)
-
-_REMOTE_GAUGES = (
-    ("workers_alive", "Workers currently connected and considered live."),
-    ("workers_total", "Workers admitted over the coordinator's lifetime."),
-    ("ledger_depth", "Mutating messages in the failover replay ledger."),
+#: Families no stats record declares: (family, TYPE, snapshot section,
+#: ``""`` for the top level, key, HELP).
+_UNDECLARED = (
+    ("repro_overload_queue_depth_chunks", "gauge", "", "queue_depth_chunks",
+     "Current observed queue depth, in chunks."),
+    ("repro_server_connections", "gauge", "server", "connections",
+     "Open frame-protocol connections."),
+    ("repro_server_subscribers", "gauge", "server", "subscribers",
+     "Connections in subscribe mode."),
+    ("repro_server_connections_total", "counter", "server", "connections_total",
+     "Connections ever accepted."),
+    ("repro_server_frames_in_total", "counter", "server", "frames_in_total",
+     "Request frames received."),
+    ("repro_server_frames_out_total", "counter", "server", "frames_out_total",
+     "Frames sent to clients."),
+    ("repro_server_pump_writes_total", "counter", "server", "pump_writes_total",
+     "Socket writes made by subscription pumps (each carries every frame "
+     "buffered at wake-up)."),
+    ("repro_server_ingest_rejected_total", "counter", "server",
+     "ingest_rejected_total", "Ingest batches refused with a 503 overloaded reply."),
+    ("repro_server_queued_ingest_batches", "gauge", "", "queued_ingest_batches",
+     "Ingest batches queued ahead of the engine worker."),
+    ("repro_checkpoint_prune_errors_total", "counter", "", "checkpoint_prune_errors",
+     "Checkpoint prune deletes that failed (stale generations left on disk)."),
+    ("repro_remote_workers_alive", "gauge", "distributed", "workers_alive",
+     "Workers currently connected and considered live."),
+    ("repro_remote_workers_total", "gauge", "distributed", "workers_total",
+     "Workers admitted over the coordinator's lifetime."),
+    ("repro_remote_ledger_depth", "gauge", "distributed", "ledger_depth",
+     "Mutating messages in the failover replay ledger."),
 )
 
 
@@ -107,9 +103,7 @@ def _format_value(value: Any) -> str:
     return repr(float(value))
 
 
-def _sample(
-    name: str, value: Any, labels: dict[str, str] | None = None
-) -> str:
+def _sample(name: str, value: Any, labels: dict[str, str] | None = None) -> str:
     if labels:
         body = ",".join(
             f'{key}="{escape_label_value(str(val))}"'
@@ -119,229 +113,61 @@ def _sample(
     return f"{name} {_format_value(value)}"
 
 
-def _family(
-    name: str, kind: str, help_text: str, samples: Iterable[str]
-) -> list[str]:
-    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
-    lines.extend(samples)
-    return lines
+def _family_name(prefix: str, key: str, kind: str) -> str:
+    return f"repro_{prefix}_{key}" + ("_total" if kind == "counter" else "")
+
+
+def _families(
+    snapshot: dict[str, Any],
+) -> Iterable[tuple[str, str, str, list[tuple[dict | None, Any]]]]:
+    """``(family, TYPE, HELP, [(labels, value)])`` of every non-histogram family."""
+    remote = bool(snapshot.get("distributed"))
+    for section, prefix, record in _RECORDS:
+        if section == "distributed" and not remote:
+            continue
+        values = snapshot.get(section, {})
+        for key, kind, help_text, default in declarations(record):
+            name = _family_name(prefix, key, kind)
+            yield name, kind, help_text, [(None, values.get(key, default))]
+    queries = snapshot.get("queries", {})
+    for key, kind, help_text, default in declarations(QueryStats):
+        yield _family_name("query", key, kind), kind, help_text, [
+            ({"query": query_id}, stats.get(key, default))
+            for query_id, stats in queries.items()
+        ]
+    subscriptions = snapshot.get("subscriptions", [])
+    for key, kind, help_text in _SUBSCRIPTION:
+        yield _family_name("subscription", key, kind), kind, help_text, [
+            (
+                {
+                    "subscription": record.get("name") or f"sub{index}",
+                    "policy": record.get("policy", ""),
+                },
+                record.get(key, 0),
+            )
+            for index, record in enumerate(subscriptions)
+        ]
+    for name, kind, section, key, help_text in _UNDECLARED:
+        if section == "distributed" and not remote:
+            continue
+        values = snapshot.get(section, {}) if section else snapshot
+        yield name, kind, help_text, [(None, values.get(key, 0))]
 
 
 def render_prometheus(snapshot: dict[str, Any]) -> str:
     """Render one stats snapshot as Prometheus exposition text."""
     lines: list[str] = []
-    service = snapshot.get("service", {})
-    for suffix, key in _SERVICE_COUNTERS:
-        name = f"repro_service_{suffix}"
-        lines += _family(
-            name,
-            "counter",
-            f"Service counter {key}.",
-            [_sample(name, service.get(key, 0))],
-        )
-    name = "repro_service_wall_seconds_total"
-    lines += _family(
-        name,
-        "counter",
-        "Wall-clock seconds spent dispatching chunks.",
-        [_sample(name, service.get("wall_seconds", 0.0))],
-    )
-
-    ingest = snapshot.get("ingest", {})
-    for key in _INGEST_COUNTERS:
-        name = f"repro_ingest_{key}_total"
-        lines += _family(
-            name,
-            "counter",
-            f"Disorder-tolerant ingestion counter {key}.",
-            [_sample(name, ingest.get(key, 0))],
-        )
-    name = "repro_ingest_peak_buffered"
-    lines += _family(
-        name,
-        "gauge",
-        "Peak objects buffered ahead of the shards (reorder heap + pending).",
-        [_sample(name, ingest.get("peak_buffered", 0))],
-    )
-
-    overload = snapshot.get("overload", {})
-    for key in _OVERLOAD_COUNTERS:
-        name = f"repro_overload_{key}_total"
-        lines += _family(
-            name,
-            "counter",
-            f"Overload tier counter {key}.",
-            [_sample(name, overload.get(key, 0))],
-        )
-    name = "repro_overload_degraded"
-    lines += _family(
-        name,
-        "gauge",
-        "Whether the service is currently in degraded mode (0/1).",
-        [_sample(name, snapshot.get("degraded", False))],
-    )
-    name = "repro_overload_max_depth_chunks"
-    lines += _family(
-        name,
-        "gauge",
-        "Deepest queue depth ever observed, in chunks.",
-        [_sample(name, overload.get("max_depth_chunks", 0.0))],
-    )
-    name = "repro_overload_queue_depth_chunks"
-    lines += _family(
-        name,
-        "gauge",
-        "Current observed queue depth, in chunks.",
-        [_sample(name, snapshot.get("queue_depth_chunks", 0.0))],
-    )
-
-    queries = snapshot.get("queries", {})
-    for suffix, key in _QUERY_COUNTERS:
-        name = f"repro_query_{suffix}"
-        lines += _family(
-            name,
-            "counter",
-            f"Per-query counter {key}.",
-            [
-                _sample(name, stats.get(key, 0), {"query": query_id})
-                for query_id, stats in queries.items()
-            ],
-        )
-    name = "repro_query_busy_seconds_total"
-    lines += _family(
-        name,
-        "counter",
-        "Seconds each query's pipeline spent routing and detecting.",
-        [
-            _sample(name, stats.get("busy_seconds", 0.0), {"query": query_id})
-            for query_id, stats in queries.items()
-        ],
-    )
-    for suffix, key in (
-        ("last_lag_seconds", "last_lag_seconds"),
-        ("max_lag_seconds", "max_lag_seconds"),
-    ):
-        name = f"repro_query_{suffix}"
-        lines += _family(
-            name,
-            "gauge",
-            f"Per-query result lag ({key}): wall time from chunk submission "
-            f"to the update surfacing.",
-            [
-                _sample(name, stats.get(key, 0.0), {"query": query_id})
-                for query_id, stats in queries.items()
-            ],
-        )
-
-    subscriptions = snapshot.get("subscriptions", [])
-    for key in _SUBSCRIPTION_COUNTERS:
-        name = f"repro_subscription_{key}_total"
-        lines += _family(
-            name,
-            "counter",
-            f"Per-subscription counter {key} "
-            f"(offered == delivered + dropped + depth).",
-            [
-                _sample(
-                    name,
-                    record.get(key, 0),
-                    {
-                        "subscription": record.get("name") or f"sub{index}",
-                        "policy": record.get("policy", ""),
-                    },
-                )
-                for index, record in enumerate(subscriptions)
-            ],
-        )
-    name = "repro_subscription_depth"
-    lines += _family(
-        name,
-        "gauge",
-        "Updates currently buffered per subscription.",
-        [
-            _sample(
-                name,
-                record.get("depth", 0),
-                {
-                    "subscription": record.get("name") or f"sub{index}",
-                    "policy": record.get("policy", ""),
-                },
-            )
-            for index, record in enumerate(subscriptions)
-        ],
-    )
-
-    server = snapshot.get("server", {})
-    for key, kind, help_text in (
-        ("connections", "gauge", "Open frame-protocol connections."),
-        ("subscribers", "gauge", "Connections in subscribe mode."),
-        ("connections_total", "counter", "Connections ever accepted."),
-        ("frames_in_total", "counter", "Request frames received."),
-        ("frames_out_total", "counter", "Frames sent to clients."),
-        (
-            "pump_writes_total",
-            "counter",
-            "Socket writes made by subscription pumps (each carries every "
-            "frame buffered at wake-up).",
-        ),
-        (
-            "ingest_rejected_total",
-            "counter",
-            "Ingest batches refused with a 503 overloaded reply.",
-        ),
-    ):
-        name = f"repro_server_{key}"
-        lines += _family(
-            name, kind, help_text, [_sample(name, server.get(key, 0))]
-        )
-    name = "repro_server_queued_ingest_batches"
-    lines += _family(
-        name,
-        "gauge",
-        "Ingest batches queued ahead of the engine worker.",
-        [_sample(name, snapshot.get("queued_ingest_batches", 0))],
-    )
-
-    name = "repro_checkpoint_prune_errors_total"
-    lines += _family(
-        name,
-        "counter",
-        "Checkpoint prune deletes that failed (stale generations left on disk).",
-        [_sample(name, snapshot.get("checkpoint_prune_errors", 0))],
-    )
-
-    distributed = snapshot.get("distributed")
-    if distributed:
-        for key in _REMOTE_COUNTERS:
-            name = f"repro_remote_{key}_total"
-            lines += _family(
-                name,
-                "counter",
-                f"Distributed shard tier counter {key}.",
-                [_sample(name, distributed.get(key, 0))],
-            )
-        name = "repro_remote_failover_seconds_total"
-        lines += _family(
-            name,
-            "counter",
-            "Wall-clock seconds spent failing shards over "
-            "(restore + ledger replay).",
-            [_sample(name, distributed.get("failover_seconds", 0.0))],
-        )
-        for key, help_text in _REMOTE_GAUGES:
-            name = f"repro_remote_{key}"
-            lines += _family(
-                name, "gauge", help_text, [_sample(name, distributed.get(key, 0))]
-            )
-
+    for name, kind, help_text, samples in _families(snapshot):
+        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        lines += [_sample(name, value, labels) for labels, value in samples]
     stages = snapshot.get("stages") or {}
     if stages:
-        lines += _family(
-            "repro_stage_seconds",
-            "histogram",
-            "Pipeline stage latency from the tracing flight recorder.",
-            _stage_histogram_samples(stages),
-        )
+        lines += [
+            "# HELP repro_stage_seconds Pipeline stage latency from the "
+            "tracing flight recorder.",
+            "# TYPE repro_stage_seconds histogram",
+        ]
+        lines += _stage_histogram_samples(stages)
     return "\n".join(lines) + "\n"
 
 

@@ -33,11 +33,12 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, NamedTuple
 
 from repro.core.base import RegionResult
+from repro.obs.counters import counter, declared, gauge
 from repro.service.overload import OverloadError, OverloadStats
 from repro.streams.watermark import IngestStats
 
@@ -86,24 +87,33 @@ class QueryUpdate(NamedTuple):
     lag_seconds: float = 0.0
     shed: bool = False
 
-    def with_lag(self, lag_seconds: float) -> "QueryUpdate":
-        return self._replace(lag_seconds=lag_seconds)
-
 
 @dataclass
 class QueryStats:
     """Cumulative per-query counters maintained by the bus."""
 
-    objects_routed: int = 0
-    chunks_processed: int = 0
-    busy_seconds: float = 0.0
-    last_lag_seconds: float = 0.0
-    max_lag_seconds: float = 0.0
-    #: Updates for this query discarded by a bounded subscription's
-    #: ``drop_oldest`` policy (summed across subscriptions).
-    dropped_results: int = 0
-    #: Chunks load-shed for this query while the service was degraded.
-    chunks_shed: int = 0
+    objects_routed: int = counter("Objects routed to the query.")
+    chunks_processed: int = counter("Chunks the query's pipeline processed.")
+    busy_seconds: float = counter(
+        "Seconds the query's pipeline spent routing and detecting.", 0.0
+    )
+    last_lag_seconds: float = gauge(
+        "Result lag of the latest update: wall time from chunk submission "
+        "to the update surfacing.",
+        0.0,
+    )
+    max_lag_seconds: float = gauge(
+        "Largest result lag observed: wall time from chunk submission to "
+        "the update surfacing.",
+        0.0,
+    )
+    dropped_results: int = counter(
+        "Updates discarded by bounded subscriptions' drop_oldest policy "
+        "(summed across subscriptions)."
+    )
+    chunks_shed: int = counter(
+        "Chunks load-shed for the query while the service was degraded."
+    )
 
     @property
     def objects_per_second(self) -> float:
@@ -123,12 +133,6 @@ class QueryStats:
         if update.lag_seconds > self.max_lag_seconds:
             self.max_lag_seconds = update.lag_seconds
 
-    def to_dict(self) -> dict:
-        """JSON form stored in service checkpoints (floats round-trip exactly)."""
-        # Not asdict (a deep copy per query per checkpoint) and not vars():
-        # materialising a live instance's __dict__ slows every later observe.
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
     @classmethod
     def from_dict(cls, record: dict) -> "QueryStats":
         return cls(**record)
@@ -144,19 +148,20 @@ class ServiceStats:
     ``pairs_per_second`` over the ingestion wall time is the benchmark
     headline (``benchmarks/bench_service.py``).
 
-    ``ingest`` surfaces the disorder-tolerant ingestion tier's counters
-    (reordered, late_dropped, duplicates_seen, quarantined,
-    subscriber_errors) — all zero when the service runs in strict mode.
-
-    ``overload`` surfaces the overload tier's counters (degraded-mode
-    transitions, shed work, deferred checkpoints, compactions) — all zero
-    when the service never crossed its watermark.
+    ``per_query``, ``ingest`` and ``overload`` are views over state the
+    bus, the ingest tier and the overload governor own and persist
+    themselves, so they are not counters of this record.
     """
 
-    objects_pushed: int = 0
-    chunks_pushed: int = 0
-    object_query_pairs: int = 0
-    wall_seconds: float = 0.0
+    objects_pushed: int = counter("Objects pushed into the service.")
+    chunks_pushed: int = counter("Chunks dispatched to the shards.")
+    object_query_pairs: int = counter(
+        "Object-query pairs examined: each chunk of n objects against m "
+        "live queries adds n*m."
+    )
+    wall_seconds: float = counter(
+        "Wall-clock seconds spent dispatching chunks.", 0.0
+    )
     per_query: dict[str, QueryStats] = field(default_factory=dict)
     ingest: IngestStats = field(default_factory=IngestStats)
     overload: OverloadStats = field(default_factory=OverloadStats)
@@ -166,18 +171,6 @@ class ServiceStats:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.object_query_pairs / self.wall_seconds
-
-    def totals(self) -> dict:
-        """The service's own cumulative counters, in JSON form.
-
-        Every field but the three views over state other objects own and
-        persist themselves (the bus, the ingest tier, the overload governor).
-        """
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.name not in ("per_query", "ingest", "overload")
-        }
 
 
 class Subscription:
@@ -520,8 +513,8 @@ class ResultBus:
     # Durability (service checkpoints carry the cumulative stats along)
     # ------------------------------------------------------------------
     def export_stats(self) -> dict[str, dict]:
-        """Per-query stats in the JSON form of :meth:`QueryStats.to_dict`."""
-        return {query_id: stats.to_dict() for query_id, stats in self._stats.items()}
+        """Per-query stats in JSON form: each record's declared counters."""
+        return {query_id: declared(stats) for query_id, stats in self._stats.items()}
 
     def load_stats(self, records: dict[str, dict]) -> None:
         """Replace the cumulative per-query stats (checkpoint restore)."""

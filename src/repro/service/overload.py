@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Collection, Mapping
 
+from repro.obs.counters import counter, gauge
+
 if TYPE_CHECKING:
     from repro.service.spec import QuerySpec
 
@@ -126,42 +128,34 @@ class OverloadConfig:
 
 @dataclass
 class OverloadStats:
-    """Counters of everything the overload tier did.
+    """Counters of everything the overload tier did."""
 
-    ``degraded``
-        Whether the service is currently in degraded mode.
-    ``entered_degraded`` / ``exited_degraded``
-        Hysteresis transitions (entries can exceed exits by at most one).
-    ``chunks_shed`` / ``updates_shed``
-        Chunks skipped for at least one query and individual per-query
-        updates suppressed while shedding.
-    ``checkpoints_deferred``
-        Checkpoints the ``stretch`` policy postponed while degraded.
-    ``compactions`` / ``queries_compacted``
-        Safe-boundary re-epoching passes that ran and the number of
-        late-registered queries they merged back into shared plan groups.
-    ``max_depth_chunks``
-        Peak observed queue depth, in chunks.
-    """
-
-    degraded: bool = False
-    entered_degraded: int = 0
-    exited_degraded: int = 0
-    chunks_shed: int = 0
-    updates_shed: int = 0
-    checkpoints_deferred: int = 0
-    compactions: int = 0
-    queries_compacted: int = 0
-    max_depth_chunks: float = 0.0
+    degraded: bool = gauge(
+        "Whether the service is currently in degraded mode (0/1).", False
+    )
+    entered_degraded: int = counter(
+        "Entries into degraded mode (at most one more than the exits)."
+    )
+    exited_degraded: int = counter("Exits from degraded mode.")
+    chunks_shed: int = counter(
+        "Chunks skipped for at least one query while shedding."
+    )
+    updates_shed: int = counter(
+        "Per-query updates suppressed while shedding."
+    )
+    checkpoints_deferred: int = counter(
+        "Checkpoints the stretch policy postponed while degraded."
+    )
+    compactions: int = counter("Safe-boundary re-epoching passes that ran.")
+    queries_compacted: int = counter(
+        "Late-registered queries merged back into shared plan groups."
+    )
+    max_depth_chunks: float = gauge(
+        "Deepest queue depth ever observed, in chunks.", 0.0
+    )
     #: Query ids currently being shed (live view, not checkpointed as truth —
     #: recomputed from the registry + config after restore).
     shedding: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form stored in service checkpoint manifests."""
-        record = asdict(self)
-        del record["shedding"]
-        return record
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "OverloadStats":

@@ -50,6 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.base import RegionResult
+from repro.obs.counters import declared
 from repro.obs.tracer import FlightRecorder, Tracer
 from repro.service.bus import QueryUpdate, ResultBus, ServiceStats
 from repro.service.overload import OverloadConfig, OverloadGovernor, OverloadStats
@@ -930,7 +931,7 @@ class SurgeService:
             }
         overload_stats = self._governor.stats
         overload_record = (
-            {"stats": overload_stats.to_dict()}
+            {"stats": declared(overload_stats)}
             if overload_stats != OverloadStats()
             else None
         )
@@ -947,7 +948,7 @@ class SurgeService:
             specs=[self._specs[query_id].to_dict() for query_id in self._order],
             policy=durability.policy.to_dict(),
             stats=dict(
-                self._stats.totals(),
+                declared(self._stats),
                 subscriber_errors=self.bus.subscriber_errors,
                 per_query=self.bus.export_stats(),
             ),

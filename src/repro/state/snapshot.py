@@ -85,7 +85,11 @@ def check_schema(found: Any, expected: str, path: str | Path, what: str) -> None
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (same-directory temp + replace)."""
+    """Write ``data`` to ``path`` atomically and durably.
+
+    A fsynced same-directory temp file replaces ``path``; the directory is
+    fsynced last, so the rename itself survives a power loss.
+    """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:
@@ -96,6 +100,11 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def write_snapshot(

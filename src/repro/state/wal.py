@@ -29,12 +29,11 @@ and ignored on read.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.state.snapshot import SnapshotError, check_schema
+from repro.state.snapshot import SnapshotError, _atomic_write_bytes, check_schema
 
 #: The WAL format version this build reads and writes.
 WAL_SCHEMA = "wal/v1"
@@ -142,16 +141,7 @@ class ChunkWal:
     def _rewrite(self, records: list[dict[str, Any]]) -> None:
         lines = [json.dumps({"schema": WAL_SCHEMA}, sort_keys=True)]
         lines.extend(json.dumps(record, sort_keys=True) for record in records)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
+        _atomic_write_bytes(self.path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     # ------------------------------------------------------------------
     # Reading

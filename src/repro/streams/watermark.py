@@ -47,9 +47,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
+from repro.obs.counters import counter, gauge
 from repro.streams.objects import SpatialObject
 
 __all__ = [
@@ -61,53 +62,39 @@ __all__ = [
 
 @dataclass
 class IngestStats:
-    """Counters of everything the disorder-tolerant ingestion tier absorbed.
+    """Counters of everything the disorder-tolerant ingestion tier absorbed."""
 
-    ``reordered``
-        Arrivals whose timestamp was behind the maximum already observed —
-        they arrived out of order and were re-sorted inside the buffer.
-    ``late_dropped``
-        Arrivals already strictly behind the watermark (displaced by more
-        than ``max_lateness``): emitting them would break the order of what
-        was already released, so they were counted and discarded.
-    ``duplicates_seen``
-        Arrivals whose object id was already observed within the reorder
-        horizon.  Duplicates are *processed as distinct arrivals* (the
-        paper's model has no dedup — two objects may legitimately share an
-        id), so this is an observability counter, not a filter.
-    ``quarantined``
-        Malformed/poison records screened out before they reached any
-        window (see :func:`classify_bad_record`).
-    ``subscriber_errors``
-        Exceptions raised by result-bus subscriber callbacks and isolated
-        by :meth:`~repro.service.bus.ResultBus.publish`.
-    ``force_released``
-        Held-back arrivals released *early* by the in-flight-chunk budget
-        (``SurgeService(max_inflight_chunks=)``) before the watermark
-        reached them — the memory bound traded a slice of the reorder
-        horizon for boundedness.
-    ``spill_errors``
-        Quarantine spill writes that failed (unwritable/full
-        ``quarantine_dir``); the records were still counted and skipped,
-        ingestion continued.
-    ``peak_buffered``
-        The most raw arrivals ever buffered ahead of the shards (reorder
-        heap plus pending chunk) — with ``max_inflight_chunks`` set this
-        stays ``<= max_inflight_chunks * chunk_size``.
-    """
-
-    reordered: int = 0
-    late_dropped: int = 0
-    duplicates_seen: int = 0
-    quarantined: int = 0
-    subscriber_errors: int = 0
-    force_released: int = 0
-    spill_errors: int = 0
-    peak_buffered: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON form (field order) behind the stats frame and ``/metrics``."""
-        return asdict(self)
+    reordered: int = counter(
+        "Arrivals behind the maximum timestamp already observed, re-sorted "
+        "inside the reorder buffer."
+    )
+    late_dropped: int = counter(
+        "Arrivals already strictly behind the watermark (displaced by more "
+        "than max_lateness), counted and discarded so released order holds."
+    )
+    duplicates_seen: int = counter(
+        "Arrivals whose object id was already seen within the reorder "
+        "horizon; still processed as distinct arrivals (no dedup)."
+    )
+    quarantined: int = counter(
+        "Malformed or poison records screened out before any window."
+    )
+    subscriber_errors: int = counter(
+        "Exceptions raised by result-bus subscriber callbacks and isolated "
+        "by the bus."
+    )
+    force_released: int = counter(
+        "Held-back arrivals released before the watermark reached them by "
+        "the in-flight-chunk budget (max_inflight_chunks)."
+    )
+    spill_errors: int = counter(
+        "Quarantine spill writes that failed; the records were still counted "
+        "and skipped."
+    )
+    peak_buffered: int = gauge(
+        "Peak objects buffered ahead of the shards (reorder heap + pending); "
+        "at most max_inflight_chunks * chunk_size when that budget is set."
+    )
 
 
 def classify_bad_record(record: Any) -> str | None:

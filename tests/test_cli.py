@@ -372,3 +372,49 @@ class TestServeCommand:
         )
         assert code == 1
         assert "stream is empty" in capsys.readouterr().err
+
+
+class TestTraceCommand:
+    _make_stream = TestServeCommand._make_stream
+    _make_queries = TestServeCommand._make_queries
+
+    def _trace(self, tmp_path, *flags):
+        return main(
+            [
+                "trace",
+                str(self._make_stream(tmp_path)),
+                "--queries",
+                str(self._make_queries(tmp_path)),
+                "--chunk-size",
+                "50",
+                "--out",
+                str(tmp_path / "trace.json"),
+                *flags,
+            ]
+        )
+
+    def test_trace_exports_a_lane_per_shard_and_prints_the_stage_table(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        assert self._trace(tmp_path, "--shards", "2") == 0
+        events = json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        lanes = {
+            event["args"]["name"]: event["tid"]
+            for event in events
+            if event["ph"] == "M" and event["name"] == "thread_name"
+        }
+        spans = [event for event in events if event["ph"] == "X"]
+        for shard in ("shard0", "shard1"):
+            assert any(span["tid"] == lanes[shard] for span in spans), shard
+        captured = capsys.readouterr()
+        assert captured.out.split()[:2] == ["stage", "count"]
+        assert "bus.publish" in captured.out
+        assert f"{len(spans)} spans" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--shards", "--ring-size"])
+    def test_trace_rejects_a_zero_count(self, tmp_path, capsys, flag):
+        assert self._trace(tmp_path, flag, "0") == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "trace.json").exists()

@@ -1,10 +1,13 @@
 """Unit tests for the detector base classes: results and statistics."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.base import DetectorStats, RegionResult
 from repro.core.query import SurgeQuery
 from repro.geometry.primitives import Point, Rect
+from repro.obs.counters import declarations, declared
 
 
 class TestRegionResult:
@@ -59,6 +62,15 @@ class TestDetectorStats:
         # Merge does not mutate its inputs.
         assert a.events_processed == 10
         assert b.cells_searched == 2
+
+    def test_merge_sums_every_declared_counter(self):
+        names = [name for name, *_ in declarations(DetectorStats)]
+        assert names == [spec.name for spec in fields(DetectorStats)]
+        a = DetectorStats(**{name: index for index, name in enumerate(names)})
+        b = DetectorStats(**{name: 100 * index for index, name in enumerate(names)})
+        assert declared(a.merge(b)) == {
+            name: 101 * index for index, name in enumerate(names)
+        }
 
 
 class TestDefaultTopK:

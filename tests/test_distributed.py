@@ -51,6 +51,7 @@ from repro.distributed.protocol import (
 )
 from repro.distributed.stats import DistributedStats
 from repro.distributed.worker import WorkerShardHost
+from repro.obs.counters import declared
 from repro.server.metrics import render_prometheus
 from repro.server.protocol import ProtocolError
 from repro.service import QuerySpec, SurgeService, make_executor
@@ -536,7 +537,7 @@ class TestServiceIntegration:
             rpc_retries=3, workers_lost=1, shards_failed_over=2,
             failover_seconds=0.5,
         )
-        snapshot = stats.to_dict()
+        snapshot = declared(stats)
         snapshot.update(workers_alive=2, workers_total=3, ledger_depth=7)
         text = render_prometheus(dict(base, distributed=snapshot))
         assert "repro_remote_rpc_retries_total 3" in text

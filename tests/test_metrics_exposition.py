@@ -9,23 +9,32 @@ escaped labels, float value), histogram families carry cumulative
 and the ``repro_stage_seconds`` histograms conserve against the work the
 service actually did (one ``bus.publish`` observation per chunk pushed).
 The wire pump's coalescing pair — ``repro_server_pump_writes_total`` beside
-``repro_server_frames_out_total`` — is scraped from a live server.
+``repro_server_frames_out_total`` — is scraped from a live server.  For one
+hand-built snapshot the exposition is pinned family by family and sample by
+sample, and every declared field of a rendered stats record must land in
+exactly one family.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from tests.helpers import make_objects
 from repro.core.query import SurgeQuery
+from repro.distributed.stats import DistributedStats
 from repro.obs import HISTOGRAM_BOUNDS, Tracer, install
+from repro.obs.counters import declarations
 from repro.server import ServerClient, SurgeServer, http_get
 from repro.server.engine import ServerEngine
 from repro.server.metrics import escape_label_value, render_prometheus
 from repro.service import QuerySpec, SurgeService
+from repro.service.bus import QueryStats, ServiceStats
+from repro.service.overload import OverloadStats
+from repro.streams.watermark import IngestStats
 
 _NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
 _SAMPLE_RE = re.compile(
@@ -308,3 +317,327 @@ class TestHistogramChecker:
     def test_rejects_samples_before_type(self):
         with pytest.raises(AssertionError, match="before TYPE"):
             parse_exposition("m 1\n")
+
+
+# ----------------------------------------------------------------------
+# The exposition pinned sample by sample for one hand-built snapshot
+# ----------------------------------------------------------------------
+_WEIRD = 'b "x"\\n'
+
+
+def pinned_snapshot(*, distributed: bool, stages: bool) -> dict:
+    """A stats snapshot shaped as ``ServerEngine._snapshot_stats`` builds
+    it (plus the front end's ``server`` section), every value distinct so a
+    family reading the wrong key shows."""
+    snapshot = {
+        "service": {
+            "objects_pushed": 1200,
+            "chunks_pushed": 19,
+            "object_query_pairs": 2400,
+            "wall_seconds": 1.25,
+            "pairs_per_second": 1920.0,
+        },
+        "queries": {
+            "a": {
+                "objects_routed": 1100,
+                "chunks_processed": 17,
+                "busy_seconds": 0.5,
+                "last_lag_seconds": 0.002,
+                "max_lag_seconds": 0.0125,
+                "dropped_results": 3,
+                "chunks_shed": 2,
+            },
+            _WEIRD: {
+                "objects_routed": 900,
+                "chunks_processed": 18,
+                "busy_seconds": 0.375,
+                "last_lag_seconds": 0.003,
+                "max_lag_seconds": 0.0625,
+                "dropped_results": 0,
+                "chunks_shed": 1,
+            },
+        },
+        "ingest": {
+            "reordered": 11,
+            "late_dropped": 12,
+            "duplicates_seen": 13,
+            "quarantined": 14,
+            "subscriber_errors": 15,
+            "force_released": 16,
+            "spill_errors": 17,
+            "peak_buffered": 18,
+        },
+        "overload": {
+            "degraded": True,
+            "entered_degraded": 21,
+            "exited_degraded": 20,
+            "chunks_shed": 22,
+            "updates_shed": 23,
+            "checkpoints_deferred": 24,
+            "compactions": 25,
+            "queries_compacted": 26,
+            "max_depth_chunks": 3.5,
+        },
+        "degraded": True,
+        "queue_depth_chunks": 2.25,
+        "queued_ingest_batches": 4,
+        "ingest_rejected": 5,
+        "chunk_offset": 1200,
+        "chunk_index": 19,
+        "stream_time": 77.5,
+        "subscriptions": [
+            {
+                "name": "dash",
+                "policy": "drop_oldest",
+                "maxsize": 8,
+                "offered": 40,
+                "delivered": 30,
+                "dropped": 6,
+                "depth": 4,
+                "peak_depth": 8,
+            },
+            {
+                "name": None,
+                "policy": "block",
+                "maxsize": 4,
+                "offered": 7,
+                "delivered": 5,
+                "dropped": 0,
+                "depth": 2,
+                "peak_depth": 3,
+            },
+        ],
+        "stages": None,
+        "checkpoint_prune_errors": 2,
+        "distributed": None,
+        "server": {
+            "connections": 3,
+            "subscribers": 1,
+            "connections_total": 9,
+            "frames_in_total": 31,
+            "frames_out_total": 57,
+            "pump_writes_total": 29,
+            "ingest_rejected_total": 5,
+            "listen": "127.0.0.1:7000",
+        },
+    }
+    if distributed:
+        snapshot["distributed"] = {
+            "rpc_retries": 41,
+            "rpc_timeouts": 42,
+            "workers_lost": 43,
+            "shards_failed_over": 44,
+            "failover_seconds": 0.75,
+            "workers_joined": 45,
+            "shards_migrated": 46,
+            "heartbeats_sent": 47,
+            "heartbeat_misses": 48,
+            "replies_discarded": 49,
+            "workers_alive": 2,
+            "workers_total": 5,
+            "ledger_depth": 6,
+        }
+    if stages:
+        buckets = [0] * (len(HISTOGRAM_BOUNDS) + 1)
+        buckets[0], buckets[3], buckets[-1] = 2, 5, 1
+        snapshot["stages"] = {
+            "bus.publish": {
+                "count": 8,
+                "total_seconds": 0.5,
+                "min_seconds": 1e-6,
+                "max_seconds": 20.0,
+                "buckets": buckets,
+            },
+            "route.bucket": {
+                "count": 0,
+                "total_seconds": 0.0,
+                "min_seconds": 0.0,
+                "max_seconds": 0.0,
+                "buckets": [0] * (len(HISTOGRAM_BOUNDS) + 1),
+            },
+        }
+    return snapshot
+
+
+def _one(kind: str, value) -> tuple:
+    return kind, [({}, value)]
+
+
+def _per_query(kind: str, a, weird) -> tuple:
+    return kind, [({"query": "a"}, a), ({"query": _WEIRD}, weird)]
+
+
+def _per_subscription(kind: str, dash, second) -> tuple:
+    return kind, [
+        ({"subscription": "dash", "policy": "drop_oldest"}, dash),
+        ({"subscription": "sub1", "policy": "block"}, second),
+    ]
+
+
+#: family -> (TYPE, [(labels, value)]) for ``pinned_snapshot`` without its
+#: optional sections.
+PINNED_FAMILIES = {
+    "repro_service_objects_pushed_total": _one("counter", 1200),
+    "repro_service_chunks_pushed_total": _one("counter", 19),
+    "repro_service_object_query_pairs_total": _one("counter", 2400),
+    "repro_service_wall_seconds_total": _one("counter", 1.25),
+    "repro_ingest_reordered_total": _one("counter", 11),
+    "repro_ingest_late_dropped_total": _one("counter", 12),
+    "repro_ingest_duplicates_seen_total": _one("counter", 13),
+    "repro_ingest_quarantined_total": _one("counter", 14),
+    "repro_ingest_subscriber_errors_total": _one("counter", 15),
+    "repro_ingest_force_released_total": _one("counter", 16),
+    "repro_ingest_spill_errors_total": _one("counter", 17),
+    "repro_ingest_peak_buffered": _one("gauge", 18),
+    "repro_overload_degraded": _one("gauge", 1),
+    "repro_overload_entered_degraded_total": _one("counter", 21),
+    "repro_overload_exited_degraded_total": _one("counter", 20),
+    "repro_overload_chunks_shed_total": _one("counter", 22),
+    "repro_overload_updates_shed_total": _one("counter", 23),
+    "repro_overload_checkpoints_deferred_total": _one("counter", 24),
+    "repro_overload_compactions_total": _one("counter", 25),
+    "repro_overload_queries_compacted_total": _one("counter", 26),
+    "repro_overload_max_depth_chunks": _one("gauge", 3.5),
+    "repro_overload_queue_depth_chunks": _one("gauge", 2.25),
+    "repro_query_objects_routed_total": _per_query("counter", 1100, 900),
+    "repro_query_chunks_processed_total": _per_query("counter", 17, 18),
+    "repro_query_busy_seconds_total": _per_query("counter", 0.5, 0.375),
+    "repro_query_last_lag_seconds": _per_query("gauge", 0.002, 0.003),
+    "repro_query_max_lag_seconds": _per_query("gauge", 0.0125, 0.0625),
+    "repro_query_dropped_results_total": _per_query("counter", 3, 0),
+    "repro_query_chunks_shed_total": _per_query("counter", 2, 1),
+    "repro_subscription_offered_total": _per_subscription("counter", 40, 7),
+    "repro_subscription_delivered_total": _per_subscription("counter", 30, 5),
+    "repro_subscription_dropped_total": _per_subscription("counter", 6, 0),
+    "repro_subscription_depth": _per_subscription("gauge", 4, 2),
+    "repro_server_connections": _one("gauge", 3),
+    "repro_server_subscribers": _one("gauge", 1),
+    "repro_server_connections_total": _one("counter", 9),
+    "repro_server_frames_in_total": _one("counter", 31),
+    "repro_server_frames_out_total": _one("counter", 57),
+    "repro_server_pump_writes_total": _one("counter", 29),
+    "repro_server_ingest_rejected_total": _one("counter", 5),
+    "repro_server_queued_ingest_batches": _one("gauge", 4),
+    "repro_checkpoint_prune_errors_total": _one("counter", 2),
+}
+
+#: The ``distributed`` section's families (remote executor only).
+PINNED_REMOTE_FAMILIES = {
+    "repro_remote_rpc_retries_total": _one("counter", 41),
+    "repro_remote_rpc_timeouts_total": _one("counter", 42),
+    "repro_remote_workers_lost_total": _one("counter", 43),
+    "repro_remote_shards_failed_over_total": _one("counter", 44),
+    "repro_remote_failover_seconds_total": _one("counter", 0.75),
+    "repro_remote_workers_joined_total": _one("counter", 45),
+    "repro_remote_shards_migrated_total": _one("counter", 46),
+    "repro_remote_heartbeats_sent_total": _one("counter", 47),
+    "repro_remote_heartbeat_misses_total": _one("counter", 48),
+    "repro_remote_replies_discarded_total": _one("counter", 49),
+    "repro_remote_workers_alive": _one("gauge", 2),
+    "repro_remote_workers_total": _one("gauge", 5),
+    "repro_remote_ledger_depth": _one("gauge", 6),
+}
+
+#: Stats records rendered field by field, by the section their families
+#: are named after.
+RENDERED_RECORDS = {
+    "service": ServiceStats,
+    "ingest": IngestStats,
+    "overload": OverloadStats,
+    "query": QueryStats,
+    "remote": DistributedStats,
+}
+
+#: Fields of those records that are not counters: views over other
+#: records (rendered under their own section) and the live shed set.
+NOT_COUNTERS = {"per_query", "ingest", "overload", "shedding"}
+
+
+def _stage_samples(stages: dict) -> list:
+    samples = []
+    for stage, record in stages.items():
+        cumulative = 0
+        for bound, count in zip(HISTOGRAM_BOUNDS, record["buckets"]):
+            cumulative += count
+            samples.append(
+                (
+                    "repro_stage_seconds_bucket",
+                    {"stage": stage, "le": repr(float(bound))},
+                    cumulative,
+                )
+            )
+        samples += [
+            (
+                "repro_stage_seconds_bucket",
+                {"stage": stage, "le": "+Inf"},
+                record["count"],
+            ),
+            ("repro_stage_seconds_sum", {"stage": stage}, record["total_seconds"]),
+            ("repro_stage_seconds_count", {"stage": stage}, record["count"]),
+        ]
+    return samples
+
+
+def _sample_key(sample) -> tuple:
+    name, labels, value = sample
+    return name, tuple(sorted(labels.items())), value
+
+
+class TestPinnedExposition:
+    @pytest.mark.parametrize("distributed", [False, True])
+    @pytest.mark.parametrize("stages", [False, True])
+    def test_every_family_type_label_and_sample(self, distributed, stages):
+        snapshot = pinned_snapshot(distributed=distributed, stages=stages)
+        families = parse_exposition(render_prometheus(snapshot))
+        expected = dict(PINNED_FAMILIES)
+        if distributed:
+            expected.update(PINNED_REMOTE_FAMILIES)
+        expected_samples = {
+            family: [(family, labels, value) for labels, value in samples]
+            for family, (_, samples) in expected.items()
+        }
+        expected_types = {family: kind for family, (kind, _) in expected.items()}
+        if stages:
+            expected_types["repro_stage_seconds"] = "histogram"
+            expected_samples["repro_stage_seconds"] = _stage_samples(
+                snapshot["stages"]
+            )
+
+        assert {
+            (family, record["type"], tuple(sorted(labels)))
+            for family, record in families.items()
+            for _, labels, _ in record["samples"]
+        } == {
+            (family, expected_types[family], tuple(sorted(labels)))
+            for family, samples in expected_samples.items()
+            for _, labels, _ in samples
+        }
+        assert {family: record["type"] for family, record in families.items()} == (
+            expected_types
+        )
+        for family, samples in expected_samples.items():
+            assert sorted(map(_sample_key, families[family]["samples"])) == sorted(
+                map(_sample_key, samples)
+            ), family
+        if stages:
+            assert check_histograms(families) == 2
+
+    def test_every_record_field_lands_in_exactly_one_family(self):
+        families = parse_exposition(
+            render_prometheus(pinned_snapshot(distributed=True, stages=False))
+        )
+        for section, record in RENDERED_RECORDS.items():
+            for spec in fields(record):
+                if spec.name in NOT_COUNTERS:
+                    continue
+                base = f"repro_{section}_{spec.name}"
+                landed = [
+                    family for family in (base, base + "_total") if family in families
+                ]
+                assert len(landed) == 1, (section, spec.name, landed)
+
+    def test_the_rendered_fields_are_the_declared_ones(self):
+        for record in RENDERED_RECORDS.values():
+            assert [name for name, *_ in declarations(record)] == [
+                spec.name for spec in fields(record) if spec.name not in NOT_COUNTERS
+            ]

@@ -7,7 +7,8 @@ Chrome ``trace_event`` export, span conservation through the service
 ``route.bucket`` span per shard), the slow-chunk detector, recorder
 survival across checkpoint/restore, the structured JSON log formatter,
 and the busy-seconds accounting invariant (per-chunk busy never exceeds
-the dispatch wall time; exact under a fake clock).
+the dispatch wall time; exact under a fake clock), and the declared
+counters of :mod:`repro.obs.counters`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 import pickle
 import threading
 import time as _time
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import pytest
@@ -41,6 +43,7 @@ from repro.obs import (
     install,
     write_chrome_trace,
 )
+from repro.obs.counters import counter, declarations, declared, gauge
 from repro.service import QuerySpec, SurgeService
 from repro.service.shards import ShardState
 
@@ -459,3 +462,26 @@ class TestJsonLogging:
         payload = json.loads(stream.getvalue().strip())
         assert payload["logger"] == "repro.service.service"
         assert payload["reason"] == "nan_timestamp"
+
+
+@dataclass
+class _Record:
+    hits: int = counter("Hits.")
+    seconds: float = counter("Seconds.", 0.0)
+    level: float = gauge("Level.", 0.5)
+    live: list = field(default_factory=list)
+
+
+class TestDeclaredCounters:
+    def test_declarations_carry_kind_help_and_default_in_field_order(self):
+        assert declarations(_Record) == (
+            ("hits", "counter", "Hits.", 0),
+            ("seconds", "counter", "Seconds.", 0.0),
+            ("level", "gauge", "Level.", 0.5),
+        )
+
+    def test_declared_reads_live_values_and_skips_undeclared_fields(self):
+        record = _Record(hits=3, live=["x"])
+        record.seconds += 1.5
+        assert declared(record) == {"hits": 3, "seconds": 1.5, "level": 0.5}
+        assert _Record(**declared(record), live=["x"]) == record

@@ -21,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.query import SurgeQuery
+from repro.obs.counters import declared
 from repro.service import QuerySpec, SurgeService
 from repro.state import CheckpointPolicy, read_snapshot
 from repro.state.recovery import read_manifest
@@ -272,7 +273,7 @@ def end_state(service):
         service.results(),
         service.chunk_offset,
         service.raw_consumed,
-        service.ingest_stats().to_dict(),
+        declared(service.ingest_stats()),
     )
 
 

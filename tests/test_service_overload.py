@@ -30,6 +30,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.query import SurgeQuery
+from repro.obs.counters import declared
 from repro.service import (
     OverloadConfig,
     OverloadError,
@@ -121,7 +122,7 @@ class TestOverloadConfig:
             max_depth_chunks=9.5,
             shedding=["a", "b"],
         )
-        loaded = OverloadStats.from_dict(stats.to_dict())
+        loaded = OverloadStats.from_dict(declared(stats))
         assert loaded.shedding == []  # recomputed live, never persisted
         assert loaded == replace(stats, shedding=[])
 
@@ -193,7 +194,7 @@ class TestOverloadGovernor:
         recorded = OverloadStats(degraded=True, entered_degraded=3, chunks_shed=9)
         governor = OverloadGovernor(
             OverloadConfig(high_watermark_chunks=8.0, low_watermark_chunks=2.0),
-            OverloadStats.from_dict(recorded.to_dict()),
+            OverloadStats.from_dict(declared(recorded)),
         )
         specs = grid_specs({"c1": 0, "c2": 0, "p1": 5, "p2": 5})
         # Still above the low watermark: keeps shedding without re-entering.
@@ -309,7 +310,7 @@ class TestSubscriptionBounds:
         assert fresh.stats("q").dropped_results == 4
         # And the QueryStats JSON form itself round-trips the new fields.
         stats = QueryStats(dropped_results=3, chunks_shed=2)
-        assert QueryStats.from_dict(stats.to_dict()) == stats
+        assert QueryStats.from_dict(declared(stats)) == stats
         # A record is the dataclass's own keyword arguments: v4 manifests
         # always carry every field, and an absent one takes its default.
         legacy = {"objects_routed": 5, "chunks_processed": 1}
@@ -911,7 +912,7 @@ class TestOverloadDurability:
                 "specs": lambda s: result_keys(s.results()),
                 "policy": lambda s: s.checkpoint_policy,
                 "stats": lambda s: (
-                    s.stats().totals(),
+                    declared(s.stats()),
                     s.stats().per_query,
                     s.ingest_stats().subscriber_errors,
                 ),
@@ -928,7 +929,7 @@ class TestOverloadDurability:
                 ),
                 "extra": lambda s: s.checkpoint_extra,
                 "ingest": lambda s: (s.strict, s.ingest_stats(), s.raw_consumed),
-                "overload": lambda s: (s.overload_stats().to_dict(), s.degraded),
+                "overload": lambda s: (declared(s.overload_stats()), s.degraded),
                 "server": lambda s: s.server_info,
                 # The recorder is snapshotted inside the checkpoint, so that
                 # checkpoint's own span is the one thing it cannot hold.

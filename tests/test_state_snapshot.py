@@ -10,6 +10,8 @@ Covers the three layers beneath the service integration:
   before any payload bytes are unpickled;
 * the chunk-offset WAL — append/checkpoint/read cycle, torn-tail tolerance,
   schema validation;
+* the one atomic-write routine both use — the directory is fsynced after
+  the rename, so the rename is durable;
 * :class:`~repro.state.CheckpointPolicy` — chunk and stream-time triggers,
   validation.
 """
@@ -17,7 +19,9 @@ Covers the three layers beneath the service integration:
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import stat
 
 import pytest
 
@@ -229,6 +233,47 @@ class TestChunkWal:
             handle.write('{"type": "chunk", "chunk": 0, "objects": 1, "end_time": 0.0}\n')
         with pytest.raises(SnapshotError, match="unknown WAL record type"):
             ChunkWal.read(wal.path)
+
+
+class TestDurableRename:
+    """Snapshot writes and WAL rewrites fsync the directory after the rename."""
+
+    @pytest.fixture
+    def syscalls(self, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            calls.append((f"fsync {kind}", info.st_ino))
+            real_fsync(fd)
+
+        def replace(source, target):
+            calls.append(("replace", None))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return calls
+
+    @staticmethod
+    def kinds(calls):
+        return [kind for kind, _ in calls]
+
+    def test_snapshot_write(self, tmp_path, syscalls):
+        write_snapshot(tmp_path / "state.snap", "test", {"a": 1})
+        assert self.kinds(syscalls) == ["fsync file", "replace", "fsync dir"]
+        assert syscalls[-1][1] == tmp_path.stat().st_ino
+
+    def test_wal_rewrite(self, tmp_path, syscalls):
+        wal = ChunkWal(tmp_path / "wal.log")
+        wal.append_chunk(0, 64, 1.0)
+        syscalls.clear()
+        wal.mark_checkpoint(WalCheckpoint(chunk_offset=1, generation=1))
+        assert self.kinds(syscalls) == ["fsync file", "replace", "fsync dir"]
+        assert syscalls[-1][1] == tmp_path.stat().st_ino
+        assert ChunkWal.read(wal.path).checkpoint == WalCheckpoint(1, 1)
 
 
 class TestServiceManifest:

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.obs.counters import declared
 from repro.streams.objects import SpatialObject
 from repro.streams.watermark import (
     IngestStats,
@@ -168,7 +169,7 @@ class TestClassifyBadRecord:
 class TestIngestStats:
     def test_defaults_are_zero(self):
         stats = IngestStats()
-        assert all(value == 0 for value in stats.to_dict().values())
+        assert all(value == 0 for value in declared(stats).values())
 
     def test_dict_round_trip(self):
         stats = IngestStats(
@@ -178,10 +179,10 @@ class TestIngestStats:
             quarantined=4,
             subscriber_errors=5,
         )
-        assert IngestStats(**stats.to_dict()) == stats
+        assert IngestStats(**declared(stats)) == stats
         # The order is the stats frame's and /metrics' (see
         # tests/test_metrics_exposition.py for the byte-level pin).
-        assert list(stats.to_dict()) == [
+        assert list(declared(stats)) == [
             "reordered",
             "late_dropped",
             "duplicates_seen",
