@@ -29,6 +29,9 @@
 #                      the verifier recomputes the gaps/mgaps scores, checks the
 #                      [(1-alpha)/4 * optimum, optimum] band and bit-identity
 #                      against an independent SurgeMonitor
+#   make bench-smoke-wire 5 s of its serve_wire workload (stdlib-only): 16 gaps
+#                      queries served over TCP; the verifier checks the wire
+#                      results bit for bit against an in-process reference
 #                      (each bench-* above refuses to record a >20% regression;
 #                       BENCH_FLAGS=--force overrides, BENCH_FLAGS=--quick
 #                       runs a reduced smoke configuration)
@@ -86,7 +89,7 @@ COVERAGE_MIN ?= 92
 
 .PHONY: test paper bench bench-sweep bench-ingest bench-service bench-recovery \
 	bench-robustness bench-server bench-obs bench-remote bench-smoke \
-	bench-smoke-fanout smoke \
+	bench-smoke-fanout bench-smoke-wire smoke \
 	smoke-recovery smoke-shared smoke-chaos smoke-overload smoke-server smoke-obs \
 	smoke-remote coverage lint loc
 
@@ -129,6 +132,9 @@ bench-smoke: bench-smoke-fanout
 
 bench-smoke-fanout:
 	$(PYTHON) bench/run.py --workload service_fanout --seed 7 --seconds 5 --trace 0
+
+bench-smoke-wire:
+	$(PYTHON) bench/run.py --workload serve_wire --seed 7 --seconds 5 --trace 0
 
 smoke:
 	timeout $(SMOKE_TIMEOUT) $(PYTHON) scripts/recovery_smoke.py

@@ -6,15 +6,19 @@ updates the ``(fc, fp)`` accumulator of the single cell containing its
 location, and the cell with the maximum burst score is continuously reported.
 
 The returned region is always a grid cell, so its burst score is at least
-``(1 - α) / 4`` of the optimum (Theorem 3), and processing an event costs
-``O(log n)`` — the heap update.
+``(1 - α) / 4`` of the optimum (Theorem 3).  Every live cell's score sits in a
+plain table beside a cached best ``(key, score)``: an event costs amortised
+``O(1)``, plus one ``O(n)`` rescan of the table at the next read after the
+best cell's score falls or the cell empties.  Ties go to the smallest cell key,
+so the reported cell depends only on the cells' state.
 
 The same class also serves the top-k extension GAP-kSURGE (Algorithm 6): the
-cell heap directly yields the k cells with the highest burst scores.
+score table directly yields the k cells with the highest burst scores.
 """
 
 from __future__ import annotations
 
+from heapq import nsmallest
 from math import floor
 from typing import Iterable, Sequence
 
@@ -22,7 +26,6 @@ from repro.core.base import BurstyRegionDetector, DetectorStats, RegionResult
 from repro.core.burst import WindowAccumulator, burst_score
 from repro.core.query import SurgeQuery
 from repro.geometry.grids import CellIndex, GridSpec
-from repro.geometry.heaps import LazyMaxHeap
 from repro.streams.objects import EventBatch, EventKind, EventRun, WindowEvent, runs_of
 
 
@@ -52,52 +55,24 @@ class GapSurge(BurstyRegionDetector):
         super().__init__(query)
         self.grid = grid if grid is not None else query.base_grid()
         self.cells: dict[CellIndex, WindowAccumulator] = {}
-        self._score_heap: LazyMaxHeap[CellIndex] = LazyMaxHeap()
+        #: Every live cell's burst score, and the best ``(key, score)`` of
+        #: the table — ``None`` when stale (rebuilt by the next read).
+        self._scores: dict[CellIndex, float] = {}
+        self._top: tuple[CellIndex, float] | None = None
 
     # ------------------------------------------------------------------
     # Event processing (Algorithm 3)
     # ------------------------------------------------------------------
     def process(self, event: WindowEvent) -> None:
-        self.stats.events_processed += 1
-        obj = event.obj
-        if not self.query.accepts(obj.x, obj.y):
-            self.stats.events_skipped += 1
-            return
-
-        key = self.grid.cell_of(obj.x, obj.y)
-        accumulator = self.cells.get(key)
-        if accumulator is None:
-            if event.kind is not EventKind.NEW:
-                # GROWN / EXPIRED for an object never seen as NEW (e.g. the
-                # detector was attached mid-stream): nothing to undo.
-                return
-            accumulator = WindowAccumulator()
-            self.cells[key] = accumulator
-
-        if event.kind is EventKind.NEW:
-            accumulator.apply_new(obj.weight, self.query.current_length)
-        elif event.kind is EventKind.GROWN:
-            accumulator.apply_grown(
-                obj.weight, self.query.current_length, self.query.past_length
-            )
-        else:
-            accumulator.apply_expired(obj.weight, self.query.past_length)
-
-        if accumulator.is_empty:
-            del self.cells[key]
-            self._score_heap.remove(key)
-        else:
-            self._score_heap.push(key, accumulator.score(self.query.alpha))
+        """Apply one window event: a batch of one."""
+        self.apply_events((event,))
 
     def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
-        """Apply a whole event batch, refreshing the score heap once at the end.
+        """Apply a whole event batch, re-scoring each touched cell once.
 
         Every cell's ``(fc, fp, counts)`` is bit-identical to looping
         :meth:`process` over the same events: the accumulator arithmetic and
-        order are the same.  Only the heap maintenance is amortised: each
-        touched cell is removed (if the batch emptied it) or re-scored once
-        per batch.  Which of two *equal-score* cells is reported may differ
-        from that loop (heap insertion order).
+        order are the same, and the reported cell depends only on that state.
         """
         self._apply_runs(accepted_runs(runs_of(batch), self.query, self.stats))
 
@@ -105,9 +80,9 @@ class GapSurge(BurstyRegionDetector):
         """Apply kind runs of accepted objects: one tight loop per kind.
 
         Only an ``EXPIRED`` can empty a cell (``NEW`` / ``GROWN`` add a
-        count), which is then dropped in event order, like :meth:`process`.
-        A ``GROWN`` / ``EXPIRED`` into an absent cell (an object never seen
-        as ``NEW``) has nothing to undo.
+        count), which is then dropped at once, so a later ``NEW`` opens it
+        afresh.  A ``GROWN`` / ``EXPIRED`` into an absent cell (an object
+        never seen as ``NEW``) has nothing to undo.
         """
         query = self.query
         current_length = query.current_length
@@ -154,39 +129,59 @@ class GapSurge(BurstyRegionDetector):
                     dirty.add(key)
         self.stats.events_processed += processed
 
-        heap = self._score_heap
+        # Re-score the touched cells and keep ``_top`` the table's best under
+        # (score descending, key ascending): a better score takes it, and
+        # the top cell falling or emptying leaves it stale.
+        scores = self._scores
+        top = self._top
         alpha = query.alpha
-        rescored = []
         for key in dirty:
             accumulator = cells.get(key)
             if accumulator is None:
-                heap.remove(key)
-            else:
-                rescored.append(
-                    (key, burst_score(accumulator.fc, accumulator.fp, alpha))
-                )
-        heap.push_all(rescored)
+                scores.pop(key, None)
+                if top is not None and key == top[0]:
+                    top = None
+                continue
+            score = burst_score(accumulator.fc, accumulator.fp, alpha)
+            scores[key] = score
+            if top is not None:
+                top_key, top_score = top
+                if score > top_score or (score == top_score and key < top_key):
+                    top = (key, score)
+                elif key == top_key and score < top_score:
+                    top = None
+        self._top = top
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
+    def _best(self) -> tuple[CellIndex, float] | None:
+        """The best ``(key, score)``: the maximum score, then the smallest key."""
+        if self._top is None and self._scores:
+            scores = self._scores
+            best = max(scores.values())
+            tied = [key for key, score in scores.items() if score == best]
+            self._top = (min(tied), best)
+        return self._top
+
     def top_score(self) -> float | None:
         """The highest cell burst score, or ``None`` when no cell is live."""
-        top = self._score_heap.peek()
+        top = self._best()
         return None if top is None else top[1]
 
     def result(self) -> RegionResult | None:
-        top = self._score_heap.peek()
-        if top is None:
-            return None
-        key, score = top
-        return self._cell_result(key, score)
+        top = self._best()
+        return None if top is None else self._cell_result(*top)
 
     def top_k(self, k: int | None = None) -> list[RegionResult]:
-        """The k cells with the highest burst scores (GAP-kSURGE)."""
+        """The k cells with the highest burst scores (GAP-kSURGE), ranked
+        like :meth:`result`: score descending, then cell key ascending."""
         if k is None:
             k = self.query.k
-        return [self._cell_result(key, score) for key, score in self._score_heap.top_n(k)]
+        ranked = nsmallest(
+            k, self._scores.items(), key=lambda item: (-item[1], item[0])
+        )
+        return [self._cell_result(key, score) for key, score in ranked]
 
     def _cell_result(self, key: CellIndex, score: float) -> RegionResult:
         accumulator = self.cells[key]

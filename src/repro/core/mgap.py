@@ -39,19 +39,15 @@ class MGapSurge(BurstyRegionDetector):
     # Event processing
     # ------------------------------------------------------------------
     def process(self, event: WindowEvent) -> None:
-        self.stats.events_processed += 1
-        if not self.query.accepts(event.obj.x, event.obj.y):
-            self.stats.events_skipped += 1
-            return
-        for detector in self.detectors:
-            detector.process(event)
+        """Apply one window event: a batch of one."""
+        self.apply_events((event,))
 
     def apply_events(self, batch: "EventBatch | Iterable[WindowEvent]") -> None:
         """Filter the batch by the preferred area once, then batch every grid.
 
         The accepted runs go to the four grids in the batch's lifecycle-safe
         order, so each grid ends bit-identical to looping :meth:`process`
-        and refreshes its score heap once per batch.
+        and re-scores each touched cell once per batch.
         """
         runs = accepted_runs(runs_of(batch), self.query, self.stats)
         self.stats.events_processed += sum(len(objs) for _, objs in runs)

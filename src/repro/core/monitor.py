@@ -270,7 +270,7 @@ class SurgeMonitor:
     def save(self, path: str | Path, meta: Mapping[str, Any] | None = None) -> dict:
         """Snapshot this monitor's complete live state to ``path``.
 
-        The snapshot (``snapshot/v3``, kind ``"monitor"``) covers the
+        The snapshot (``snapshot/v5``, kind ``"monitor"``) covers the
         sliding-window deques, the detector's full incremental state (cell
         rows, lazy bound heaps, memoised candidates, top-k dirty flags,
         operation counters) and the objects counter; :meth:`load` restores a

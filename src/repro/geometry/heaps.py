@@ -1,11 +1,11 @@
 """An addressable max-heap with lazy invalidation.
 
-Every SURGE detector needs the same bookkeeping primitive: a collection of
-keys (grid cells) whose priority (upper bound or burst score) changes on
-every stream event, together with an efficient way to read or pop the key
-with the largest priority.  Re-heapifying on every update would defeat the
-point of the lazy-update strategy, so the heap keeps stale entries around and
-skips them when they surface — the standard "lazy deletion" technique.
+The exact detectors share one bookkeeping primitive: a collection of keys
+(grid cells) whose priority (upper bound or burst score) changes on every
+stream event, together with an efficient way to read or pop the key with the
+largest priority.  Re-heapifying on every update would defeat the point of
+the lazy-update strategy, so the heap keeps stale entries around and skips
+them when they surface — the standard "lazy deletion" technique.
 
 The structure supports:
 

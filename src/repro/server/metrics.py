@@ -22,7 +22,8 @@ record declares with :func:`~repro.obs.counters.counter` or
 
 The tables below declare the few families no record keeps: per-subscription
 counters labelled ``{subscription="...",policy="..."}``, the front end's
-``repro_server_*`` counters, the queue depth and the remote fleet gauges.
+``repro_server_*`` counters (only when the snapshot carries the front end's
+``server`` section), the queue depth and the remote fleet gauges.
 Last come the ``repro_stage_seconds`` histograms of the tracing tier's
 flight recorder (see :mod:`repro.obs`), only when a tracer is attached.
 
@@ -121,9 +122,8 @@ def _families(
     snapshot: dict[str, Any],
 ) -> Iterable[tuple[str, str, str, list[tuple[dict | None, Any]]]]:
     """``(family, TYPE, HELP, [(labels, value)])`` of every non-histogram family."""
-    remote = bool(snapshot.get("distributed"))
     for section, prefix, record in _RECORDS:
-        if section == "distributed" and not remote:
+        if section == "distributed" and not snapshot.get(section):
             continue
         values = snapshot.get(section, {})
         for key, kind, help_text, default in declarations(record):
@@ -148,9 +148,9 @@ def _families(
             for index, record in enumerate(subscriptions)
         ]
     for name, kind, section, key, help_text in _UNDECLARED:
-        if section == "distributed" and not remote:
-            continue
-        values = snapshot.get(section, {}) if section else snapshot
+        if section and not snapshot.get(section):
+            continue  # no front end / no remote executor: no such family
+        values = snapshot[section] if section else snapshot
         yield name, kind, help_text, [(None, values.get(key, 0))]
 
 

@@ -8,12 +8,12 @@ counter) or of one service shard (every query pipeline it hosts, plus the
 routing counters), together with enough header metadata to decide *whether*
 the payload can be read at all before touching it.
 
-File format (``snapshot/v4``)
+File format (``snapshot/v5``)
 -----------------------------
 ::
 
     REPRO-SNAPSHOT\\n                 16-byte ASCII magic line
-    {"schema": "snapshot/v4", ...}\\n one JSON header line (UTF-8)
+    {"schema": "snapshot/v5", ...}\\n one JSON header line (UTF-8)
     <pickle bytes>                    the payload
 
 The header carries ``schema`` (the codec version), ``kind`` (what the
@@ -29,9 +29,10 @@ bytes can execute arbitrary reduce hooks — the checksum runs first, and a
 header without one is refused).
 
 The version names the pickled layout of the state classes as well as the
-file framing: ``snapshot/v1`` to ``v3`` files hold detector, pipeline,
-ingest-tier and cell layouts this build no longer reads, so they are refused by
-version rather than patched up while unpickling.
+file framing: ``snapshot/v1`` to ``v4`` files hold detector, pipeline,
+ingest-tier and cell layouts this build no longer reads (``v4`` kept each
+GAP-SURGE grid's scores in a heap), so they are refused by version rather
+than patched up while unpickling.
 
 Writes are atomic: the file is assembled under a temporary name in the same
 directory, flushed and fsynced, then moved into place with :func:`os.replace`
@@ -58,7 +59,7 @@ from typing import Any, Mapping
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\n"
 
 #: The codec version this build reads and writes.
-SNAPSHOT_SCHEMA = "snapshot/v4"
+SNAPSHOT_SCHEMA = "snapshot/v5"
 
 
 class SnapshotError(RuntimeError):
@@ -113,7 +114,7 @@ def write_snapshot(
     payload: Any,
     meta: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Serialise ``payload`` to ``path`` as a ``snapshot/v4`` file.
+    """Serialise ``payload`` to ``path`` as a ``snapshot/v5`` file.
 
     Returns the header that was written.  The write is atomic; on any
     failure the previous file at ``path`` (if one existed) is untouched.

@@ -1,7 +1,8 @@
 """GAP-kSURGE: top-k extension of the grid-based approximation (Algorithm 6).
 
-GAP-SURGE already maintains every non-empty cell in a score-ordered heap, so
-the top-k extension simply reports the k best cells.  Cells of the same grid
+GAP-SURGE already keeps every non-empty cell's score in a table, so the
+top-k extension simply reports the k best cells, ranked like the single
+result: score descending, then cell key ascending.  Cells of the same grid
 never overlap, hence the reported regions are automatically disjoint and the
 object-disjoint semantics of Definition 9 holds trivially.
 """

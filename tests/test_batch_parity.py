@@ -28,10 +28,10 @@ Notes on the contract being asserted:
   top-k scores and the counters must be **equal** (``==``, no tolerance)
   after every chunk.  (Against ``push`` one object at a time only the
   tolerance above holds: a batch interleaves different objects' transitions
-  differently, and float addition is not associative.)  Which of two
-  *equal-score* cells is reported is unspecified across the two paths (it
-  depends on heap insertion order) — already true for the batched exact
-  detectors.
+  differently, and float addition is not associative.)  Ties go to the
+  smallest cell key, so the reported regions and the top-k regions must be
+  equal too; which of two *equal-score* regions is reported stays
+  unspecified across the two paths for the batched exact detectors.
 
 Chunkings are chosen so that chunk boundaries split window expiries (a chunk
 starts mid-expiry-run) and so that at least one chunk contains a time jump
@@ -44,6 +44,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.burst import burst_score
 from repro.core.cells import CellSweepDetector
@@ -303,13 +305,14 @@ def assert_approx_identical(per_event, batched, where):
     if result_a is None or result_b is None:
         assert result_a is None and result_b is None, where
     else:
-        assert (result_a.score, result_a.fc, result_a.fp) == (
+        assert (result_a.region, result_a.score, result_a.fc, result_a.fp) == (
+            result_b.region,
             result_b.score,
             result_b.fc,
             result_b.fp,
         ), where
-    assert [r.score for r in per_event.top_k(3)] == [
-        r.score for r in batched.top_k(3)
+    assert [(r.region, r.score) for r in per_event.top_k(3)] == [
+        (r.region, r.score) for r in batched.top_k(3)
     ], where
 
 
@@ -363,8 +366,106 @@ def test_approximate_family_cell_born_and_emptied_inside_one_batch(name):
             } - cells_before
             assert transient, "stream no longer opens a cell before the jump"
             assert not transient & set(grid.cells)
-            assert all(key not in grid._score_heap for key in transient)
+            assert not transient & set(grid._scores)
+            assert grid._top is None or grid._top[0] not in transient
         cells_before = set(grid.cells)
+
+
+def rescanned_top(grid):
+    """A grid's best ``(key, score)`` recomputed from its cells alone: the
+    maximum burst score, then the smallest cell key."""
+    alpha = grid.query.alpha
+    ranked = sorted(
+        (-burst_score(acc.fc, acc.fp, alpha), key) for key, acc in grid.cells.items()
+    )
+    return (ranked[0][1], -ranked[0][0]) if ranked else None
+
+
+def assert_cached_top_is_a_rescan(detector, where):
+    """Every grid's score table matches its cells, its cached top (when not
+    stale) is the rescan's, and the reads rank ties by the smallest key."""
+    __tracebackhide__ = True
+    for grid in grids_of(detector):
+        alpha = grid.query.alpha
+        assert grid._scores == {
+            key: burst_score(acc.fc, acc.fp, alpha) for key, acc in grid.cells.items()
+        }, where
+        expected = rescanned_top(grid)
+        assert grid._top in (None, expected), where
+        assert grid._best() == expected, where
+        ranked = sorted(grid._scores.items(), key=lambda item: (-item[1], item[0]))
+        assert [(r.region, r.score) for r in grid.top_k(3)] == [
+            (grid.grid.cell_rect(key), score) for key, score in ranked[:3]
+        ], where
+    result, top = detector.result(), detector.top_k(3)
+    if result is None:
+        assert top == [], where
+    else:
+        assert (top[0].region, top[0].score) == (result.region, result.score), where
+
+
+#: One object: (time step, column, row, weight).  Half-unit columns and
+#: rows on a 1 x 0.8 grid, two weights and few distinct steps make equal-score
+#: cells common; the 100 s step outlasts both windows, so a 48-object chunk
+#: holding one opens and empties cells inside the batch.
+TIE_HEAVY_OBJECTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 2.0, 7.5, 100.0]),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=0, max_value=13),
+        st.sampled_from([1.0, 2.0]),
+    ),
+    max_size=150,
+)
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+@pytest.mark.parametrize("chunk_size", [1, 48])
+@given(rows=TIE_HEAVY_OBJECTS)
+@settings(max_examples=25, deadline=None)
+def test_cached_top_is_a_rescan_of_the_cells(name, chunk_size, rows):
+    """With an area filter, after every chunk on both paths the cached best
+    cell equals a from-scratch rescan of ``cells``, and top-k ranks ties the
+    way ``result()`` does."""
+    query = APPROX_QUERIES["area"]
+    stream, t = [], 0.0
+    for index, (step, column, row, weight) in enumerate(rows):
+        t += step
+        stream.append(
+            SpatialObject(
+                x=0.5 * column + 0.25, y=0.4 * row + 0.2, timestamp=t,
+                weight=weight, object_id=index,
+            )
+        )
+    for start, _, per_event, batched in replay_both_paths(
+        name, query, stream, chunk_size
+    ):
+        assert_cached_top_is_a_rescan(per_event, (name, start, "per-event"))
+        assert_cached_top_is_a_rescan(batched, (name, start, "batched"))
+        assert_approx_identical(per_event, batched, (name, start))
+
+
+@pytest.mark.parametrize("name", APPROX_NAMES)
+def test_ties_go_to_the_smallest_cell_key(name):
+    """Equal-weight objects, one per cell: every live cell ties, so the
+    result is the smallest cell key and top-k lists the smallest keys in
+    order, for the top-k detectors as for the single result."""
+    query = APPROX_QUERIES["plain"]
+    # Arrival order deliberately not key order.
+    stream = [
+        SpatialObject(x=x + 0.5, y=y + 0.5, timestamp=float(index), weight=1.0,
+                      object_id=index)
+        for index, (x, y) in enumerate([(4, 1), (2, 3), (0, 2), (2, 0), (3, 3)])
+    ]
+    monitor = SurgeMonitor(query, algorithm=name)
+    monitor.push_many(stream)
+    result, top = monitor.result(), monitor.top_k(3)
+    assert (top[0].region, top[0].score) == (result.region, result.score)
+    if name in ("gaps", "kgaps"):
+        assert [(r.region.min_x, r.region.min_y) for r in top] == [
+            (0.0, 2.0), (2.0, 0.0), (2.0, 3.0)
+        ]
+    assert_cached_top_is_a_rescan(monitor.detector, name)
 
 
 def test_approximate_family_area_anchors_the_grids():

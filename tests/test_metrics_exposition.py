@@ -583,44 +583,75 @@ def _sample_key(sample) -> tuple:
     return name, tuple(sorted(labels.items())), value
 
 
+#: The families read off the front end's ``server`` section (the queued
+#: ingest batches gauge is read from the snapshot's top level).
+SERVER_SECTION_FAMILIES = {
+    family
+    for family in PINNED_FAMILIES
+    if family.startswith("repro_server_")
+    and family != "repro_server_queued_ingest_batches"
+}
+
+
+def assert_exposition(snapshot: dict, expected: dict) -> None:
+    """``render_prometheus(snapshot)`` is exactly ``expected`` (family ->
+    (TYPE, [(labels, value)])), plus the stage histograms it carries."""
+    __tracebackhide__ = True
+    families = parse_exposition(render_prometheus(snapshot))
+    expected_samples = {
+        family: [(family, labels, value) for labels, value in samples]
+        for family, (_, samples) in expected.items()
+    }
+    expected_types = {family: kind for family, (kind, _) in expected.items()}
+    if snapshot["stages"]:
+        expected_types["repro_stage_seconds"] = "histogram"
+        expected_samples["repro_stage_seconds"] = _stage_samples(snapshot["stages"])
+
+    assert {
+        (family, record["type"], tuple(sorted(labels)))
+        for family, record in families.items()
+        for _, labels, _ in record["samples"]
+    } == {
+        (family, expected_types[family], tuple(sorted(labels)))
+        for family, samples in expected_samples.items()
+        for _, labels, _ in samples
+    }
+    assert {family: record["type"] for family, record in families.items()} == (
+        expected_types
+    )
+    for family, samples in expected_samples.items():
+        assert sorted(map(_sample_key, families[family]["samples"])) == sorted(
+            map(_sample_key, samples)
+        ), family
+    if snapshot["stages"]:
+        assert check_histograms(families) == 2
+
+
 class TestPinnedExposition:
     @pytest.mark.parametrize("distributed", [False, True])
     @pytest.mark.parametrize("stages", [False, True])
     def test_every_family_type_label_and_sample(self, distributed, stages):
-        snapshot = pinned_snapshot(distributed=distributed, stages=stages)
-        families = parse_exposition(render_prometheus(snapshot))
         expected = dict(PINNED_FAMILIES)
         if distributed:
             expected.update(PINNED_REMOTE_FAMILIES)
-        expected_samples = {
-            family: [(family, labels, value) for labels, value in samples]
-            for family, (_, samples) in expected.items()
-        }
-        expected_types = {family: kind for family, (kind, _) in expected.items()}
-        if stages:
-            expected_types["repro_stage_seconds"] = "histogram"
-            expected_samples["repro_stage_seconds"] = _stage_samples(
-                snapshot["stages"]
-            )
-
-        assert {
-            (family, record["type"], tuple(sorted(labels)))
-            for family, record in families.items()
-            for _, labels, _ in record["samples"]
-        } == {
-            (family, expected_types[family], tuple(sorted(labels)))
-            for family, samples in expected_samples.items()
-            for _, labels, _ in samples
-        }
-        assert {family: record["type"] for family, record in families.items()} == (
-            expected_types
+        assert_exposition(
+            pinned_snapshot(distributed=distributed, stages=stages), expected
         )
-        for family, samples in expected_samples.items():
-            assert sorted(map(_sample_key, families[family]["samples"])) == sorted(
-                map(_sample_key, samples)
-            ), family
-        if stages:
-            assert check_histograms(families) == 2
+
+    def test_no_server_family_without_a_front_end(self):
+        """An engine-only snapshot has no ``server`` section, so none of the
+        front end's families render: "no front end" never reads as "no
+        connections"."""
+        snapshot = pinned_snapshot(distributed=False, stages=False)
+        del snapshot["server"]
+        assert_exposition(
+            snapshot,
+            {
+                family: samples
+                for family, samples in PINNED_FAMILIES.items()
+                if family not in SERVER_SECTION_FAMILIES
+            },
+        )
 
     def test_every_record_field_lands_in_exactly_one_family(self):
         families = parse_exposition(

@@ -18,7 +18,7 @@ identical to never having crashed** —
   independent-monitor oracle (``tests/helpers.replay_oracle``), so every
   crash cycle is simultaneously a proof that the shared-work plan's
   group-owned windows / unit-owned monitors survive the snapshot;
-* a checkpoint written by an earlier commit (``snapshot/v1`` … ``v3`` shard,
+* a checkpoint written by an earlier commit (``snapshot/v1`` … ``v4`` shard,
   ingest and monitor files, a ``service-manifest/v1`` … ``v3`` manifest) is
   refused by version with a typed :class:`~repro.state.SnapshotSchemaError`, before
   any payload is unpickled;
@@ -385,6 +385,10 @@ class TestRestoreValidation:
     def test_v3_monitor_file_is_refused(self, tmp_path):
         self.refuse_monitor_file(tmp_path, "snapshot/v3")
 
+    def test_v4_monitor_file_is_refused(self, tmp_path):
+        """``v4`` kept each GAP-SURGE grid's scores in a heap."""
+        self.refuse_monitor_file(tmp_path, "snapshot/v4")
+
     def refuse_shard_file(self, tmp_path, stream, schema):
         with SurgeService(make_specs()[:2], shards=2, checkpoint_dir=tmp_path) as s:
             s.push_many(stream[:50])
@@ -404,6 +408,9 @@ class TestRestoreValidation:
 
     def test_v3_shard_file_is_refused(self, tmp_path, stream):
         self.refuse_shard_file(tmp_path, stream, "snapshot/v3")
+
+    def test_v4_shard_file_is_refused(self, tmp_path, stream):
+        self.refuse_shard_file(tmp_path, stream, "snapshot/v4")
 
     def test_v3_ingest_file_is_refused(self, tmp_path, stream):
         """``v3`` ingest snapshots held a dict of buffer and pending list and

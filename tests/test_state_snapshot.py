@@ -2,7 +2,7 @@
 
 Covers the three layers beneath the service integration:
 
-* the ``snapshot/v3`` codec — round-trip fidelity, atomicity guarantees
+* the ``snapshot/v5`` codec — round-trip fidelity, atomicity guarantees
   (no temp-file debris, old file intact on failed writes), and the clear
   failure modes: bad magic, corrupt header, truncated payload, wrong kind,
   and — the contractually required one — an *unknown schema version*, which
